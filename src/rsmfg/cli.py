@@ -51,9 +51,9 @@ from .montecarlo import (
 from .numerics import MatrixTrajectory, TimeGrid
 from .population import (
     finite_cost,
-    fluctuation_statistics,
     nash_gap,
     simulate_population,
+    summarize_fluctuations,
 )
 from .riccati import solve
 
@@ -211,14 +211,26 @@ def load_config(path, mode: str) -> ExperimentConfig:
     return parse_config(raw, mode)
 
 
+def _at_least(value, minimum: int, where: str) -> int:
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where} must be an integer") from None
+    if count < minimum:
+        raise ParseError(f"{where} must be at least {minimum}")
+    return count
+
+
 def parse_config(raw: dict, mode: str) -> ExperimentConfig:
-    grid_doc = raw.get("grid", {})
-    steps = int(grid_doc.get("steps", 2000))
-    montecarlo = dict(raw.get("montecarlo", {}))
-    fixedpoint = dict(raw.get("fixedpoint", {}))
-    population = dict(raw.get("population", {}))
-    output = dict(raw.get("output", {}))
-    if mode in STOCHASTIC_MODES and "seed" not in montecarlo:
+    if not isinstance(raw, dict):
+        raise ParseError("config must be a JSON object")
+    docs = {name: raw.get(name, {}) for name in
+            ("grid", "montecarlo", "fixedpoint", "population", "output")}
+    for name, doc in docs.items():
+        if not isinstance(doc, dict):
+            raise ParseError(f"'{name}' must be a JSON object")
+    steps = _at_least(docs["grid"].get("steps", 2000), 2, "grid.steps")
+    if mode in STOCHASTIC_MODES and "seed" not in docs["montecarlo"]:
         raise ParseError("seed required")
 
     model_doc = raw.get("model")
@@ -229,6 +241,8 @@ def parse_config(raw: dict, mode: str) -> ExperimentConfig:
     kind = _require(model_doc, "type", "model")
     # grid end time comes from the model horizon
     T = float(_require(model_doc, "T", "model"))
+    if not T > 0.0:
+        raise ParseError("model.T must be positive")
     grid = TimeGrid(t_end=T, steps=steps)
     if kind == "single":
         model = validate_single(_parse_single(model_doc, grid))
@@ -244,9 +258,11 @@ def parse_config(raw: dict, mode: str) -> ExperimentConfig:
         raise ParseError(f"mode {mode} needs a 'major_minor' model")
 
     return ExperimentConfig(
-        mode=mode, model=model, grid=grid, montecarlo=montecarlo,
-        fixedpoint=fixedpoint, population=population, output=output,
-        threads=int(raw.get("threads", 1)), raw=raw,
+        mode=mode, model=model, grid=grid,
+        montecarlo=dict(docs["montecarlo"]),
+        fixedpoint=dict(docs["fixedpoint"]),
+        population=dict(docs["population"]), output=dict(docs["output"]),
+        threads=_at_least(raw.get("threads", 1), 1, "threads"), raw=raw,
     )
 
 
@@ -304,9 +320,11 @@ def _run_solve_single(cfg: ExperimentConfig, bundle: ResultBundle):
 
 
 def _run_verify_single(cfg: ExperimentConfig, bundle: ResultBundle):
-    sol = _run_solve_single(cfg, bundle)
-    n_paths = int(cfg.montecarlo.get("n_paths", 10_000))
+    # a standard error needs two paths, or two replications below
+    n_paths = _at_least(cfg.montecarlo.get("n_paths", 10_000), 2,
+                        "montecarlo.n_paths")
     seed = int(cfg.montecarlo["seed"])
+    sol = _run_solve_single(cfg, bundle)
     rows = []
     norm = check_normalization(cfg.model, sol, n_paths, seed)
     rows.append(("normalization", "", repr(norm.value), repr(norm.target),
@@ -372,12 +390,7 @@ def _run_reproduce_paper(cfg: ExperimentConfig, bundle: ResultBundle):
             for t, ent, comp, val in _traj_rows(cfg.grid, values, entity):
                 iter_rows.append((str(j), t, ent, comp, val))
 
-    eq = solve_consistency(
-        cfg.model, cfg.grid,
-        tol=float(cfg.fixedpoint.get("tol", 1e-10)),
-        max_iter=int(cfg.fixedpoint.get("max_iter", 50)),
-        callback=record,
-    )
+    eq = _solve_mfg(cfg, callback=record)
     _emit_mfg_tables(cfg, bundle, eq)
     bundle.tables["iterations"] = (
         ("iteration",) + TRAJ_HEADER, iter_rows)
@@ -385,11 +398,11 @@ def _run_reproduce_paper(cfg: ExperimentConfig, bundle: ResultBundle):
 
 
 def _run_simulate_population(cfg: ExperimentConfig, bundle: ResultBundle):
-    eq = _solve_mfg(cfg)
     pop = cfg.population
-    N = int(pop.get("N", 5))
-    n_reps = int(pop.get("n_reps", 1000))
+    N = _at_least(pop.get("N", 5), 1, "population.N")
+    n_reps = _at_least(pop.get("n_reps", 1000), 2, "population.n_reps")
     seed = int(cfg.montecarlo["seed"])
+    eq = _solve_mfg(cfg)
     run = simulate_population(cfg.model, eq, N, n_reps=n_reps, seed=seed)
     rows = []
     est = finite_cost(run, "major")
@@ -410,17 +423,29 @@ def _run_simulate_population(cfg: ExperimentConfig, bundle: ResultBundle):
 
 
 def _run_nash_gap(cfg: ExperimentConfig, bundle: ResultBundle):
-    eq = _solve_mfg(cfg)
     pop = cfg.population
-    schedule = [int(N) for N in pop.get("N_schedule", (5, 20, 80))]
-    n_reps = int(pop.get("n_reps", 1000))
+    schedule = pop.get("N_schedule", [5, 20, 80])
+    if not isinstance(schedule, list) or not schedule:
+        raise ParseError("population.N_schedule must be a non-empty list")
+    schedule = [_at_least(N, 1, "population.N_schedule entry")
+                for N in schedule]
+    n_reps = _at_least(pop.get("n_reps", 1000), 2, "population.n_reps")
     agent = pop.get("agent", "major")
     if agent != "major":
-        agent = int(agent)
+        agent = _at_least(agent, 0, "population.agent")
+        if agent >= min(schedule):
+            raise ParseError("population.agent must be a minor slot of "
+                             "every N in N_schedule")
     seed = int(cfg.montecarlo["seed"])
-    rows = []
+    eq = _solve_mfg(cfg)
+    rows, runs = [], []
     for N in schedule:
-        rep = nash_gap(cfg.model, eq, agent, N=N, n_reps=n_reps, seed=seed)
+        # the equilibrium population serves both the gap and the
+        # fluctuation statistics
+        run = simulate_population(cfg.model, eq, N, n_reps=n_reps, seed=seed)
+        runs.append(run)
+        rep = nash_gap(cfg.model, eq, agent, N=N, n_reps=n_reps, seed=seed,
+                       equilibrium_run=run)
         rows.append((str(N), "equilibrium", repr(rep.equilibrium.log_value),
                      repr(rep.equilibrium.std_error), repr(rep.gap),
                      repr(rep.gap_std_error)))
@@ -429,8 +454,7 @@ def _run_nash_gap(cfg: ExperimentConfig, bundle: ResultBundle):
                          repr(est.std_error), "", ""))
     bundle.tables["gaps"] = (
         ("N", "law", "log_cost", "std_error", "gap", "gap_std_error"), rows)
-    stats = fluctuation_statistics(cfg.model, eq, schedule,
-                                   n_reps=n_reps, seed=seed)
+    stats = summarize_fluctuations(runs)
     rows = [(str(N), repr(float(s)), repr(float(t)))
             for N, s, t in zip(schedule, stats.mean_sup,
                                stats.mean_terminal)]

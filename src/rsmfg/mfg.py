@@ -23,9 +23,8 @@ from .numerics import (
     HalfGridFunction,
     MatrixTrajectory,
     TimeGrid,
-    half_grid_sampler,
     half_grid_table,
-    integrate_ode,
+    propagate_linear,
 )
 from .riccati import feedback_law, solve_offset, solve_riccati
 
@@ -189,9 +188,9 @@ def _extended_problem(sys: ExtendedSystem, A_nodes, M_nodes, sigma_half,
     from sweep to sweep, so it is tabulated once per fixed-point solve.
     """
     return LqgProblem(
-        A=half_grid_sampler(grid, A_nodes),
+        A=HalfGridFunction(grid, half_grid_table(A_nodes, grid)),
         B=sys.B_own,
-        b=half_grid_sampler(grid, M_nodes),
+        b=HalfGridFunction(grid, half_grid_table(M_nodes, grid)),
         sigma=HalfGridFunction(grid, sigma_half),
         Q=sys.Q_bb, S=sys.S_bb, R=sys.R,
         eta=sys.eta_bar, zeta=sys.n_bar, Q_hat=sys.G_bb,
@@ -215,18 +214,16 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         grid = TimeGrid(t_end=spec.T, steps=2000)
     n, m, K = spec.n, spec.m, spec.K
     M = grid.steps
-    nodes = grid.nodes
     major_ext = assemble_major(spec)
     minor_exts = [assemble_minor(spec, k, eta_hat_sign) for k in range(K)]
     d0 = major_ext.dim
 
-    R0inv = np.linalg.inv(major_ext.R)
     Rkinv = [np.linalg.inv(me.R) for me in minor_exts]
     F0_pi = _pi_blocks(spec.major.F, spec.pi)
     sig0_half = half_grid_table(major_ext.Sigma, grid)
     sigk_half = [half_grid_table(me.Sigma, grid) for me in minor_exts]
-    b0_nodes = np.stack([spec.major.b(t) for t in nodes])
-    bk_nodes = [np.stack([th.b(t) for t in nodes]) for th in spec.minors]
+    b0_nodes = half_grid_table(spec.major.b, grid)[::2]
+    bk_nodes = [half_grid_table(th.b, grid)[::2] for th in spec.minors]
 
     # iterates on the grid
     A_bar = np.zeros((M + 1, n * K, n * K))
@@ -253,12 +250,12 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         Pi0 = solve_riccati(p0, grid)
         s0 = solve_offset(p0, Pi0, grid)
 
-        # closed-loop major coefficients consumed by every minor system
-        B0, S0 = major_ext.B_own, major_ext.S_bb
-        BRS0 = B0 @ R0inv @ S0.T
-        closed_A0 = A0_nodes - BRS0 \
-            - np.einsum("ij,tjk->tik", B0 @ R0inv @ B0.T, Pi0.values)
-        closed_M0 = M0_nodes - s0.values @ (B0 @ R0inv @ B0.T).T
+        # closed-loop major coefficients (A + B K, M + B k) consumed by
+        # every minor system
+        B0 = major_ext.B_own
+        K0, k0 = feedback_law(p0, Pi0, s0)
+        closed_A0 = A0_nodes + np.einsum("ij,tjk->tik", B0, K0.values)
+        closed_M0 = M0_nodes + k0.values @ B0.T
 
         # (2) minor extended solves
         Piks, sks, pks = [], [], []
@@ -283,31 +280,17 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         A_new = np.empty_like(A_bar)
         G_new = np.empty_like(G_bar)
         m_new = np.empty_like(m_bar)
-        for k, me in enumerate(minor_exts):
-            th = spec.minors[k]
-            Bk = th.B
-            BR = Bk @ Rkinv[k]
-            Sk = me.S_bb
-            S11, S21, S31 = Sk[:n], Sk[n:2 * n], Sk[2 * n:]
-            P = Piks[k].values
-            P11 = P[:, :n, :n]
-            P12 = P[:, :n, n:2 * n]
-            P13 = P[:, :n, 2 * n:]
+        for k, th in enumerate(spec.minors):
+            # B_k times the type's law (K, k); the gain's columns act on
+            # (own state, major state, mean field)
+            Kk, kk = feedback_law(pks[k], Piks[k], sks[k])
+            BK = np.einsum("ij,tjk->tik", th.B, Kk.values)
             rows = slice(n * k, n * (k + 1))
-            own = th.A - np.einsum("ij,tjk->tik", BR,
-                                   S11.T + np.einsum("ij,tjk->tik",
-                                                     Bk.T, P11))
-            block = np.broadcast_to(_pi_blocks(th.F, spec.pi),
-                                    (M + 1, n, n * K)).copy()
-            block -= np.einsum("ij,tjk->tik", BR,
-                               S31.T + np.einsum("ij,tjk->tik", Bk.T, P13))
-            block[:, :, n * k:n * (k + 1)] += own
+            block = _pi_blocks(th.F, spec.pi) + BK[:, :, 2 * n:]
+            block[:, :, n * k:n * (k + 1)] += th.A + BK[:, :, :n]
             A_new[:, rows] = block
-            G_new[:, rows] = th.G - np.einsum(
-                "ij,tjk->tik", BR,
-                S21.T + np.einsum("ij,tjk->tik", Bk.T, P12))
-            m_new[:, rows] = bk_nodes[k] + BR @ me.n_bar \
-                - sks[k].values[:, :n] @ (BR @ Bk.T).T
+            G_new[:, rows] = th.G + BK[:, :, n:2 * n]
+            m_new[:, rows] = bk_nodes[k] + kk.values @ th.B.T
 
         if relaxation:
             A_new = (1.0 - relaxation) * A_new + relaxation * A_bar
@@ -367,29 +350,13 @@ def control_mean_field_coefficients(eq: MfgEquilibrium):
     M = eq.grid.steps
     Xi = np.zeros((M + 1, m * K, n * (1 + K)))
     vs = np.zeros((M + 1, m * K))
-    for k in range(K):
-        me = eq.minor_exts[k]
-        Rinv = np.linalg.inv(me.R)
-        Bk = spec.minors[k].B
-        Sk = me.S_bb
-        P = eq.Pik[k].values
-        sk = eq.sk[k].values
-        own = -np.einsum("ij,tjk->tik", Rinv,
-                         Sk[:n].T + np.einsum("ij,tjk->tik", Bk.T,
-                                              P[:, :n, :n]))
-        major_col = -np.einsum("ij,tjk->tik", Rinv,
-                               Sk[n:2 * n].T
-                               + np.einsum("ij,tjk->tik", Bk.T,
-                                           P[:, :n, n:2 * n]))
-        mf_cols = -np.einsum("ij,tjk->tik", Rinv,
-                             Sk[2 * n:].T
-                             + np.einsum("ij,tjk->tik", Bk.T,
-                                         P[:, :n, 2 * n:]))
+    _, minor_laws = equilibrium_laws(eq)
+    for k, (Kk, kk) in enumerate(minor_laws):
+        # the gain's columns act on (own state, major state, mean field)
         rows = slice(m * k, m * (k + 1))
-        Xi[:, rows, :n] = major_col
-        Xi[:, rows, n:] = mf_cols
-        Xi[:, rows, n * (1 + k):n * (2 + k)] += own
-        vs[:, rows] = -(sk[:, :n] @ (Rinv @ Bk.T).T - me.n_bar @ Rinv.T)
+        Xi[:, rows] = Kk.values[:, :, n:]
+        Xi[:, rows, n * (1 + k):n * (2 + k)] += Kk.values[:, :, :n]
+        vs[:, rows] = kk.values
     return Xi, vs
 
 
@@ -404,13 +371,8 @@ def mean_field_trajectory(eq: MfgEquilibrium, x0_path) -> MatrixTrajectory:
     if isinstance(x0_path, MatrixTrajectory):
         x0_path = x0_path.values
     x0_path = np.asarray(x0_path, dtype=float).reshape(grid.steps + 1, -1)
-    A_at = half_grid_sampler(grid, eq.A_bar.values)
-    G_at = half_grid_sampler(grid, eq.G_bar.values)
-    m_at = half_grid_sampler(grid, eq.m_bar.values)
-    x0_at = half_grid_sampler(grid, x0_path)
-
-    def fld(t, x):
-        return A_at(t) @ x + G_at(t) @ x0_at(t) + m_at(t)
-
+    forcing = (np.einsum("tij,tj->ti", eq.G_bar.half_values(),
+                         half_grid_table(x0_path, grid))
+               + eq.m_bar.half_values())
     xbar0 = np.concatenate([th.x0 for th in eq.spec.minors])
-    return integrate_ode(fld, xbar0, grid, "forward")
+    return propagate_linear(eq.A_bar.half_values(), forcing, xbar0, grid)

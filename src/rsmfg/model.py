@@ -68,10 +68,6 @@ def as_time_function(value, shape, name):
     return lambda t, _a=a: _a
 
 
-def is_symmetric(M, tol=1e-9):
-    return np.max(np.abs(M - M.T)) <= tol
-
-
 def min_symmetric_eigenvalue(M):
     sym = 0.5 * (M + M.T)
     return float(np.linalg.eigvalsh(sym)[0])

@@ -8,8 +8,10 @@ counter-based Philox streams keyed by (master seed, path index), which
 makes every estimate independent of block size, evaluation order, and
 thread count.
 
+Coefficients are tabulated once on the half-grid, and closed_loop turns
+an affine law into tables of its gains and of the closed-loop drift.
 Noise-free problems degenerate to a single deterministic path; the check_*
-routines then evaluate the identity by high-order quadrature instead of
+routines then evaluate the identity by RK4 on those tables instead of
 sampling and report a zero standard error.
 """
 
@@ -26,8 +28,9 @@ from .numerics import (
     BLOWUP_BOUND,
     MatrixTrajectory,
     TimeGrid,
-    half_grid_sampler,
+    half_grid_table,
     integrate_ode,
+    propagate_linear,
     state_transition,
 )
 from .riccati import RiccatiSolution
@@ -58,6 +61,16 @@ class ControlLaw:
         K = None if self.K is None else gain_factor * self.K
         return ControlLaw(K=K, k=self.k + offset_shift)
 
+    def on_half_grid(self, grid: TimeGrid, n: int):
+        """(K, k) on grid.half_nodes, linear at midpoints.
+
+        An open-loop law gets K = 0 on n states, so u = K x + k always.
+        """
+        k = half_grid_table(self.k, grid)
+        if self.K is None:
+            return np.zeros(k.shape + (n,)), k
+        return half_grid_table(self.K, grid), k
+
 
 def as_control_law(law, grid: TimeGrid, n: int, m: int) -> ControlLaw:
     """Normalize a law given as RiccatiSolution, (K, k) pair, or open-loop
@@ -77,6 +90,18 @@ def as_control_law(law, grid: TimeGrid, n: int, m: int) -> ControlLaw:
     if u.shape != (grid.steps + 1, m):
         raise ValueError(f"open-loop control must have shape {(grid.steps + 1, m)}")
     return ControlLaw(K=None, k=u)
+
+
+def closed_loop(p: LqgProblem, law, grid: TimeGrid):
+    """An affine law and its closed-loop drift on grid.half_nodes.
+
+    Returns (K, k, F, f) with u = K x + k and dx/dt = F x + f, that is
+    F = A + B K and f = B k + b.
+    """
+    K, k = as_control_law(law, grid, p.n, p.m).on_half_grid(grid, p.n)
+    F = half_grid_table(p.A, grid) + p.B @ K
+    f = k @ p.B.T + half_grid_table(p.b, grid)
+    return K, k, F, f
 
 
 @dataclass
@@ -156,16 +181,8 @@ def log_mean_exp(log_values: np.ndarray) -> LogMeanExpEstimate:
     return LogMeanExpEstimate(L + math.log(mean), se, n)
 
 
-def _coefficient_tables(p: LqgProblem, grid: TimeGrid):
-    nodes = grid.nodes
-    A = np.stack([p.A(t) for t in nodes])
-    b = np.stack([p.b(t) for t in nodes])
-    sig = np.stack([p.sigma(t) for t in nodes])
-    return A, b, sig
-
-
 def is_deterministic(p: LqgProblem, grid: TimeGrid) -> bool:
-    return all(np.all(p.sigma(t) == 0.0) for t in grid.nodes)
+    return not np.any(half_grid_table(p.sigma, grid)[::2])
 
 
 def _noise_block(seed, first_path, count, steps, r):
@@ -190,10 +207,11 @@ def _run_paths(p: LqgProblem, law: ControlLaw, n_paths: int, seed: int,
     h = grid.h
     sqrt_h = math.sqrt(h)
     n, m, r = p.n, p.m, p.r
-    A_tab, b_tab, sig_tab = _coefficient_tables(p, grid)
+    A_tab, b_tab, sig_tab = (half_grid_table(c, grid)[::2]
+                             for c in (p.A, p.b, p.sigma))
     Q, S, R = p.Q, p.S, p.R
     eta, zeta, delta = p.eta, p.zeta, p.delta
-    noisy = not is_deterministic(p, grid)
+    noisy = bool(np.any(sig_tab))
 
     out = {
         "log_weights": np.empty(n_paths),
@@ -290,27 +308,18 @@ def deterministic_log_cost(p: LqgProblem, law, grid: TimeGrid) -> float:
     jointly as one augmented ODE, so the result carries 4th-order error
     rather than the Euler scheme's 1st-order error.
     """
-    cl = as_control_law(law, grid, p.n, p.m)
     n = p.n
-    K_at = None if cl.K is None else half_grid_sampler(grid, cl.K)
-    k_at = half_grid_sampler(grid, cl.k)
+    K, k, F, f = closed_loop(p, law, grid)
 
-    def u_of(t, x):
-        u = k_at(t).copy()
-        if K_at is not None:
-            u = u + K_at(t) @ x
-        return u
-
-    def field(t, y):
+    def field(j, y):
         x = y[:n]
-        u = u_of(t, x)
-        dx = p.A(t) @ x + p.B @ u + p.b(t)
+        u = K[j] @ x + k[j]
         dl = 0.5 * (x @ p.Q @ x + 2.0 * x @ p.S @ u + u @ p.R @ u) \
             - p.eta @ x - p.zeta @ u
-        return np.concatenate([dx, [dl]])
+        return np.concatenate([F[j] @ x + f[j], [dl]])
 
     y0 = np.concatenate([p.x0, [0.0]])
-    traj = integrate_ode(field, y0, grid, "forward")
+    traj = integrate_ode(field, y0, grid, "forward", indexed=True)
     x_T = traj.values[-1][:n]
     lam = traj.values[-1][n] + 0.5 * x_T @ p.Q_hat @ x_T
     return p.delta * lam
@@ -403,24 +412,19 @@ def check_martingale_quotient(p: LqgProblem, sol: RiccatiSolution,
     ups, _ = state_transition(p.A, grid)
     target = sol.Pi.values[0] @ p.x0 + sol.s.values[0]
     if is_deterministic(p, grid):
-        # single path; integrate x and G jointly by RK4 for quadrature
-        # accuracy instead of the Euler scheme's first-order error
+        # single path; x and G = int Ups^T (Q x + S u - eta) ds solve one
+        # linear ODE, integrated by RK4 for quadrature accuracy instead of
+        # the Euler scheme's first-order error
         n = p.n
-        K_at = None if cl.K is None else half_grid_sampler(grid, cl.K)
-        k_at = half_grid_sampler(grid, cl.k)
-        ups_at = half_grid_sampler(grid, ups.values)
-
-        def field(t, y):
-            x, _ = y[:n], y[n:]
-            u = k_at(t).copy()
-            if K_at is not None:
-                u = u + K_at(t) @ x
-            dx = p.A(t) @ x + p.B @ u + p.b(t)
-            dG = ups_at(t).T @ (p.Q @ x + p.S @ u - p.eta)
-            return np.concatenate([dx, dG])
-
-        traj = integrate_ode(field, np.concatenate([p.x0, np.zeros(n)]),
-                             grid, "forward")
+        K, k, F, f = closed_loop(p, cl, grid)
+        ups_T = np.swapaxes(ups.half_values(), 1, 2)
+        F_xG = np.zeros((len(F), 2 * n, 2 * n))
+        F_xG[:, :n, :n] = F
+        F_xG[:, n:, :n] = ups_T @ (p.Q + p.S @ K)
+        f_xG = np.concatenate(
+            [f, np.einsum("tij,tj->ti", ups_T, k @ p.S.T - p.eta)], axis=1)
+        traj = propagate_linear(F_xG, f_xG,
+                                np.concatenate([p.x0, np.zeros(n)]), grid)
         x_T, G_T = traj.values[-1][:n], traj.values[-1][n:]
         quotient = ups.values[-1].T @ (p.Q_hat @ x_T) + G_T
         se = np.zeros(n)
@@ -434,7 +438,7 @@ def check_martingale_quotient(p: LqgProblem, sol: RiccatiSolution,
     a = np.exp(w - L)
     a_mean = float(np.mean(a))
     quotient = (a @ V) / (a.size * a_mean)
-    if is_deterministic(p, grid) or n_paths < 2:
+    if n_paths < 2:
         se = np.zeros(p.n)
     else:
         # ratio-estimator (delta method) variance of sum(a V)/sum(a)
@@ -476,17 +480,8 @@ def sampled_convexity(p: LqgProblem, u1: np.ndarray, u2: np.ndarray,
 
 def mean_closed_loop(p: LqgProblem, law, grid: TimeGrid) -> MatrixTrajectory:
     """RK4 solution of the noise-free closed-loop mean dynamics."""
-    cl = as_control_law(law, grid, p.n, p.m)
-    K_at = None if cl.K is None else half_grid_sampler(grid, cl.K)
-    k_at = half_grid_sampler(grid, cl.k)
-
-    def field(t, x):
-        u = k_at(t).copy()
-        if K_at is not None:
-            u = u + K_at(t) @ x
-        return p.A(t) @ x + p.B @ u + p.b(t)
-
-    return integrate_ode(field, p.x0, grid, "forward")
+    _, _, F, f = closed_loop(p, law, grid)
+    return propagate_linear(F, f, p.x0, grid)
 
 
 def check_weak_error(p: LqgProblem, law, n_paths: int, seed: int,

@@ -2,8 +2,12 @@
 
 Everything here is deterministic, allocation-light, and operates on a
 uniform time grid.  The classical 4th-order Runge-Kutta scheme evaluates
-vector fields only at grid nodes and midpoints, so time-dependent
-coefficients sampled on the half-grid are sufficient.
+vector fields only at grid nodes and midpoints, so every coefficient is
+tabulated once on the half-grid (half_grid_table; node values are its
+even entries).  Linear ODEs go through propagate_linear, which turns
+each RK4 step into an affine map built for all steps at once; the
+general stepper integrate_ode serves the nonlinear Riccati equation and
+the quadratic cost integrals.
 """
 
 from __future__ import annotations
@@ -72,19 +76,12 @@ class MatrixTrajectory:
     def shape(self) -> tuple:
         return self.values.shape[1:]
 
-    def at_node(self, i: int) -> np.ndarray:
-        return self.values[i]
-
     def __call__(self, t: float) -> np.ndarray:
         return interpolate(self, t)
 
     def half_values(self) -> np.ndarray:
         """Values on the half-grid (linear at midpoints, exact at nodes)."""
-        v = self.values
-        out = np.empty((2 * self.grid.steps + 1,) + v.shape[1:])
-        out[0::2] = v
-        out[1::2] = 0.5 * (v[:-1] + v[1:])
-        return out
+        return half_grid_table(self.values, self.grid)
 
 
 def interpolate(traj: MatrixTrajectory, t: float) -> np.ndarray:
@@ -120,30 +117,45 @@ class HalfGridFunction:
         return self.half_values[idx]
 
 
-def half_grid_sampler(grid: TimeGrid, node_values: np.ndarray):
-    """Callable t -> value for t on the half-grid of `grid`.
-
-    Exact at nodes, linear at midpoints.  Used to feed node-sampled
-    coefficients to RK4 without per-call interpolation searches.
-    """
-    node_values = np.asarray(node_values, dtype=float)
-    half = np.empty((2 * grid.steps + 1,) + node_values.shape[1:])
-    half[0::2] = node_values
-    half[1::2] = 0.5 * (node_values[:-1] + node_values[1:])
-    return HalfGridFunction(grid, half)
-
-
 def half_grid_table(fn, grid: TimeGrid) -> np.ndarray:
-    """fn(t) stacked over grid.half_nodes, every RK4 evaluation time."""
+    """Values on grid.half_nodes, every RK4 evaluation time.
+
+    fn is a callable of time, stacked over the half-nodes (a
+    HalfGridFunction on the same grid hands over its table), or an array
+    of node values, kept at the nodes and linear at the midpoints.
+    """
     if isinstance(fn, HalfGridFunction) and fn.grid == grid:
         return fn.half_values
-    return np.stack([np.asarray(fn(t), dtype=float) for t in grid.half_nodes])
+    if callable(fn):
+        return np.stack([np.asarray(fn(t), dtype=float)
+                         for t in grid.half_nodes])
+    v = np.asarray(fn, dtype=float)
+    if v.shape[0] != grid.steps + 1:
+        raise ValueError("node values need one entry per grid node")
+    out = np.empty((2 * grid.steps + 1,) + v.shape[1:])
+    out[0::2] = v
+    out[1::2] = 0.5 * (v[:-1] + v[1:])
+    return out
 
 
 def _check_state(y: np.ndarray, t: float) -> None:
     # a NaN fails the comparison as well
     if not np.abs(y).max() <= BLOWUP_BOUND:
         raise NonFiniteState(t)
+
+
+def _sweep(grid: TimeGrid, direction: str):
+    """(signed step, boundary node, step order, landing offset).
+
+    Step i joins nodes i and i+1: forward it lands on node i+1, backward
+    on node i.
+    """
+    M = grid.steps
+    if direction == "forward":
+        return grid.h, 0, range(M), 1
+    if direction == "backward":
+        return -grid.h, M, range(M - 1, -1, -1), 0
+    raise ValueError("direction must be 'forward' or 'backward'")
 
 
 def integrate_ode(vector_field, boundary_value, grid: TimeGrid,
@@ -159,42 +171,68 @@ def integrate_ode(vector_field, boundary_value, grid: TimeGrid,
     can read coefficients tabulated by half_grid_table directly.
     Raises NonFiniteState on blow-up.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
-    y0 = np.asarray(boundary_value, dtype=float)
-    M = grid.steps
-    h = grid.h
+    h, first, order, lands = _sweep(grid, direction)
+    y = np.asarray(boundary_value, dtype=float)
     nodes = grid.nodes
-    values = np.empty((M + 1,) + y0.shape)
-
-    if direction == "forward":
-        order = range(M)
-        step = h
-        values[0] = y0
-    else:
-        order = range(M, 0, -1)
-        step = -h
-        values[M] = y0
-
-    y = y0
-    _check_state(y, nodes[0] if direction == "forward" else nodes[M])
-    d = 1 if direction == "forward" else -1
+    values = np.empty((grid.steps + 1,) + y.shape)
+    values[first] = y
+    _check_state(y, nodes[first])
     for i in order:
+        start = i + 1 - lands
         if indexed:
-            t, t_mid, t_next = 2 * i, 2 * i + d, 2 * i + 2 * d
+            t, t_mid, t_next = 2 * start, 2 * i + 1, 2 * (i + lands)
         else:
-            t = nodes[i]
-            t_mid, t_next = t + step / 2.0, t + step
+            t = nodes[start]
+            t_mid, t_next = t + h / 2.0, t + h
         k1 = vector_field(t, y)
-        k2 = vector_field(t_mid, y + (step / 2.0) * k1)
-        k3 = vector_field(t_mid, y + (step / 2.0) * k2)
-        k4 = vector_field(t_next, y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = vector_field(t_mid, y + (h / 2.0) * k1)
+        k3 = vector_field(t_mid, y + (h / 2.0) * k2)
+        k4 = vector_field(t_next, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if post_step is not None:
             y = post_step(y)
-        j = i + 1 if direction == "forward" else i - 1
-        _check_state(y, nodes[j])
-        values[j] = y
+        _check_state(y, nodes[i + lands])
+        values[i + lands] = y
+    return MatrixTrajectory(grid, values)
+
+
+def propagate_linear(F, f, boundary_value, grid: TimeGrid,
+                     direction: str = "forward") -> MatrixTrajectory:
+    """Classical RK4 for the linear ODE y' = F(t) y + f(t).
+
+    F, of shape (2M+1, d, d), and f, of shape (2M+1,) + y.shape, hold the
+    coefficients on grid.half_nodes; the state y is a vector (d,) or a
+    matrix (d, c).  An RK4 step of a linear field is an affine map
+    y -> Phi_i y + phi_i: the maps of all M steps are formed by batched
+    products, and the recurrence only applies them.  Directions and
+    blow-up are integrate_ode's: NonFiniteState at the first node past
+    BLOWUP_BOUND.
+    """
+    h, first, order, lands = _sweep(grid, direction)
+    y = np.asarray(boundary_value, dtype=float)
+    # coefficients where each step starts, at its midpoint, where it lands
+    a, c, b = ((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2))
+               if lands else
+               (slice(2, None, 2), slice(1, None, 2), slice(0, -1, 2)))
+    # RK4 on the augmented [F | f], f as columns, gives [Phi - I | phi]
+    F = np.asarray(F, dtype=float)
+    G = np.concatenate([F, np.reshape(f, F.shape[:2] + (-1,))], axis=2)
+    k2 = G[c] + (h / 2.0) * (F[c] @ G[a])
+    k3 = G[c] + (h / 2.0) * (F[c] @ k2)
+    k4 = G[b] + h * (F[b] @ k3)
+    incr = (h / 6.0) * (G[a] + 2.0 * k2 + 2.0 * k3 + k4)
+    d = F.shape[1]
+    Phi = np.eye(d) + incr[:, :, :d]
+    phi = incr[:, :, d:].reshape((grid.steps,) + y.shape)
+
+    nodes = grid.nodes
+    values = np.empty((grid.steps + 1,) + y.shape)
+    values[first] = y
+    _check_state(y, nodes[first])
+    for i in order:
+        y = Phi[i] @ y + phi[i]
+        _check_state(y, nodes[i + lands])
+        values[i + lands] = y
     return MatrixTrajectory(grid, values)
 
 
@@ -202,11 +240,11 @@ def state_transition(A, grid: TimeGrid):
     """Fundamental matrix and its inverse for dY = A(t) Y dt.
 
     Returns (Upsilon, Upsilon_inv) with Upsilon(0)=I, solving
-    d/dt Upsilon = A Upsilon and d/dt Upsilon^{-1} = -Upsilon^{-1} A.
+    d/dt Upsilon = A Upsilon and d/dt Upsilon^{-1} = -Upsilon^{-1} A; the
+    latter is propagated as its transpose, whose field is -A^T.
     """
-    A0 = np.asarray(A(grid.t_start), dtype=float)
-    n = A0.shape[0]
-    eye = np.eye(n)
-    ups = integrate_ode(lambda t, Y: A(t) @ Y, eye, grid, "forward")
-    ups_inv = integrate_ode(lambda t, Y: -Y @ A(t), eye, grid, "forward")
-    return ups, ups_inv
+    A_h = half_grid_table(A, grid)
+    eye, zero = np.eye(A_h.shape[1]), np.zeros_like(A_h)
+    ups = propagate_linear(A_h, zero, eye, grid)
+    inv_T = propagate_linear(-np.swapaxes(A_h, 1, 2), zero, eye, grid)
+    return ups, MatrixTrajectory(grid, np.swapaxes(inv_T.values, 1, 2))

@@ -12,7 +12,9 @@ drives every law's population, which is how nash_gap compares the
 equilibrium with its deviations on common random numbers.  Within each
 type the minors are held in ascending key order, and the empirical
 averages are plain sums in that order, so relabeling agents together
-with their noise streams leaves them bitwise unchanged.
+with their noise streams leaves them bitwise unchanged.  Drift offsets
+and diffusions are tabulated once per run; the noise-free RK4 run reads
+each law's gains from half-grid tables.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import NonFiniteState, OutOfRange
 from .mfg import MfgEquilibrium, equilibrium_laws
 from .montecarlo import ControlLaw, LogMeanExpEstimate, log_mean_exp
 from .model import MajorMinorSpec
-from .numerics import BLOWUP_BOUND, TimeGrid, half_grid_sampler, integrate_ode
+from .numerics import BLOWUP_BOUND, TimeGrid, half_grid_table, integrate_ode
 
 # Per-replication noise arrays are sized so that all 1+N agent blocks
 # together stay under this many bytes.
@@ -105,33 +107,6 @@ def _as_law(law) -> ControlLaw:
         return law
     K, k = law
     return ControlLaw(np.asarray(K, dtype=float), np.asarray(k, dtype=float))
-
-
-def _minor_tables(spec, grid):
-    nodes = grid.nodes
-    out = []
-    for th in spec.minors:
-        out.append({
-            "A": th.A, "F": th.F, "G": th.G, "B": th.B,
-            "b": np.stack([th.b(t) for t in nodes]),
-            "sig": np.stack([th.sigma(t) for t in nodes]),
-            "Q": th.Q, "S": th.S, "R": th.R, "Q_hat": th.Q_hat,
-            "H": th.H, "H_hat": th.H_hat, "eta": th.eta,
-            "delta": th.delta, "x0": th.x0,
-        })
-    return out
-
-
-def _major_tables(spec, grid):
-    maj = spec.major
-    nodes = grid.nodes
-    return {
-        "A": maj.A, "F": maj.F, "B": maj.B,
-        "b": np.stack([maj.b(t) for t in nodes]),
-        "sig": np.stack([maj.sigma(t) for t in nodes]),
-        "Q": maj.Q, "S": maj.S, "R": maj.R, "Q_hat": maj.Q_hat,
-        "H": maj.H, "eta": maj.eta, "delta": maj.delta, "x0": maj.x0,
-    }
 
 
 def _mm(x, T, out=None):
@@ -289,20 +264,23 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
         else:
             raise OutOfRange(f"agent {agent!r} not in the population")
 
-    mt = _minor_tables(spec, grid)
-    mj = _major_tables(spec, grid)
-    # transposed coefficient tables so every product is x @ T; minor
-    # gains are split into the own-state block and the (major,
-    # mean-field) block shared by every agent of the type
+    maj, minors = spec.major, spec.minors
+    # drift offsets and diffusions at the nodes; transposed coefficient
+    # tables so every product is x @ T; minor gains are split into the
+    # own-state block and the (major, mean-field) block shared by every
+    # agent of the type
+    b0, sig0 = (half_grid_table(c, grid)[::2] for c in (maj.b, maj.sigma))
+    bk = [half_grid_table(th.b, grid)[::2] for th in minors]
+    sigk = [half_grid_table(th.sigma, grid)[::2] for th in minors]
     K0T, k0v = _tr(K0.values), k0.values
     KxT = [_tr(Kk.values[:, :, :n]) for Kk, _ in minor_laws]
     KrT = [_tr(Kk.values[:, :, n:]) for Kk, _ in minor_laws]
     kks = [kk.values for _, kk in minor_laws]
     A_barT, G_barT = _tr(eq.A_bar.values), _tr(eq.G_bar.values)
     m_bar = eq.m_bar.values
-    mjT = {name: _tr(mj[name]) for name in ("A", "F", "B", "H")}
-    mtT = [{name: _tr(t[name]) for name in ("A", "F", "G", "B", "H", "H_hat")}
-           for t in mt]
+    mjT = {name: _tr(getattr(maj, name)) for name in ("A", "F", "B", "H")}
+    mtT = [{name: _tr(getattr(th, name))
+            for name in ("A", "F", "G", "B", "H", "H_hat")} for th in minors]
 
     cap = max(1, NOISE_BUDGET_BYTES // ((N + 1) * M * spec.r * 8))
     chunk = max(1, min(chunk, cap, n_reps))
@@ -319,14 +297,14 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
     for start in range(0, n_reps, chunk):
         stop = min(start + chunk, n_reps)
         c = stop - start
-        kick0 = _noise_kicks([gen0], c, M, mj["sig"], sqrt_h)[:, 0]
-        kicks = [_noise_kicks(gens[k], c, M, mt[k]["sig"], sqrt_h)
+        kick0 = _noise_kicks([gen0], c, M, sig0, sqrt_h)[:, 0]
+        kicks = [_noise_kicks(gens[k], c, M, sigk[k], sqrt_h)
                  for k in range(K)]
 
         # per-type arrays are (L, N_k, c, .): law, agent in key order,
         # replication
-        x0 = np.broadcast_to(mj["x0"], (L, c, n)).copy()
-        xms = [np.broadcast_to(mt[k]["x0"], (L, counts[k], c, n)).copy()
+        x0 = np.broadcast_to(maj.x0, (L, c, n)).copy()
+        xms = [np.broadcast_to(minors[k].x0, (L, counts[k], c, n)).copy()
                for k in range(K)]
         ums = [np.empty((L, counts[k], c, spec.m)) for k in range(K)]
         work = [np.empty((L, counts[k], c, n)) for k in range(K)]
@@ -334,7 +312,7 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
         tmp = [np.empty((L, counts[k], c)) for k in range(K)]
         xhat = np.empty((L, c, K, n))
         xbar = np.broadcast_to(
-            np.concatenate([th["x0"] for th in mt]), (L, c, n * K)).copy()
+            np.concatenate([th.x0 for th in minors]), (L, c, n * K)).copy()
         lam0 = np.zeros((L, c))
         lams = [np.zeros((L, counts[k], c)) for k in range(K)]
         sup = np.zeros((L, c))
@@ -362,18 +340,18 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
                     ums[k][l, idx] = _law_u(law, i, ext_j)
 
             weight = h if 0 < i < M else 0.5 * h
-            r0 = x0 - (_mm(xN, mjT["H"]) + mj["eta"])
-            lam0 += weight * _quad(r0, mj["Q"], mj["S"], mj["R"], u0)
+            r0 = x0 - (_mm(xN, mjT["H"]) + maj.eta)
+            lam0 += weight * _quad(r0, maj.Q, maj.S, maj.R, u0)
             if i == M:
-                lam0 += 0.5 * _qform(r0, mj["Q_hat"], r0)
+                lam0 += 0.5 * _qform(r0, maj.Q_hat, r0)
             for k in range(K):
-                t, tT = mt[k], mtT[k]
-                psi = _mm(x0, tT["H"]) + _mm(xN, tT["H_hat"]) + t["eta"]
+                th, tT = minors[k], mtT[k]
+                psi = _mm(x0, tT["H"]) + _mm(xN, tT["H_hat"]) + th.eta
                 rr = np.subtract(xms[k], psi[:, None], out=work[k])
-                _add_quad(lams[k], weight, rr, t["Q"], t["S"], t["R"],
+                _add_quad(lams[k], weight, rr, th.Q, th.S, th.R,
                           ums[k], tmp[k])
                 if i == M:
-                    lams[k] += 0.5 * _qform(rr, t["Q_hat"], rr)
+                    lams[k] += 0.5 * _qform(rr, th.Q_hat, rr)
 
             d = np.max(np.abs(xhat_stack - xbar), axis=2)
             np.maximum(sup, d, out=sup)
@@ -388,14 +366,14 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
             if i < M:
                 xbar = xbar + (_mm(xbar, A_barT[i]) + _mm(x0, G_barT[i])
                                + m_bar[i]) * h
-                drift0 = _mm(x0, mjT["A"]) + _mm(xN, mjT["F"]) + mj["b"][i]
+                drift0 = _mm(x0, mjT["A"]) + _mm(xN, mjT["F"]) + b0[i]
                 x0 = x0 + (drift0 + _mm(u0, mjT["B"])) * h
                 x0 = x0 + kick0[i]
                 extremes = [np.max(x0), -np.min(x0)]
                 for k in range(K):
                     # ((x A + u B) + (coupling + b)) h, then sigma dW
                     tT = mtT[k]
-                    coup = _mm(xN, tT["F"]) + _mm(x0, tT["G"]) + mt[k]["b"][i]
+                    coup = _mm(xN, tT["F"]) + _mm(x0, tT["G"]) + bk[k][i]
                     d1, d2 = work[k], work2[k]
                     _mm(xms[k], tT["A"], out=d1)
                     d1 += _mm(ums[k], tT["B"], out=d2)
@@ -408,10 +386,10 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
                 if not np.isfinite(mx) or mx > BLOWUP_BOUND:
                     raise NonFiniteState(grid.nodes[i + 1])
 
-        exponents[:, start:stop, 0] = mj["delta"] * lam0
+        exponents[:, start:stop, 0] = maj.delta * lam0
         for k in range(K):
             exponents[:, start:stop, 1 + slots[k]] = np.swapaxes(
-                mt[k]["delta"] * lams[k], 1, 2)
+                minors[k].delta * lams[k], 1, 2)
         fluct_sup[:, start:stop] = sup
         fluct_T[:, start:stop] = diff_T
 
@@ -442,59 +420,50 @@ def deterministic_population_run(spec: MajorMinorSpec, eq: MfgEquilibrium,
     counts = apportion(spec.pi, N)
     assignment = assignment_from_counts(counts)
     slices = _type_slices(counts)
+    maj, minors = spec.major, spec.minors
+    # every law as half-grid tables (K, k) with u = K ext + k
     (K0, k0), minor_laws = equilibrium_laws(eq)
-    K0_at = half_grid_sampler(grid, K0.values)
-    k0_at = half_grid_sampler(grid, k0.values)
-    law_at = [(half_grid_sampler(grid, Kk.values),
-               half_grid_sampler(grid, kk.values)) for Kk, kk in minor_laws]
-    dev_agent, dev_K, dev_k = None, None, None
+    major_law = (K0.half_values(), k0.half_values())
+    type_laws = [(Kk.half_values(), kk.half_values()) for Kk, kk in minor_laws]
+    dev_agent, dev_law = None, None
     if override is not None:
         dev_agent, law = override
-        law = _as_law(law)
-        dev_K = None if law.K is None else half_grid_sampler(grid, law.K)
-        dev_k = half_grid_sampler(grid, law.k)
-    mt = _minor_tables(spec, grid)
-    mj = _major_tables(spec, grid)
-    maj, minors = spec.major, spec.minors
+        dim = n * (1 + K) if dev_agent == "major" else n * (2 + K)
+        dev_law = _as_law(law).on_half_grid(grid, dim)
+        if dev_agent == "major":
+            major_law = dev_law
+    b0 = half_grid_table(maj.b, grid)
+    bk = [half_grid_table(th.b, grid) for th in minors]
 
-    def field(t, y):
+    def field(j, y):
         x0 = y[:n]
         xm = y[n:n * (1 + N)].reshape(N, n)
         xhat = np.stack([xm[slices[k]].mean(axis=0) for k in range(K)])
         xN = xm.mean(axis=0)
         xhat_stack = xhat.reshape(-1)
         ext0 = np.concatenate([x0, xhat_stack])
-        if dev_agent == "major":
-            u0 = dev_k(t).copy()
-            if dev_K is not None:
-                u0 = u0 + dev_K(t) @ ext0
-        else:
-            u0 = K0_at(t) @ ext0 + k0_at(t)
+        gain, offset = major_law
+        u0 = gain[j] @ ext0 + offset[j]
         dy = np.empty_like(y)
-        dy[:n] = maj.A @ x0 + maj.F @ xN + maj.B @ u0 + maj.b(t)
+        dy[:n] = maj.A @ x0 + maj.F @ xN + maj.B @ u0 + b0[j]
         r0 = x0 - (maj.H @ xN + maj.eta)
         dy[n * (1 + N)] = float(_quad(r0, maj.Q, maj.S, maj.R, u0))
-        for j in range(N):
-            k = assignment[j]
+        for a in range(N):
+            k = assignment[a]
             th = minors[k]
-            ext = np.concatenate([xm[j], x0, xhat_stack])
-            if dev_agent == j:
-                u = dev_k(t).copy()
-                if dev_K is not None:
-                    u = u + dev_K(t) @ ext
-            else:
-                Kk_at, kk_at = law_at[k]
-                u = Kk_at(t) @ ext + kk_at(t)
-            dy[n * (1 + j):n * (2 + j)] = (th.A @ xm[j] + th.F @ xN
-                                           + th.G @ x0 + th.B @ u + th.b(t))
-            r = xm[j] - (th.H @ x0 + th.H_hat @ xN + th.eta)
-            dy[n * (1 + N) + 1 + j] = float(_quad(r, th.Q, th.S, th.R, u))
+            ext = np.concatenate([xm[a], x0, xhat_stack])
+            gain, offset = dev_law if dev_agent == a else type_laws[k]
+            u = gain[j] @ ext + offset[j]
+            dy[n * (1 + a):n * (2 + a)] = (th.A @ xm[a] + th.F @ xN
+                                           + th.G @ x0 + th.B @ u + bk[k][j])
+            r = xm[a] - (th.H @ x0 + th.H_hat @ xN + th.eta)
+            dy[n * (1 + N) + 1 + a] = float(_quad(r, th.Q, th.S, th.R, u))
         return dy
 
-    y0 = np.concatenate([mj["x0"]]
-                        + [mt[assignment[j]]["x0"] for j in range(N)]
+    y0 = np.concatenate([maj.x0]
+                        + [minors[assignment[a]].x0 for a in range(N)]
                         + [np.zeros(1 + N)])
-    traj = integrate_ode(field, y0, grid, "forward")
+    traj = integrate_ode(field, y0, grid, "forward", indexed=True)
     states = traj.values[:, :n * (1 + N)].reshape(grid.steps + 1, 1 + N, n)
     lam = traj.values[-1, n * (1 + N):].copy()
     # terminal tracking costs at t=T
@@ -610,22 +579,28 @@ class FluctuationStats:
     slope_terminal: float
 
 
+def summarize_fluctuations(runs) -> FluctuationStats:
+    """Mean fluctuations of equilibrium runs and their log-log slopes in N.
+
+    runs holds one FinitePopulationRun per entry of the N-schedule.
+    """
+    N_schedule = [run.N for run in runs]
+    mean_sup = np.array([float(np.mean(run.fluct_sup)) for run in runs])
+    mean_T = np.array([float(np.mean(run.fluct_T)) for run in runs])
+    logN = np.log(np.asarray(N_schedule, dtype=float))
+    slope_sup = float(np.polyfit(logN, np.log(mean_sup), 1)[0])
+    slope_T = float(np.polyfit(logN, np.log(mean_T), 1)[0])
+    return FluctuationStats(
+        N_schedule=N_schedule, mean_sup=mean_sup, mean_terminal=mean_T,
+        slope_sup=slope_sup, slope_terminal=slope_T,
+    )
+
+
 def fluctuation_statistics(spec: MajorMinorSpec, eq: MfgEquilibrium,
                            N_schedule=(5, 20, 80), n_reps: int = 1000,
                            seed: int = 0,
                            grid: TimeGrid = None) -> FluctuationStats:
     """Empirical-average-to-mean-field gaps and their decay rate in N."""
-    mean_sup, mean_T = [], []
-    for N in N_schedule:
-        run = simulate_population(spec, eq, N, n_reps=n_reps, seed=seed,
-                                  grid=grid)
-        mean_sup.append(float(np.mean(run.fluct_sup)))
-        mean_T.append(float(np.mean(run.fluct_T)))
-    logN = np.log(np.asarray(N_schedule, dtype=float))
-    slope_sup = float(np.polyfit(logN, np.log(mean_sup), 1)[0])
-    slope_T = float(np.polyfit(logN, np.log(mean_T), 1)[0])
-    return FluctuationStats(
-        N_schedule=list(N_schedule), mean_sup=np.asarray(mean_sup),
-        mean_terminal=np.asarray(mean_T), slope_sup=slope_sup,
-        slope_terminal=slope_T,
-    )
+    return summarize_fluctuations([
+        simulate_population(spec, eq, N, n_reps=n_reps, seed=seed, grid=grid)
+        for N in N_schedule])

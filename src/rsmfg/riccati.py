@@ -4,7 +4,7 @@ The backward matrix Riccati equation carries an extra delta*Pi*sigma*
 sigma^T*Pi term relative to the classical LQR equation; for large risk
 loading it can escape to infinity in finite time, which is reported as
 FiniteEscape rather than propagated as garbage.  The offset equation is
-linear given Pi.  The constant C_star equals the log of the optimal
+linear given Pi and goes through the linear propagator.  The constant C_star equals the log of the optimal
 exponential cost.
 """
 
@@ -16,7 +16,13 @@ import numpy as np
 
 from .errors import FiniteEscape, NonFiniteState
 from .model import LqgProblem
-from .numerics import MatrixTrajectory, TimeGrid, half_grid_table, integrate_ode
+from .numerics import (
+    MatrixTrajectory,
+    TimeGrid,
+    half_grid_table,
+    integrate_ode,
+    propagate_linear,
+)
 
 
 @dataclass
@@ -76,7 +82,8 @@ def solve_offset(p: LqgProblem, Pi: MatrixTrajectory,
 
     The field is -(M s + f) with M = A^T - Pi B R^-1 B^T - S R^-1 B^T
     + delta Pi sigma sigma^T and f = Pi (b + B R^-1 zeta) + S R^-1 zeta
-    - eta, both formed for the whole half-grid up front.
+    - eta, both formed for the whole half-grid and handed to the linear
+    propagator.
     """
     Rinv = np.linalg.inv(p.R)
     B, S = p.B, p.S
@@ -89,13 +96,9 @@ def solve_offset(p: LqgProblem, Pi: MatrixTrajectory,
     forcing = (np.einsum("tij,tj->ti", Pi_h,
                          half_grid_table(p.b, grid) + BRinv @ p.zeta)
                + SRinv @ p.zeta - p.eta)
-
-    def field(j, s):
-        return -(M[j] @ s + forcing[j])
-
     try:
-        return integrate_ode(field, np.zeros(p.n), grid, "backward",
-                             indexed=True)
+        return propagate_linear(-M, -forcing, np.zeros(p.n), grid,
+                                "backward")
     except NonFiniteState as e:
         raise FiniteEscape(e.t) from e
 
@@ -115,21 +118,19 @@ def c_star(p: LqgProblem, Pi: MatrixTrajectory, s: MatrixTrajectory,
            grid: TimeGrid) -> float:
     """Log of the optimal exponential cost, by trapezoidal quadrature."""
     Rinv = np.linalg.inv(p.R)
-    nodes = grid.nodes
-    integrand = np.empty(len(nodes))
-    for i, t in enumerate(nodes):
-        s_t = s.values[i]
-        Pi_t = Pi.values[i]
-        sig = p.sigma(t)
-        v = p.B.T @ s_t - p.zeta
-        sig_s = sig.T @ s_t
-        integrand[i] = (0.5 * p.delta) * (
-            2.0 * s_t @ p.b(t) - v @ Rinv @ v + np.trace(Pi_t @ sig @ sig.T)
-        ) + (0.5 * p.delta ** 2) * (sig_s @ sig_s)
-    integral = float(np.trapezoid(integrand, nodes))
+    s_t, Pi_t = s.values, Pi.values
+    sig = half_grid_table(p.sigma, grid)[::2]
+    v = s_t @ p.B - p.zeta
+    sig_s = np.einsum("tij,ti->tj", sig, s_t)
+    integrand = (0.5 * p.delta) * (
+        2.0 * np.einsum("ti,ti->t", s_t, half_grid_table(p.b, grid)[::2])
+        - np.einsum("ti,ij,tj->t", v, Rinv, v)
+        + np.einsum("tij,tjk,tik->t", Pi_t, sig, sig)
+    ) + (0.5 * p.delta ** 2) * np.einsum("tj,tj->t", sig_s, sig_s)
+    integral = float(np.trapezoid(integrand, grid.nodes))
     x0 = p.x0
-    return integral + 0.5 * p.delta * float(x0 @ Pi.values[0] @ x0) \
-        + p.delta * float(s.values[0] @ x0)
+    return integral + 0.5 * p.delta * float(x0 @ Pi_t[0] @ x0) \
+        + p.delta * float(s_t[0] @ x0)
 
 
 def solve(p: LqgProblem, grid: TimeGrid) -> RiccatiSolution:

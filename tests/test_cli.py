@@ -198,6 +198,20 @@ class TestMfgModes:
         assert iters[0].startswith("iteration,")
         assert len(iters) > 1000  # per-iteration trajectories present
 
+    def test_reproduce_paper_honours_fixedpoint_settings(self, tmp_path):
+        doc = bundled_config("toy_model.json")
+        doc["model"]["minors"][0]["eta"] = [0.3]
+        doc["grid"] = {"steps": 50}
+        doc["fixedpoint"] = {"tol": 1e-10, "max_iter": 100,
+                             "relaxation": 0.5, "eta_hat_sign": 1}
+        path = write_config(tmp_path, doc)
+        for mode in ("reproduce-paper", "solve-mfg"):
+            assert main([mode, "--config", path,
+                         "--out", str(tmp_path / mode)]) == EXIT_OK
+        for name in ("convergence.csv", "mean_field.csv"):
+            assert (tmp_path / "reproduce-paper" / name).read_bytes() \
+                == (tmp_path / "solve-mfg" / name).read_bytes()
+
     def test_not_converged_exit_code(self, tmp_path, capsys):
         doc = bundled_config("paper_example.json")
         doc["grid"] = {"steps": 200}
@@ -233,3 +247,36 @@ class TestPopulationModes:
         # header + 2 N values x (equilibrium + 6 deviations)
         assert len(rows) == 1 + 2 * 7
         assert (tmp_path / "out" / "slopes.csv").exists()
+
+
+def _with(doc, section, **fields):
+    doc = json.loads(json.dumps(doc))
+    doc.setdefault(section, {}).update(fields)
+    return doc
+
+
+_VERIFY = {"model": scalar_model(), "grid": {"steps": 50},
+           "montecarlo": {"n_paths": 100, "seed": 1}}
+_GAME = dict(bundled_config("paper_example.json"), grid={"steps": 50})
+
+
+@pytest.mark.parametrize("mode,doc", [
+    ("solve-single", {"model": scalar_model(), "grid": {"steps": 1}}),
+    ("solve-single", [scalar_model()]),
+    ("verify-single", _with(_VERIFY, "montecarlo", n_paths=0)),
+    ("verify-single", _with(_VERIFY, "montecarlo", n_paths=1)),
+    ("simulate-population", _with(_GAME, "population", N=0)),
+    ("nash-gap", _with(_GAME, "population", N_schedule=[0])),
+    ("nash-gap", _with(_GAME, "population", n_reps=1)),
+    ("nash-gap", _with(_GAME, "population", N_schedule=5)),
+    ("nash-gap", _with(_GAME, "population", N_schedule=[2, 4], agent=2)),
+    ("solve-mfg", dict(_GAME, threads="x")),
+], ids=["steps-1", "top-level-list", "n_paths-0", "n_paths-1", "N-0",
+        "N_schedule-0", "n_reps-1", "N_schedule-scalar", "agent-outside",
+        "threads-text"])
+def test_malformed_config_exits_2(tmp_path, capsys, mode, doc):
+    path = write_config(tmp_path, doc)
+    assert main([mode, "--config", path]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -155,6 +155,25 @@ class TestConsistency:
         assert np.max(np.abs(eq0.A_bar.values - eq1.A_bar.values)) < 1e-9
 
 
+    def test_minors_see_major_closed_loop(self):
+        # a major with S0 != 0 and eta0 != 0 has the linear control term
+        # S0' eta0 in its offset k0, so the major drift the minors see
+        # must be the full closed loop (A + B0 K0, M + B0 k0)
+        spec = toy_game()
+        spec.major.S = np.array([[0.3]])
+        spec.major.eta = np.array([0.2])
+        eq = solve_consistency(spec, GRID)
+        (K0, k0), _ = equilibrium_laws(eq)
+        B0, n = eq.major_ext.B_own, spec.n
+        pk = eq.minor_problems[0]
+        for i in (0, GRID.steps // 2, GRID.steps):
+            t = GRID.nodes[i]
+            A_cl = eq.major_problem.A(t) + B0 @ K0.values[i]
+            M_cl = eq.major_problem.b(t) + B0 @ k0.values[i]
+            assert np.max(np.abs(pk.A(t)[n:, n:] - A_cl)) < 1e-12
+            assert np.max(np.abs(pk.b(t)[n:] - M_cl)) < 1e-12
+
+
 class TestEquilibriumLaws:
     def test_shapes_and_gains(self):
         eq = solve_consistency(toy_game(), GRID)

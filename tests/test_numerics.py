@@ -8,12 +8,13 @@ from hypothesis import given, strategies as st
 
 from rsmfg.errors import NonFiniteState, OutOfRange
 from rsmfg.numerics import (
+    HalfGridFunction,
     MatrixTrajectory,
     TimeGrid,
-    half_grid_sampler,
     half_grid_table,
     integrate_ode,
     interpolate,
+    propagate_linear,
     state_transition,
 )
 
@@ -119,6 +120,76 @@ class TestIntegrate:
             assert np.max(np.abs(timed.values - indexed.values)) < 1e-14
 
 
+class TestPropagateLinear:
+    """The affine-map RK4 for y' = F y + f against the general stepper."""
+
+    @staticmethod
+    def _field(d):
+        rng = np.random.default_rng(3)
+        A0, A1 = 0.5 * rng.standard_normal((2, d, d))
+
+        def F(t):
+            return A0 + np.sin(3.0 * t) * A1
+
+        def f(t):
+            return np.cos(2.0 * t) * np.arange(1.0, d + 1.0)
+
+        return F, f
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_matches_integrate_ode(self, direction, columns):
+        g = TimeGrid(t_end=1.0, steps=200)
+        d = 3
+        F, f = self._field(d)
+        if columns is None:
+            y0 = np.array([1.0, -0.5, 0.2])
+            forcing = f
+        else:
+            y0 = np.arange(d * columns, dtype=float).reshape(d, columns)
+            weights = np.arange(1.0, columns + 1.0)
+
+            def forcing(t):
+                return np.outer(f(t), weights)
+
+        prop = propagate_linear(half_grid_table(F, g),
+                                half_grid_table(forcing, g), y0, g, direction)
+        ref = integrate_ode(lambda t, y: F(t) @ y + forcing(t), y0, g,
+                            direction)
+        assert prop.values.shape == ref.values.shape
+        assert np.max(np.abs(prop.values - ref.values)) <= 1e-13
+
+    @pytest.mark.parametrize("direction,rate", [("forward", 30.0),
+                                                ("backward", -30.0)])
+    def test_blowup_at_same_node_as_integrate_ode(self, direction, rate):
+        g = TimeGrid(t_end=1.0, steps=200)
+
+        def F(t):
+            return np.array([[rate * (1.0 + t)]])
+
+        with pytest.raises(NonFiniteState) as prop:
+            propagate_linear(half_grid_table(F, g),
+                             np.zeros((2 * g.steps + 1, 1)), np.ones(1), g,
+                             direction)
+        with pytest.raises(NonFiniteState) as ref:
+            integrate_ode(lambda t, y: F(t) @ y, np.ones(1), g, direction)
+        assert prop.value.t == ref.value.t
+        assert 0.0 < prop.value.t < 1.0
+
+    def test_rk4_order(self):
+        # y' = cos(t) y + cos(t) has y = 2 exp(sin t) - 1 from y(0) = 1;
+        # halving h should shrink the error by a factor >= 12
+        exact = 2.0 * np.exp(np.sin(1.0)) - 1.0
+        errs = []
+        for M in (20, 40):
+            g = TimeGrid(t_end=1.0, steps=M)
+            c = np.cos(g.half_nodes)
+            traj = propagate_linear(c.reshape(-1, 1, 1), c.reshape(-1, 1),
+                                    np.array([1.0]), g)
+            errs.append(abs(traj.values[-1][0] - exact))
+        assert errs[0] / errs[1] >= 12.0
+
+
 class TestStateTransition:
     def test_identity_flow(self):
         g = TimeGrid(t_end=1.0, steps=100)
@@ -180,19 +251,20 @@ class TestHalfGrid:
     def test_sampler_hits_nodes_and_midpoints(self):
         g = TimeGrid(t_end=1.0, steps=4)
         vals = g.nodes.reshape(-1, 1) ** 1  # linear in t
-        sample = half_grid_sampler(g, vals)
+        sample = HalfGridFunction(g, half_grid_table(vals, g))
         for t in g.half_nodes:
             assert abs(sample(t)[0] - t) < 1e-12
 
     def test_sampler_out_of_range(self):
         g = TimeGrid(t_end=1.0, steps=4)
-        sample = half_grid_sampler(g, np.zeros((5, 1)))
+        sample = HalfGridFunction(g, half_grid_table(np.zeros((5, 1)), g))
         with pytest.raises(OutOfRange):
             sample(1.5)
 
     def test_table_reads_sampler_directly(self):
         g = TimeGrid(t_end=1.0, steps=4)
-        sample = half_grid_sampler(g, g.nodes.reshape(-1, 1))
+        sample = HalfGridFunction(g, half_grid_table(g.nodes.reshape(-1, 1),
+                                                     g))
         assert half_grid_table(sample, g) is sample.half_values
         table = half_grid_table(lambda t: np.array([t, 2.0 * t]), g)
         assert np.array_equal(table[:, 1], 2.0 * g.half_nodes)

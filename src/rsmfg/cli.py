@@ -95,6 +95,8 @@ class ResultBundle:
 
 
 def _require(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where} must be a JSON object")
     if key not in doc:
         raise ParseError(f"{where}: missing field '{key}'")
     return doc[key]
@@ -156,33 +158,42 @@ def _parse_game(doc: dict, grid: TimeGrid) -> MajorMinorSpec:
     m = int(_require(doc, "m", "model"))
     r = int(_require(doc, "r", "model"))
     mdoc = _require(doc, "major", "model")
+
+    def get(key):
+        return _require(mdoc, key, "major")
+
     major = MajorParams(
-        A=mdoc["A"], F=mdoc["F"], B=mdoc["B"],
+        A=get("A"), F=get("F"), B=get("B"),
         b=_coefficient(mdoc.get("b", np.zeros(n)), grid, "major.b"),
-        sigma=_coefficient(_require(mdoc, "sigma", "major"), grid,
-                           "major.sigma"),
-        Q=mdoc["Q"], S=mdoc.get("S", np.zeros((n, m))), R=mdoc["R"],
+        sigma=_coefficient(get("sigma"), grid, "major.sigma"),
+        Q=get("Q"), S=mdoc.get("S", np.zeros((n, m))), R=get("R"),
         Q_hat=mdoc.get("Q_hat", np.zeros((n, n))),
         H=mdoc.get("H", np.zeros((n, n))),
         eta=np.asarray(mdoc.get("eta", np.zeros(n)), dtype=float),
         delta=_agent_delta(mdoc, raw_exp, "major"),
-        x0=mdoc["x0"],
+        x0=get("x0"),
     )
+    kdocs = _require(doc, "minors", "model")
+    if not isinstance(kdocs, list):
+        raise ParseError("model.minors must be a list")
     minors = []
-    for i, kdoc in enumerate(_require(doc, "minors", "model")):
+    for i, kdoc in enumerate(kdocs):
         where = f"minors[{i}]"
+
+        def get(key):
+            return _require(kdoc, key, where)
+
         minors.append(MinorTypeParams(
-            A=kdoc["A"], F=kdoc["F"], G=kdoc["G"], B=kdoc["B"],
+            A=get("A"), F=get("F"), G=get("G"), B=get("B"),
             b=_coefficient(kdoc.get("b", np.zeros(n)), grid, where + ".b"),
-            sigma=_coefficient(_require(kdoc, "sigma", where), grid,
-                               where + ".sigma"),
-            Q=kdoc["Q"], S=kdoc.get("S", np.zeros((n, m))), R=kdoc["R"],
+            sigma=_coefficient(get("sigma"), grid, where + ".sigma"),
+            Q=get("Q"), S=kdoc.get("S", np.zeros((n, m))), R=get("R"),
             Q_hat=kdoc.get("Q_hat", np.zeros((n, n))),
             H=kdoc.get("H", np.zeros((n, n))),
             H_hat=kdoc.get("H_hat", np.zeros((n, n))),
             eta=np.asarray(kdoc.get("eta", np.zeros(n)), dtype=float),
             delta=_agent_delta(kdoc, raw_exp, where),
-            x0=kdoc["x0"],
+            x0=get("x0"),
         ))
     return MajorMinorSpec(
         major=major, minors=minors,

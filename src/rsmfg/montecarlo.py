@@ -3,10 +3,20 @@
 Paths follow Euler-Maruyama on the master grid; the accumulated quadratic
 cost uses trapezoidal quadrature.  All expectations of exponentials are
 computed as max-shifted log-mean-exp with delta-method standard errors, so
-nothing is exponentiated before shifting.  Per-path noise comes from
-counter-based Philox streams keyed by (master seed, path index), which
-makes every estimate independent of block size, evaluation order, and
-thread count.
+nothing is exponentiated before shifting.
+
+The path engine holds a block's states as columns and reads per-node
+tables built once per call: the law's gains, the drift and diffusion
+coefficients, the running cost under the law as a quadratic in the state
+(running_cost), and the integrands of the quotient and derivative
+estimators (gradient_integrand).  A step forms the control and otherwise
+only multiplies state rows by table entries.  Every per-path product is
+the fixed-order multiply-add numerics._mm, and path j's noise is the
+Philox stream keyed by (master seed, j), so every estimate is independent
+of the block size and of the order in which blocks are evaluated.  The
+drift is A x + B u + b, not the closed loop (A + B K) x + (B k + b), so
+that it rounds like the population engine, whose decoupled minor retraces
+a single-agent path bit for bit.
 
 Coefficients are tabulated once on the half-grid, and closed_loop turns
 an affine law into tables of its gains and of the closed-loop drift.
@@ -28,6 +38,7 @@ from .numerics import (
     BLOWUP_BOUND,
     MatrixTrajectory,
     TimeGrid,
+    _mm,
     half_grid_table,
     integrate_ode,
     propagate_linear,
@@ -55,7 +66,7 @@ class ControlLaw:
     def u(self, i, x):
         if self.K is None:
             return np.broadcast_to(self.k[i], x.shape[:-1] + self.k[i].shape)
-        return x @ self.K[i].T + self.k[i]
+        return _mm(x, self.K[i].T) + self.k[i]
 
     def scaled(self, gain_factor=1.0, offset_shift=0.0):
         K = None if self.K is None else gain_factor * self.K
@@ -102,6 +113,33 @@ def closed_loop(p: LqgProblem, law, grid: TimeGrid):
     F = half_grid_table(p.A, grid) + p.B @ K
     f = k @ p.B.T + half_grid_table(p.b, grid)
     return K, k, F, f
+
+
+def running_cost(p: LqgProblem, K, k):
+    """The running cost under u = K x + k as 0.5 x'W x + w'x + c.
+
+    W = Q + S K + K'S' + K'R K, w = S k + K'(R k - zeta) - eta and
+    c = 0.5 k'R k - zeta'k, with R's symmetric part in w.  K and k may
+    carry a leading time axis.
+    """
+    SK = p.S @ K
+    KT = np.swapaxes(K, -1, -2)
+    W = p.Q + SK + np.swapaxes(SK, -1, -2) + KT @ p.R @ K
+    Rk = k @ (0.5 * (p.R + p.R.T))
+    w = k @ p.S.T + ((Rk - p.zeta)[..., None, :] @ K)[..., 0, :] - p.eta
+    c = 0.5 * np.sum(Rk * k, axis=-1) - k @ p.zeta
+    return W, w, c
+
+
+def gradient_integrand(p: LqgProblem, K, k, ups):
+    """Ups'(Q x + S u - eta) under u = K x + k, as G x + g.
+
+    Returns G = Ups'(Q + S K) and g = Ups'(S k - eta); ups, K and k
+    share the leading time axis.
+    """
+    ups_T = np.swapaxes(ups, -1, -2)
+    g = (ups_T @ (k @ p.S.T - p.eta)[..., None])[..., 0]
+    return ups_T @ (p.Q + p.S @ K), g
 
 
 @dataclass
@@ -186,11 +224,32 @@ def is_deterministic(p: LqgProblem, grid: TimeGrid) -> bool:
 
 
 def _noise_block(seed, first_path, count, steps, r):
+    """Standard normals of paths first_path, ..., first_path+count-1.
+
+    Row j holds the draws of Generator(Philox(key=[seed, first_path+j])).
+    One bit generator serves the block: before each path its state is
+    reset to that key, counter 0 and an empty buffer, which is the state
+    of a fresh generator (Salmon et al. 2011, "Parallel random numbers:
+    as easy as 1, 2, 3") without building one per path.
+    """
+    bit_gen = np.random.Philox(key=[seed, first_path])
+    gen = np.random.Generator(bit_gen)
+    fresh = bit_gen.state
     noise = np.empty((count, steps, r))
     for j in range(count):
-        gen = np.random.Generator(np.random.Philox(key=[seed, first_path + j]))
-        noise[j] = gen.standard_normal((steps, r))
+        fresh["state"]["key"] = np.array([seed, first_path + j],
+                                         dtype=np.uint64)
+        bit_gen.state = fresh
+        gen.standard_normal(out=noise[j])
     return noise
+
+
+def _dot(x, y):
+    """Sum of x[j] * y[j] over the first axis, in index order."""
+    total = x[0] * y[0]
+    for j in range(1, len(x)):
+        total += x[j] * y[j]
+    return total
 
 
 def _run_paths(p: LqgProblem, law: ControlLaw, n_paths: int, seed: int,
@@ -202,6 +261,9 @@ def _run_paths(p: LqgProblem, law: ControlLaw, n_paths: int, seed: int,
     given, also streams G(t) = int_0^t Ups(s)^T (Q x_s + S u_s - eta) ds
     per path; when (omega, v) are given, additionally streams the two
     perturbation integrals needed for the derivative estimator.
+
+    A block's states are held as columns, x of shape (n, paths), so each
+    product with a node table is a few multiply-adds of whole rows.
     """
     M = grid.steps
     h = grid.h
@@ -209,9 +271,13 @@ def _run_paths(p: LqgProblem, law: ControlLaw, n_paths: int, seed: int,
     n, m, r = p.n, p.m, p.r
     A_tab, b_tab, sig_tab = (half_grid_table(c, grid)[::2]
                              for c in (p.A, p.b, p.sigma))
-    Q, S, R = p.Q, p.S, p.R
-    eta, zeta, delta = p.eta, p.zeta, p.delta
+    b_col = b_tab[:, :, None]
     noisy = bool(np.any(sig_tab))
+    K, k = (a[::2] for a in law.on_half_grid(grid, n))
+    k_col = k[:, :, None]
+    # running cost x'(W x / 2 + w) + c
+    W, w, c = running_cost(p, K, k)
+    W_half, w_col = 0.5 * W, w[:, :, None]
 
     out = {
         "log_weights": np.empty(n_paths),
@@ -220,10 +286,17 @@ def _run_paths(p: LqgProblem, law: ControlLaw, n_paths: int, seed: int,
     stream_G = ups_values is not None
     if stream_G:
         out["G_T"] = np.empty((n_paths, n))
+        G_x, g = gradient_integrand(p, K, k, ups_values)
+        g_col = g[:, :, None]
     stream_omega = omega is not None
     if stream_omega:
         out["qmid"] = np.empty(n_paths)
         out["cross"] = np.empty(n_paths)
+        # (R u + S'x - zeta).omega = q_x x + q_c, one row q_x per node
+        omega_R = omega @ p.R
+        q_x = (omega @ p.S.T)[:, None, :] + omega_R[:, None, :] @ K
+        q_c = np.sum(omega_R * k, axis=1) - omega @ p.zeta
+        v_row = v[:, None, :]
     if store_paths:
         out["states"] = np.empty((n_paths, M + 1, n))
         out["controls"] = np.empty((n_paths, M + 1, m))
@@ -232,49 +305,45 @@ def _run_paths(p: LqgProblem, law: ControlLaw, n_paths: int, seed: int,
         stop = min(start + block, n_paths)
         nb = stop - start
         noise = _noise_block(seed, start, nb, M, r) if noisy else None
-        x = np.broadcast_to(p.x0, (nb, n)).copy()
+        x = np.repeat(p.x0[:, None], nb, axis=1)
         lam = np.zeros(nb)
         if stream_G:
-            G = np.zeros((nb, n))
+            G = np.zeros((n, nb))
             gu_prev = None
         if stream_omega:
             qmid = np.zeros(nb)
             cross = np.zeros(nb)
 
         for i in range(M + 1):
-            u = law.u(i, x)
+            u = _mm(K[i], x) + k_col[i]
             if store_paths:
-                out["states"][start:stop, i] = x
-                out["controls"][start:stop, i] = u
+                out["states"][start:stop, i] = x.T
+                out["controls"][start:stop, i] = u.T
             weight = h if 0 < i < M else 0.5 * h
-            l_run = 0.5 * (np.einsum("bi,ij,bj->b", x, Q, x)
-                           + 2.0 * np.einsum("bi,ij,bj->b", x, S, u)
-                           + np.einsum("bi,ij,bj->b", u, R, u)) \
-                - x @ eta - u @ zeta
-            lam += weight * l_run
+            lam += weight * (_dot(x, _mm(W_half[i], x) + w_col[i]) + c[i])
             if stream_G:
-                # row form of Ups(t_i)^T (Q x + S u - eta), trapezoided
-                gu = (x @ Q.T + u @ S.T - eta) @ ups_values[i]
+                # Ups(t_i)^T (Q x + S u - eta), trapezoided
+                gu = _mm(G_x[i], x) + g_col[i]
                 if i > 0:
                     G += (0.5 * h) * (gu_prev + gu)
                 gu_prev = gu
             if stream_omega:
-                qmid += weight * ((u @ R.T + x @ S - zeta) @ omega[i])
-                cross += weight * (G @ v[i])
+                qmid += weight * (_mm(q_x[i], x)[0] + q_c[i])
+                cross += weight * _mm(v_row[i], G)[0]
             if i < M:
-                drift = x @ A_tab[i].T + u @ p.B.T + b_tab[i]
+                drift = _mm(A_tab[i], x) + _mm(p.B, u) + b_col[i]
                 x = x + drift * h
                 if noisy:
-                    x = x + (noise[:, i] @ sig_tab[i].T) * sqrt_h
+                    x = x + _mm(sig_tab[i], noise[:, i].T) * sqrt_h
                 mx = np.max(np.abs(x))
                 if not np.isfinite(mx) or mx > BLOWUP_BOUND:
                     raise NonFiniteState(grid.nodes[i + 1])
 
-        lam += 0.5 * np.einsum("bi,ij,bj->b", x, p.Q_hat, x)
-        out["log_weights"][start:stop] = delta * lam
-        out["x_T"][start:stop] = x
+        lam += 0.5 * _dot(x, _mm(p.Q_hat, x))
+        out["log_weights"][start:stop] = p.delta * lam
+        out["x_T"][start:stop] = x.T
         if stream_G:
-            out["G_T"][start:stop] = G
+            out["G_T"][start:stop] = G.T
         if stream_omega:
             out["qmid"][start:stop] = qmid
             out["cross"][start:stop] = cross
@@ -310,12 +379,11 @@ def deterministic_log_cost(p: LqgProblem, law, grid: TimeGrid) -> float:
     """
     n = p.n
     K, k, F, f = closed_loop(p, law, grid)
+    W, w, c = running_cost(p, K, k)
 
     def field(j, y):
         x = y[:n]
-        u = K[j] @ x + k[j]
-        dl = 0.5 * (x @ p.Q @ x + 2.0 * x @ p.S @ u + u @ p.R @ u) \
-            - p.eta @ x - p.zeta @ u
+        dl = x @ (0.5 * W[j] @ x + w[j]) + c[j]
         return np.concatenate([F[j] @ x + f[j], [dl]])
 
     y0 = np.concatenate([p.x0, [0.0]])
@@ -417,12 +485,11 @@ def check_martingale_quotient(p: LqgProblem, sol: RiccatiSolution,
         # the Euler scheme's first-order error
         n = p.n
         K, k, F, f = closed_loop(p, cl, grid)
-        ups_T = np.swapaxes(ups.half_values(), 1, 2)
+        G_x, g = gradient_integrand(p, K, k, ups.half_values())
         F_xG = np.zeros((len(F), 2 * n, 2 * n))
         F_xG[:, :n, :n] = F
-        F_xG[:, n:, :n] = ups_T @ (p.Q + p.S @ K)
-        f_xG = np.concatenate(
-            [f, np.einsum("tij,tj->ti", ups_T, k @ p.S.T - p.eta)], axis=1)
+        F_xG[:, n:, :n] = G_x
+        f_xG = np.concatenate([f, g], axis=1)
         traj = propagate_linear(F_xG, f_xG,
                                 np.concatenate([p.x0, np.zeros(n)]), grid)
         x_T, G_T = traj.values[-1][:n], traj.values[-1][n:]

@@ -7,7 +7,8 @@ tabulated once on the half-grid (half_grid_table; node values are its
 even entries).  Linear ODEs go through propagate_linear, which turns
 each RK4 step into an affine map built for all steps at once; the
 general stepper integrate_ode serves the nonlinear Riccati equation and
-the quadratic cost integrals.
+the quadratic cost integrals.  The path and population engines multiply
+through _mm, whose rounding does not depend on how many rows are stacked.
 """
 
 from __future__ import annotations
@@ -136,6 +137,21 @@ def half_grid_table(fn, grid: TimeGrid) -> np.ndarray:
     out[0::2] = v
     out[1::2] = 0.5 * (v[:-1] + v[1:])
     return out
+
+
+def _mm(x, T, out=None):
+    """x @ T over the last two axes, as elementwise multiply-adds.
+
+    T may carry leading axes that broadcast against x's.  Every entry
+    is summed in the same order whatever the shape of x, unlike a BLAS
+    product whose rounding depends on how many rows are stacked, so
+    path and population runs do not depend on the block or chunk size
+    or on how many laws are advanced together.
+    """
+    prod = np.multiply(x[..., :1], T[..., 0, :], out=out)
+    for i in range(1, T.shape[-2]):
+        prod += x[..., i:i + 1] * T[..., i, :]
+    return prod
 
 
 def _check_state(y: np.ndarray, t: float) -> None:

@@ -28,7 +28,13 @@ from .errors import NonFiniteState, OutOfRange
 from .mfg import MfgEquilibrium, equilibrium_laws
 from .montecarlo import ControlLaw, LogMeanExpEstimate, log_mean_exp
 from .model import MajorMinorSpec
-from .numerics import BLOWUP_BOUND, TimeGrid, half_grid_table, integrate_ode
+from .numerics import (
+    BLOWUP_BOUND,
+    TimeGrid,
+    _mm,
+    half_grid_table,
+    integrate_ode,
+)
 
 # Per-replication noise arrays are sized so that all 1+N agent blocks
 # together stay under this many bytes.
@@ -109,21 +115,6 @@ def _as_law(law) -> ControlLaw:
     return ControlLaw(np.asarray(K, dtype=float), np.asarray(k, dtype=float))
 
 
-def _mm(x, T, out=None):
-    """x @ T over the last two axes, as elementwise multiply-adds.
-
-    T may carry leading axes that broadcast against x's.  Every entry
-    is summed in the same order whatever the shape of x, unlike a BLAS
-    product whose rounding depends on how many rows are stacked, so
-    population runs do not depend on the chunk size or on how many laws
-    are advanced together.
-    """
-    prod = np.multiply(x[..., :1], T[..., 0, :], out=out)
-    for i in range(1, T.shape[-2]):
-        prod += x[..., i:i + 1] * T[..., i, :]
-    return prod
-
-
 def _tr(a):
     """Contiguous transpose of the last two axes."""
     return np.ascontiguousarray(np.swapaxes(a, -1, -2))
@@ -163,13 +154,6 @@ def _row_sum(x):
     for j in range(1, x.shape[1]):
         total += x[:, j]
     return total
-
-
-def _law_u(law, i, x):
-    """law.u(i, x) with the gain applied by _mm."""
-    if law.K is None:
-        return np.broadcast_to(law.k[i], x.shape[:-1] + law.k[i].shape)
-    return _mm(x, law.K[i].T) + law.k[i]
 
 
 def _type_slices(counts):
@@ -330,14 +314,14 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
             ext0 = np.concatenate([x0, xhat_stack], axis=2)
             u0 = _mm(ext0, K0T[i]) + k0v[i]
             for l, law in major_devs:
-                u0[l] = _law_u(law, i, ext0[l])
+                u0[l] = law.u(i, ext0[l])
             for k in range(K):
                 base = _mm(ext0, KrT[k][i]) + kks[k][i]
                 _mm(xms[k], KxT[k][i], out=ums[k])
                 ums[k] += base[:, None]
                 for l, idx, law in minor_devs[k]:
                     ext_j = np.concatenate([xms[k][l, idx], ext0[l]], axis=1)
-                    ums[k][l, idx] = _law_u(law, i, ext_j)
+                    ums[k][l, idx] = law.u(i, ext_j)
 
             weight = h if 0 < i < M else 0.5 * h
             r0 = x0 - (_mm(xN, mjT["H"]) + maj.eta)

@@ -255,6 +255,12 @@ def _with(doc, section, **fields):
     return doc
 
 
+def _without_minor_field(doc, key):
+    doc = json.loads(json.dumps(doc))
+    del doc["model"]["minors"][0][key]
+    return doc
+
+
 _VERIFY = {"model": scalar_model(), "grid": {"steps": 50},
            "montecarlo": {"n_paths": 100, "seed": 1}}
 _GAME = dict(bundled_config("paper_example.json"), grid={"steps": 50})
@@ -271,9 +277,11 @@ _GAME = dict(bundled_config("paper_example.json"), grid={"steps": 50})
     ("nash-gap", _with(_GAME, "population", N_schedule=5)),
     ("nash-gap", _with(_GAME, "population", N_schedule=[2, 4], agent=2)),
     ("solve-mfg", dict(_GAME, threads="x")),
+    ("solve-mfg", _without_minor_field(_GAME, "A")),
+    ("solve-mfg", dict(_GAME, model=5)),
 ], ids=["steps-1", "top-level-list", "n_paths-0", "n_paths-1", "N-0",
         "N_schedule-0", "n_reps-1", "N_schedule-scalar", "agent-outside",
-        "threads-text"])
+        "threads-text", "minor-without-A", "model-not-object"])
 def test_malformed_config_exits_2(tmp_path, capsys, mode, doc):
     path = write_config(tmp_path, doc)
     assert main([mode, "--config", path]) == EXIT_PARSE

@@ -15,6 +15,7 @@ from rsmfg.montecarlo import (
     check_weak_error,
     deterministic_log_cost,
     estimate_cost,
+    _noise_block,
     estimate_gateaux,
     log_mean_exp,
     sampled_convexity,
@@ -105,6 +106,62 @@ class TestSimulate:
         e2 = simulate(p, sol, 300, seed=5, grid=GRID, block=4096)
         assert np.array_equal(e1.log_weights, e2.log_weights)
         assert np.array_equal(e1.x_T, e2.x_T)
+
+    def test_block_size_independence_2d(self):
+        # every per-path product is a fixed-order multiply-add, so a
+        # matrix-valued problem gives the same bits for any block size
+        p = mild_2d()
+        grid = TimeGrid(t_end=1.0, steps=200)
+        sol = solve(p, grid)
+        t = grid.nodes
+        omega = np.stack([np.sin(2 * np.pi * t), 0.5 - t], axis=1)
+        blocks = (1, 3, 37, 4096)
+        ens = [simulate(p, sol, 100, seed=8, grid=grid, store_paths=True,
+                        block=b) for b in blocks]
+        grads = [estimate_gateaux(p, sol, omega, 100, seed=9, grid=grid,
+                                  block=b) for b in blocks]
+        for e, g in zip(ens[1:], grads[1:]):
+            assert np.array_equal(e.log_weights, ens[0].log_weights)
+            assert np.array_equal(e.x_T, ens[0].x_T)
+            assert np.array_equal(e.states, ens[0].states)
+            assert np.array_equal(e.controls, ens[0].controls)
+            assert g == grads[0]
+
+    def test_noise_rows_are_path_keyed_streams(self):
+        # row j is the stream of a fresh Philox keyed (seed, first + j);
+        # no generator state carries over between paths or calls
+        steps, r = 40, 2
+        first = _noise_block(17, 5, 3, steps, r)
+        second = _noise_block(17, 8, 2, steps, r)
+        for rows, start in ((first, 5), (second, 8)):
+            for j, row in enumerate(rows):
+                gen = np.random.Generator(
+                    np.random.Philox(key=[17, start + j]))
+                assert np.array_equal(row, gen.standard_normal((steps, r)))
+
+    @pytest.mark.parametrize("law", ["riccati", "open-loop"])
+    def test_cost_table_matches_direct_form(self, law):
+        # delta * Lambda_T recomputed from the stored paths with the
+        # running cost written in x and u
+        p = mild_2d()
+        grid = TimeGrid(t_end=1.0, steps=200)
+        if law == "riccati":
+            law = solve(p, grid)
+        else:
+            t = grid.nodes
+            law = np.stack([0.3 - 0.2 * t, np.cos(3.0 * t)], axis=1)
+        ens = simulate(p, law, 50, seed=4, grid=grid, store_paths=True)
+        x, u = ens.states, ens.controls
+        running = (0.5 * np.einsum("pti,ij,ptj->pt", x, p.Q, x)
+                   + np.einsum("pti,ij,ptj->pt", x, p.S, u)
+                   + 0.5 * np.einsum("pti,ij,ptj->pt", u, p.R, u)
+                   - x @ p.eta - u @ p.zeta)
+        x_T = x[:, -1]
+        direct = p.delta * (
+            np.trapezoid(running, grid.nodes, axis=1)
+            + 0.5 * np.einsum("pi,ij,pj->p", x_T, p.Q_hat, x_T))
+        scale = np.max(np.abs(ens.log_weights))
+        assert np.max(np.abs(direct - ens.log_weights)) <= 1e-12 * scale
 
 
 class TestLogMeanExp:

@@ -102,16 +102,43 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _array(value, where: str) -> np.ndarray:
+    """A config value as a finite float array; ParseError names the field."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where} must be a number or a rectangular array"
+                         " of numbers") from None
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{where} must be finite")
+    return arr
+
+
+def _number(value, where: str) -> float:
+    arr = _array(value, where)
+    if arr.ndim:
+        raise ParseError(f"{where} must be a number")
+    return float(arr)
+
+
+def _getter(doc: dict, where: str):
+    """get(key[, default]): doc[key] as a float array, named where.key."""
+    def get(key, default=None):
+        value = (_require(doc, key, where) if default is None
+                 else doc.get(key, default))
+        return _array(value, f"{where}.{key}")
+    return get
+
+
 def _coefficient(value, grid: TimeGrid, where: str):
     """A constant array, or {"nodes": [...]} sampled on the grid nodes."""
     if isinstance(value, dict):
-        nodes = _require(value, "nodes", where)
-        arr = np.asarray(nodes, dtype=float)
-        if arr.shape[0] != grid.steps + 1:
+        arr = _array(_require(value, "nodes", where), where + ".nodes")
+        if arr.ndim == 0 or arr.shape[0] != grid.steps + 1:
             raise ParseError(
                 f"{where}: node array needs {grid.steps + 1} entries")
         return MatrixTrajectory(grid, arr)
-    return np.asarray(value, dtype=float)
+    return _array(value, where)
 
 
 def _agent_delta(doc: dict, raw_exponent: bool, where: str) -> float:
@@ -120,85 +147,71 @@ def _agent_delta(doc: dict, raw_exponent: bool, where: str) -> float:
             raise ParseError(
                 f"{where}: 'delta' conflicts with raw_exponent form")
         return RAW_EXPONENT_DELTA
-    return float(_require(doc, "delta", where))
+    return _number(_require(doc, "delta", where), where + ".delta")
 
 
 def _parse_single(doc: dict, grid: TimeGrid) -> LqgProblem:
     raw_exp = bool(doc.get("raw_exponent", False))
-
-    def get(key):
-        return _require(doc, key, "model")
-
-    x0 = np.asarray(get("x0"), dtype=float).reshape(-1)
+    get = _getter(doc, "model")
+    x0 = get("x0").reshape(-1)
     n = x0.size
-    B = np.asarray(get("B"), dtype=float)
+    B = get("B")
+    if n == 0 or B.size % n:
+        raise ParseError("model.B needs one row per state component")
     B = B.reshape(1, 1) if B.ndim == 0 else B.reshape(n, -1)
     m = B.shape[1]
     return LqgProblem(
-        A=_coefficient(get("A"), grid, "model.A"),
+        A=_coefficient(_require(doc, "A", "model"), grid, "model.A"),
         B=B,
         b=_coefficient(doc.get("b", np.zeros(n)), grid, "model.b"),
-        sigma=_coefficient(get("sigma"), grid, "model.sigma"),
-        Q=np.asarray(get("Q"), dtype=float),
-        S=np.asarray(doc.get("S", np.zeros((n, m))), dtype=float),
-        R=np.asarray(get("R"), dtype=float),
-        eta=np.asarray(doc.get("eta", np.zeros(n)), dtype=float).reshape(-1),
-        zeta=np.asarray(doc.get("zeta", np.zeros(m)),
-                        dtype=float).reshape(-1),
-        Q_hat=np.asarray(get("Q_hat"), dtype=float),
+        sigma=_coefficient(_require(doc, "sigma", "model"), grid,
+                           "model.sigma"),
+        Q=get("Q"), S=get("S", np.zeros((n, m))), R=get("R"),
+        eta=get("eta", np.zeros(n)).reshape(-1),
+        zeta=get("zeta", np.zeros(m)).reshape(-1),
+        Q_hat=get("Q_hat"),
         delta=_agent_delta(doc, raw_exp, "model"),
         x0=x0,
-        T=float(get("T")),
+        T=grid.t_end,
     )
+
+
+def _agent(cls, doc: dict, where: str, grid: TimeGrid, n: int, m: int,
+           raw_exp: bool):
+    """The major's or one minor type's parameters; absent weights are 0."""
+    get = _getter(doc, where)
+    params = dict(
+        A=get("A"), F=get("F"), B=get("B"),
+        b=_coefficient(doc.get("b", np.zeros(n)), grid, where + ".b"),
+        sigma=_coefficient(_require(doc, "sigma", where), grid,
+                           where + ".sigma"),
+        Q=get("Q"), S=get("S", np.zeros((n, m))), R=get("R"),
+        Q_hat=get("Q_hat", np.zeros((n, n))),
+        H=get("H", np.zeros((n, n))),
+        eta=get("eta", np.zeros(n)),
+        delta=_agent_delta(doc, raw_exp, where),
+        x0=get("x0"),
+    )
+    if cls is MinorTypeParams:
+        params.update(G=get("G"), H_hat=get("H_hat", np.zeros((n, n))))
+    return cls(**params)
 
 
 def _parse_game(doc: dict, grid: TimeGrid) -> MajorMinorSpec:
     raw_exp = bool(doc.get("raw_exponent", False))
-    n = int(_require(doc, "n", "model"))
-    m = int(_require(doc, "m", "model"))
-    r = int(_require(doc, "r", "model"))
-    mdoc = _require(doc, "major", "model")
-
-    def get(key):
-        return _require(mdoc, key, "major")
-
-    major = MajorParams(
-        A=get("A"), F=get("F"), B=get("B"),
-        b=_coefficient(mdoc.get("b", np.zeros(n)), grid, "major.b"),
-        sigma=_coefficient(get("sigma"), grid, "major.sigma"),
-        Q=get("Q"), S=mdoc.get("S", np.zeros((n, m))), R=get("R"),
-        Q_hat=mdoc.get("Q_hat", np.zeros((n, n))),
-        H=mdoc.get("H", np.zeros((n, n))),
-        eta=np.asarray(mdoc.get("eta", np.zeros(n)), dtype=float),
-        delta=_agent_delta(mdoc, raw_exp, "major"),
-        x0=get("x0"),
-    )
+    n, m, r = (_at_least(_require(doc, key, "model"), 1, f"model.{key}")
+               for key in ("n", "m", "r"))
+    major = _agent(MajorParams, _require(doc, "major", "model"), "major",
+                   grid, n, m, raw_exp)
     kdocs = _require(doc, "minors", "model")
     if not isinstance(kdocs, list):
         raise ParseError("model.minors must be a list")
-    minors = []
-    for i, kdoc in enumerate(kdocs):
-        where = f"minors[{i}]"
-
-        def get(key):
-            return _require(kdoc, key, where)
-
-        minors.append(MinorTypeParams(
-            A=get("A"), F=get("F"), G=get("G"), B=get("B"),
-            b=_coefficient(kdoc.get("b", np.zeros(n)), grid, where + ".b"),
-            sigma=_coefficient(get("sigma"), grid, where + ".sigma"),
-            Q=get("Q"), S=kdoc.get("S", np.zeros((n, m))), R=get("R"),
-            Q_hat=kdoc.get("Q_hat", np.zeros((n, n))),
-            H=kdoc.get("H", np.zeros((n, n))),
-            H_hat=kdoc.get("H_hat", np.zeros((n, n))),
-            eta=np.asarray(kdoc.get("eta", np.zeros(n)), dtype=float),
-            delta=_agent_delta(kdoc, raw_exp, where),
-            x0=get("x0"),
-        ))
+    minors = [_agent(MinorTypeParams, kdoc, f"minors[{i}]", grid, n, m,
+                     raw_exp) for i, kdoc in enumerate(kdocs)]
     return MajorMinorSpec(
         major=major, minors=minors,
-        pi=_require(doc, "pi", "model"),
-        T=float(_require(doc, "T", "model")), n=n, m=m, r=r,
+        pi=_array(_require(doc, "pi", "model"), "model.pi"),
+        T=grid.t_end, n=n, m=m, r=r,
     )
 
 
@@ -251,7 +264,7 @@ def parse_config(raw: dict, mode: str) -> ExperimentConfig:
         model_doc = bundled_config("paper_example.json")["model"]
     kind = _require(model_doc, "type", "model")
     # grid end time comes from the model horizon
-    T = float(_require(model_doc, "T", "model"))
+    T = _number(_require(model_doc, "T", "model"), "model.T")
     if not T > 0.0:
         raise ParseError("model.T must be positive")
     grid = TimeGrid(t_end=T, steps=steps)
@@ -416,12 +429,10 @@ def _run_simulate_population(cfg: ExperimentConfig, bundle: ResultBundle):
     eq = _solve_mfg(cfg)
     run = simulate_population(cfg.model, eq, N, n_reps=n_reps, seed=seed)
     rows = []
-    est = finite_cost(run, "major")
-    rows.append(("major", repr(est.log_value), repr(est.std_error),
-                 str(est.n)))
-    for j in range(N):
-        est = finite_cost(run, j)
-        rows.append((f"minor{j}", repr(est.log_value), repr(est.std_error),
+    for name, agent in [("major", "major")] + [(f"minor{j}", j)
+                                               for j in range(N)]:
+        est = finite_cost(run, agent)
+        rows.append((name, repr(est.log_value), repr(est.std_error),
                      str(est.n)))
     bundle.tables["costs"] = (
         ("agent", "log_cost", "std_error", "n_reps"), rows)

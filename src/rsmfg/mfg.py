@@ -235,8 +235,6 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         m_bar[:, rows] = bk_nodes[k] + Bk @ Rkinv[k] @ me.n_bar
 
     errors = []
-    converged = False
-    result = None
     for sweep in range(1, max_iter + 1):
         # (1) major extended solve with the current mean-field coefficients
         A0_nodes = np.zeros((M + 1, d0, d0))
@@ -304,14 +302,10 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         if callback is not None:
             callback(sweep, A_bar, G_bar, m_bar, error)
         if error < tol:
-            converged = True
-            result = (Pi0, s0, Piks, sks, p0, pks)
             break
-
-    if not converged:
+    else:
         raise NotConverged(len(errors), errors[-1])
 
-    Pi0, s0, Piks, sks, p0, pks = result
     log = IterationLog(errors=errors, tolerance=tol, converged=True)
     return MfgEquilibrium(
         spec=spec, grid=grid, Pi0=Pi0, s0=s0, Pik=Piks, sk=sks,

@@ -165,6 +165,25 @@ def risk_neutral_counterpart(p: LqgProblem,
     return dataclasses.replace(p, delta=epsilon)
 
 
+def _normalized(agent, suffix: str, n: int, m: int, r: int):
+    """Shape-check a major or minor agent's parameters in place.
+
+    Error messages name each field with the suffix, as in Q_0 or Q_k.
+    """
+    shapes = dict(A=(n, n), F=(n, n), G=(n, n), B=(n, m), Q=(n, n),
+                  S=(n, m), R=(m, m), Q_hat=(n, n), H=(n, n), H_hat=(n, n))
+    for name, (rows, cols) in shapes.items():
+        if hasattr(agent, name):
+            setattr(agent, name, _as_matrix(getattr(agent, name), rows, cols,
+                                            f"{name}_{suffix}"))
+    agent.b = as_time_function(agent.b, (n,), f"b_{suffix}")
+    agent.sigma = as_time_function(agent.sigma, (n, r), f"sigma_{suffix}")
+    agent.eta = _as_vector(agent.eta, n, f"eta_{suffix}")
+    agent.delta = float(agent.delta)
+    agent.x0 = _as_vector(agent.x0, n, f"x0_{suffix}")
+    return agent
+
+
 @dataclass
 class MinorTypeParams:
     """Parameters of one minor-agent subpopulation."""
@@ -186,22 +205,7 @@ class MinorTypeParams:
     x0: np.ndarray  # representative initial state for simulation
 
     def normalized(self, n, m, r):
-        self.A = _as_matrix(self.A, n, n, "A_k")
-        self.F = _as_matrix(self.F, n, n, "F_k")
-        self.G = _as_matrix(self.G, n, n, "G_k")
-        self.B = _as_matrix(self.B, n, m, "B_k")
-        self.b = as_time_function(self.b, (n,), "b_k")
-        self.sigma = as_time_function(self.sigma, (n, r), "sigma_k")
-        self.Q = _as_matrix(self.Q, n, n, "Q_k")
-        self.S = _as_matrix(self.S, n, m, "S_k")
-        self.R = _as_matrix(self.R, m, m, "R_k")
-        self.Q_hat = _as_matrix(self.Q_hat, n, n, "Q_hat_k")
-        self.H = _as_matrix(self.H, n, n, "H_k")
-        self.H_hat = _as_matrix(self.H_hat, n, n, "H_hat_k")
-        self.eta = _as_vector(self.eta, n, "eta_k")
-        self.delta = float(self.delta)
-        self.x0 = _as_vector(self.x0, n, "x0_k")
-        return self
+        return _normalized(self, "k", n, m, r)
 
 
 @dataclass
@@ -223,20 +227,7 @@ class MajorParams:
     x0: np.ndarray
 
     def normalized(self, n, m, r):
-        self.A = _as_matrix(self.A, n, n, "A_0")
-        self.F = _as_matrix(self.F, n, n, "F_0")
-        self.B = _as_matrix(self.B, n, m, "B_0")
-        self.b = as_time_function(self.b, (n,), "b_0")
-        self.sigma = as_time_function(self.sigma, (n, r), "sigma_0")
-        self.Q = _as_matrix(self.Q, n, n, "Q_0")
-        self.S = _as_matrix(self.S, n, m, "S_0")
-        self.R = _as_matrix(self.R, m, m, "R_0")
-        self.Q_hat = _as_matrix(self.Q_hat, n, n, "Q_hat_0")
-        self.H = _as_matrix(self.H, n, n, "H_0")
-        self.eta = _as_vector(self.eta, n, "eta_0")
-        self.delta = float(self.delta)
-        self.x0 = _as_vector(self.x0, n, "x0_0")
-        return self
+        return _normalized(self, "0", n, m, r)
 
 
 @dataclass

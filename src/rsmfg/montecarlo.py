@@ -38,6 +38,7 @@ from .numerics import (
     BLOWUP_BOUND,
     MatrixTrajectory,
     TimeGrid,
+    _dot,
     _mm,
     half_grid_table,
     integrate_ode,
@@ -64,9 +65,11 @@ class ControlLaw:
     k: np.ndarray  # (M+1, m)
 
     def u(self, i, x):
+        """The control at node i for states held as columns, x (n, paths)."""
+        k = self.k[i][:, None]
         if self.K is None:
-            return np.broadcast_to(self.k[i], x.shape[:-1] + self.k[i].shape)
-        return _mm(x, self.K[i].T) + self.k[i]
+            return np.broadcast_to(k, (len(k), x.shape[1]))
+        return _mm(self.K[i], x) + k
 
     def scaled(self, gain_factor=1.0, offset_shift=0.0):
         K = None if self.K is None else gain_factor * self.K
@@ -244,14 +247,6 @@ def _noise_block(seed, first_path, count, steps, r):
     return noise
 
 
-def _dot(x, y):
-    """Sum of x[j] * y[j] over the first axis, in index order."""
-    total = x[0] * y[0]
-    for j in range(1, len(x)):
-        total += x[j] * y[j]
-    return total
-
-
 def _run_paths(p: LqgProblem, law: ControlLaw, n_paths: int, seed: int,
                grid: TimeGrid, store_paths=False, ups_values=None,
                omega=None, v=None, block=DEFAULT_BLOCK):
@@ -274,7 +269,6 @@ def _run_paths(p: LqgProblem, law: ControlLaw, n_paths: int, seed: int,
     b_col = b_tab[:, :, None]
     noisy = bool(np.any(sig_tab))
     K, k = (a[::2] for a in law.on_half_grid(grid, n))
-    k_col = k[:, :, None]
     # running cost x'(W x / 2 + w) + c
     W, w, c = running_cost(p, K, k)
     W_half, w_col = 0.5 * W, w[:, :, None]
@@ -315,7 +309,7 @@ def _run_paths(p: LqgProblem, law: ControlLaw, n_paths: int, seed: int,
             cross = np.zeros(nb)
 
         for i in range(M + 1):
-            u = _mm(K[i], x) + k_col[i]
+            u = law.u(i, x)
             if store_paths:
                 out["states"][start:stop, i] = x.T
                 out["controls"][start:stop, i] = u.T

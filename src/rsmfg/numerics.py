@@ -7,8 +7,9 @@ tabulated once on the half-grid (half_grid_table; node values are its
 even entries).  Linear ODEs go through propagate_linear, which turns
 each RK4 step into an affine map built for all steps at once; the
 general stepper integrate_ode serves the nonlinear Riccati equation and
-the quadratic cost integrals.  The path and population engines multiply
-through _mm, whose rounding does not depend on how many rows are stacked.
+the quadratic cost integrals.  The path and population engines hold
+states as columns and multiply through _mm, coefficient matrix on the
+left, whose rounding does not depend on how many columns are stacked.
 """
 
 from __future__ import annotations
@@ -139,19 +140,28 @@ def half_grid_table(fn, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def _mm(x, T, out=None):
-    """x @ T over the last two axes, as elementwise multiply-adds.
+def _mm(a, b, out=None):
+    """a @ b over the last two axes, as elementwise multiply-adds.
 
-    T may carry leading axes that broadcast against x's.  Every entry
-    is summed in the same order whatever the shape of x, unlike a BLAS
-    product whose rounding depends on how many rows are stacked, so
-    path and population runs do not depend on the block or chunk size
-    or on how many laws are advanced together.
+    The engines pass a small coefficient matrix a and column states b of
+    shape (dim, columns), so numpy's inner loop runs over all columns;
+    leading axes of a and b broadcast.  Each entry is summed in the same
+    order whatever the number of columns, unlike a BLAS product, so path
+    and population runs do not depend on the block or chunk size or on
+    how many laws are advanced together.
     """
-    prod = np.multiply(x[..., :1], T[..., 0, :], out=out)
-    for i in range(1, T.shape[-2]):
-        prod += x[..., i:i + 1] * T[..., i, :]
+    prod = np.multiply(a[..., :1], b[..., 0, :], out=out)
+    for i in range(1, b.shape[-2]):
+        prod += a[..., i:i + 1] * b[..., i, :]
     return prod
+
+
+def _dot(x, y):
+    """Sum of x[j] * y[j] over the first axis, in index order."""
+    total = x[0] * y[0]
+    for j in range(1, len(x)):
+        total += x[j] * y[j]
+    return total
 
 
 def _check_state(y: np.ndarray, t: float) -> None:

@@ -12,9 +12,15 @@ drives every law's population, which is how nash_gap compares the
 equilibrium with its deviations on common random numbers.  Within each
 type the minors are held in ascending key order, and the empirical
 averages are plain sums in that order, so relabeling agents together
-with their noise streams leaves them bitwise unchanged.  Drift offsets
-and diffusions are tabulated once per run; the noise-free RK4 run reads
-each law's gains from half-grid tables.
+with their noise streams leaves them bitwise unchanged.
+
+States are held component-major: a type's minors are one array (n,
+law, agent, replication), and every product is numerics._mm with the
+coefficient matrix on the left, its inner loop running over all laws,
+agents and replications.  Replications are chunked so that the noise
+arrays alive at once (the kicks sigma dW of all 1+N agents and the
+normals they are made from, scaled in place when n = r = 1) fit in
+NOISE_BUDGET_BYTES; a chunk's noise is freed before the next is drawn.
 """
 
 from __future__ import annotations
@@ -26,18 +32,23 @@ import numpy as np
 
 from .errors import NonFiniteState, OutOfRange
 from .mfg import MfgEquilibrium, equilibrium_laws
-from .montecarlo import ControlLaw, LogMeanExpEstimate, log_mean_exp
+from .montecarlo import (
+    ControlLaw,
+    LogMeanExpEstimate,
+    as_control_law,
+    log_mean_exp,
+)
 from .model import MajorMinorSpec
 from .numerics import (
     BLOWUP_BOUND,
     TimeGrid,
+    _dot,
     _mm,
     half_grid_table,
     integrate_ode,
 )
 
-# Per-replication noise arrays are sized so that all 1+N agent blocks
-# together stay under this many bytes.
+# Bound on the noise arrays alive at once (see the module docstring).
 NOISE_BUDGET_BYTES = 256_000_000
 
 DEFAULT_CHUNK = 2048
@@ -108,25 +119,13 @@ class NashGapReport:
     gap_std_error: float         # paired (common-noise) standard error
 
 
-def _as_law(law) -> ControlLaw:
-    if isinstance(law, ControlLaw):
-        return law
-    K, k = law
-    return ControlLaw(np.asarray(K, dtype=float), np.asarray(k, dtype=float))
-
-
-def _tr(a):
-    """Contiguous transpose of the last two axes."""
-    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
-
-
 def _qform(r, Q, u):
-    """r'Qu along the leading axes."""
-    return (_mm(r, Q) * u).sum(axis=-1)
+    """r'Qu for column states, (Q'r)_j u_j summed in component order."""
+    return _dot(_mm(Q.T, r), u)
 
 
 def _quad(r, Q, S, R, u):
-    """0.5 r'Qr + r'Su + 0.5 u'Ru along the leading axes."""
+    """0.5 r'Qr + r'Su + 0.5 u'Ru for column states r (n, ...), u (m, ...)."""
     return 0.5 * _qform(r, Q, r) + _qform(r, S, u) + 0.5 * _qform(u, R, u)
 
 
@@ -135,7 +134,7 @@ def _add_quad(acc, w, r, Q, S, R, u, tmp):
     if Q.shape != (1, 1) or R.shape != (1, 1):
         acc += w * _quad(r, Q, S, R, u)
         return
-    rr, uu = r[..., 0], u[..., 0]
+    rr, uu = r[0], u[0]
     for a, b, coef in ((rr, rr, 0.5 * Q[0, 0]), (rr, uu, S[0, 0]),
                        (uu, uu, 0.5 * R[0, 0])):
         if coef != 0.0:
@@ -144,39 +143,23 @@ def _add_quad(acc, w, r, Q, S, R, u, tmp):
             acc += tmp
 
 
-def _row_sum(x):
-    """Sum over axis 1, adding the rows in index order.
-
-    np.sum may switch between pairwise and sequential summation with the
-    shape of the other axes; a fixed order keeps sums chunk-independent.
-    """
-    total = x[:, 0].copy()
-    for j in range(1, x.shape[1]):
-        total += x[:, j]
-    return total
-
-
-def _type_slices(counts):
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    return [slice(int(starts[k]), int(starts[k + 1]))
-            for k in range(len(counts))]
-
-
 def _noise_kicks(gens, c, M, sig, sqrt_h):
     """sigma dW increments of one chunk for a block of agents.
 
     Each generator draws its (c, M, r) standard normals exactly as a
-    single-agent run would; the result is laid out (M, agents, c, n) so
-    every time step reads one contiguous slab.
+    single-agent run would; the result is laid out (M, n, agents, c), so
+    every time step reads one contiguous slab in the column layout.
     """
     r = sig.shape[2]
-    block = np.empty((M, len(gens), c, r))
+    block = np.empty((M, r, len(gens), c))
     for idx, gen in enumerate(gens):
-        block[:, idx] = gen.standard_normal((c, M, r)).transpose(1, 0, 2)
-    in_place = block if sig.shape[1:] == (1, 1) else None
-    kicks = _mm(block, _tr(sig[:M])[:, None, None], out=in_place)
+        block[:, :, idx] = gen.standard_normal((c, M, r)).transpose(1, 2, 0)
+    if sig.shape[1:] == (1, 1):
+        kicks = np.multiply(block, sig[:M, :, :, None], out=block)
+    else:
+        kicks = _mm(sig[:M], block.reshape(M, 1, r, -1))
     kicks *= sqrt_h
-    return kicks
+    return kicks.reshape(M, -1, len(gens), c)
 
 
 def simulate_population(spec: MajorMinorSpec, eq: MfgEquilibrium, N: int,
@@ -214,7 +197,7 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
         grid = eq.grid
     elif grid != eq.grid:
         raise OutOfRange("simulation grid must match the equilibrium grid")
-    n, K = spec.n, spec.K
+    n, m, r, K = spec.n, spec.m, spec.r, spec.K
     M, h = grid.steps, grid.h
     sqrt_h = math.sqrt(h)
     counts = apportion(spec.pi, N)
@@ -226,8 +209,8 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
     # minors of each type are held in ascending key order, so the plain
     # per-type sums do not depend on how the slots are labelled
     keys = np.asarray(agent_keys)
-    slots = [sl.start + np.argsort(keys[sl], kind="stable")
-             for sl in _type_slices(counts)]
+    slots = [sl[np.argsort(keys[sl], kind="stable")]
+             for sl in np.split(np.arange(N), np.cumsum(counts)[:-1])]
     position = np.empty(N, dtype=int)
     for sk in slots:
         position[sk] = np.arange(len(sk))
@@ -241,32 +224,32 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
             continue
         agent, law = ov
         if agent == "major":
-            major_devs.append((l, _as_law(law)))
+            major_devs.append((l, as_control_law(law, grid, n * (1 + K), m)))
         elif 0 <= int(agent) < N:
             j = int(agent)
-            minor_devs[assignment[j]].append((l, position[j], _as_law(law)))
+            minor_devs[assignment[j]].append(
+                (l, position[j], as_control_law(law, grid, n * (2 + K), m)))
         else:
             raise OutOfRange(f"agent {agent!r} not in the population")
 
     maj, minors = spec.major, spec.minors
-    # drift offsets and diffusions at the nodes; transposed coefficient
-    # tables so every product is x @ T; minor gains are split into the
-    # own-state block and the (major, mean-field) block shared by every
-    # agent of the type
+    # drift offsets and diffusions at the nodes; minor gains are split
+    # into the own-state block and the (major, mean-field) block shared by
+    # every agent of the type
     b0, sig0 = (half_grid_table(c, grid)[::2] for c in (maj.b, maj.sigma))
     bk = [half_grid_table(th.b, grid)[::2] for th in minors]
     sigk = [half_grid_table(th.sigma, grid)[::2] for th in minors]
-    K0T, k0v = _tr(K0.values), k0.values
-    KxT = [_tr(Kk.values[:, :, :n]) for Kk, _ in minor_laws]
-    KrT = [_tr(Kk.values[:, :, n:]) for Kk, _ in minor_laws]
+    K0, k0 = K0.values, k0.values
+    Kx = [Kk.values[:, :, :n] for Kk, _ in minor_laws]
+    Kr = [Kk.values[:, :, n:] for Kk, _ in minor_laws]
     kks = [kk.values for _, kk in minor_laws]
-    A_barT, G_barT = _tr(eq.A_bar.values), _tr(eq.G_bar.values)
-    m_bar = eq.m_bar.values
-    mjT = {name: _tr(getattr(maj, name)) for name in ("A", "F", "B", "H")}
-    mtT = [{name: _tr(getattr(th, name))
-            for name in ("A", "F", "G", "B", "H", "H_hat")} for th in minors]
+    A_bar, G_bar, m_bar = eq.A_bar.values, eq.G_bar.values, eq.m_bar.values
 
-    cap = max(1, NOISE_BUDGET_BYTES // ((N + 1) * M * spec.r * 8))
+    # every noise array alive at once: the kicks of all 1+N agents, the
+    # normals they are made from (scaled in place when n = r = 1) and one
+    # agent's draw
+    width = (N + 1) * n + (0 if n == r == 1 else (N + 1) * r) + r
+    cap = max(1, NOISE_BUDGET_BYTES // (8 * M * width))
     chunk = max(1, min(chunk, cap, n_reps))
     gens = [[np.random.Generator(np.random.Philox(key=[seed, keys[j]]))
              for j in sk] for sk in slots]
@@ -281,99 +264,115 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
     for start in range(0, n_reps, chunk):
         stop = min(start + chunk, n_reps)
         c = stop - start
-        kick0 = _noise_kicks([gen0], c, M, sig0, sqrt_h)[:, 0]
+        kick0 = _noise_kicks([gen0], c, M, sig0, sqrt_h)[:, :, 0]
         kicks = [_noise_kicks(gens[k], c, M, sigk[k], sqrt_h)
                  for k in range(K)]
 
-        # per-type arrays are (L, N_k, c, .): law, agent in key order,
-        # replication
-        x0 = np.broadcast_to(maj.x0, (L, c, n)).copy()
-        xms = [np.broadcast_to(minors[k].x0, (L, counts[k], c, n)).copy()
-               for k in range(K)]
-        ums = [np.empty((L, counts[k], c, spec.m)) for k in range(K)]
-        work = [np.empty((L, counts[k], c, n)) for k in range(K)]
-        work2 = [np.empty((L, counts[k], c, n)) for k in range(K)]
-        tmp = [np.empty((L, counts[k], c)) for k in range(K)]
-        xhat = np.empty((L, c, K, n))
-        xbar = np.broadcast_to(
-            np.concatenate([th.x0 for th in minors]), (L, c, n * K)).copy()
-        lam0 = np.zeros((L, c))
-        lams = [np.zeros((L, counts[k], c)) for k in range(K)]
+        # agent arrays are (component, law, agent in key order,
+        # replication); the *_f views flatten all but the component, so
+        # each product T x runs over every law, agent and replication.
+        # ext0 stacks the major's state and the per-type averages.
+        ext0 = np.empty((n * (1 + K), L, c))
+        ext0[:n] = maj.x0[:, None, None]
+        x0, xhat, ext0_f = ext0[:n], ext0[n:], ext0.reshape(len(ext0), -1)
+        x0_f = ext0_f[:n]
+        xms = [np.broadcast_to(th.x0.reshape(n, 1, 1, 1), (n, L, Nk, c)).copy()
+               for th, Nk in zip(minors, counts)]
+        ums = [np.empty((m, L, counts[k], c)) for k in range(K)]
+        work = [np.empty((n, L, counts[k], c)) for k in range(K)]
+        work2 = [np.empty((n, L * counts[k] * c)) for k in range(K)]
+        xms_f, ums_f, work_f = ([a.reshape(len(a), -1) for a in arrs]
+                                for arrs in (xms, ums, work))
+        xbar = np.empty((n * K, L, c))
+        xbar[...] = np.concatenate([th.x0 for th in minors])[:, None, None]
+        xbar_f = xbar.reshape(n * K, L * c)
+        lam0 = np.zeros(L * c)
+        lams = [np.zeros(L * counts[k] * c) for k in range(K)]
         sup = np.zeros((L, c))
-        diff_T = np.zeros((L, c))
 
         for i in range(M + 1):
             xN = None
             for k in range(K):
-                sk = _row_sum(xms[k])
-                xhat[:, :, k] = sk / counts[k]
+                # per-type sums in key order, whatever the chunk size
+                sk = xms[k][:, :, 0].copy()
+                for j in range(1, counts[k]):
+                    sk += xms[k][:, :, j]
+                xhat[k * n:(k + 1) * n] = sk / counts[k]
                 xN = sk if xN is None else xN + sk
             xN = xN / N
-            xhat_stack = xhat.reshape(L, c, K * n)
+            xN_f = xN.reshape(n, L * c)
 
-            ext0 = np.concatenate([x0, xhat_stack], axis=2)
-            u0 = _mm(ext0, K0T[i]) + k0v[i]
+            u0 = _mm(K0[i], ext0_f) + k0[i][:, None]
+            u0_l = u0.reshape(m, L, c)
             for l, law in major_devs:
-                u0[l] = law.u(i, ext0[l])
+                u0_l[:, l] = law.u(i, ext0[:, l])
             for k in range(K):
-                base = _mm(ext0, KrT[k][i]) + kks[k][i]
-                _mm(xms[k], KxT[k][i], out=ums[k])
-                ums[k] += base[:, None]
+                base = _mm(Kr[k][i], ext0_f) + kks[k][i][:, None]
+                _mm(Kx[k][i], xms_f[k], out=ums_f[k])
+                ums[k] += base.reshape(m, L, 1, c)
                 for l, idx, law in minor_devs[k]:
-                    ext_j = np.concatenate([xms[k][l, idx], ext0[l]], axis=1)
-                    ums[k][l, idx] = law.u(i, ext_j)
+                    ext_j = np.concatenate([xms[k][:, l, idx], ext0[:, l]])
+                    ums[k][:, l, idx] = law.u(i, ext_j)
 
             weight = h if 0 < i < M else 0.5 * h
-            r0 = x0 - (_mm(xN, mjT["H"]) + maj.eta)
+            r0 = x0_f - (_mm(maj.H, xN_f) + maj.eta[:, None])
             lam0 += weight * _quad(r0, maj.Q, maj.S, maj.R, u0)
             if i == M:
                 lam0 += 0.5 * _qform(r0, maj.Q_hat, r0)
             for k in range(K):
-                th, tT = minors[k], mtT[k]
-                psi = _mm(x0, tT["H"]) + _mm(xN, tT["H_hat"]) + th.eta
-                rr = np.subtract(xms[k], psi[:, None], out=work[k])
+                th = minors[k]
+                psi = (_mm(th.H, x0_f) + _mm(th.H_hat, xN_f)
+                       + th.eta[:, None])
+                np.subtract(xms[k], psi.reshape(n, L, 1, c), out=work[k])
+                rr = work_f[k]
                 _add_quad(lams[k], weight, rr, th.Q, th.S, th.R,
-                          ums[k], tmp[k])
+                          ums_f[k], work2[k][0])
                 if i == M:
                     lams[k] += 0.5 * _qform(rr, th.Q_hat, rr)
 
-            d = np.max(np.abs(xhat_stack - xbar), axis=2)
+            d = np.max(np.abs(xhat - xbar), axis=0)
             np.maximum(sup, d, out=sup)
             if i == M:
                 diff_T = d
             if start == 0:
-                paths[:, i, 0] = x0[:, 0]
+                paths[:, i, 0] = x0[:, :, 0].T
                 for k in range(K):
-                    paths[:, i, 1 + slots[k]] = xms[k][:, :, 0]
-                empirical_avg[:, i] = xN[:, 0]
+                    paths[:, i, 1 + slots[k]] = xms[k][..., 0].transpose(
+                        1, 2, 0)
+                empirical_avg[:, i] = xN[:, :, 0].T
 
             if i < M:
-                xbar = xbar + (_mm(xbar, A_barT[i]) + _mm(x0, G_barT[i])
-                               + m_bar[i]) * h
-                drift0 = _mm(x0, mjT["A"]) + _mm(xN, mjT["F"]) + b0[i]
-                x0 = x0 + (drift0 + _mm(u0, mjT["B"])) * h
-                x0 = x0 + kick0[i]
+                xbar_f += (_mm(A_bar[i], xbar_f) + _mm(G_bar[i], x0_f)
+                           + m_bar[i][:, None]) * h
+                drift0 = (_mm(maj.A, x0_f) + _mm(maj.F, xN_f)
+                          + b0[i][:, None])
+                x0_f += (drift0 + _mm(maj.B, u0)) * h
+                x0 += kick0[i][:, None]
                 extremes = [np.max(x0), -np.min(x0)]
                 for k in range(K):
-                    # ((x A + u B) + (coupling + b)) h, then sigma dW
-                    tT = mtT[k]
-                    coup = _mm(xN, tT["F"]) + _mm(x0, tT["G"]) + bk[k][i]
-                    d1, d2 = work[k], work2[k]
-                    _mm(xms[k], tT["A"], out=d1)
-                    d1 += _mm(ums[k], tT["B"], out=d2)
-                    d1 += coup[:, None]
+                    # ((A x + B u) + (coupling + b)) h, then sigma dW; the
+                    # coupling reads the major's state already advanced
+                    th = minors[k]
+                    coup = (_mm(th.F, xN_f) + _mm(th.G, x0_f)
+                            + bk[k][i][:, None])
+                    d1, d2 = work_f[k], work2[k]
+                    _mm(th.A, xms_f[k], out=d1)
+                    d1 += _mm(th.B, ums_f[k], out=d2)
+                    work[k] += coup.reshape(n, L, 1, c)
                     d1 *= h
-                    xms[k] += d1
-                    xms[k] += kicks[k][i]
+                    xms_f[k] += d1
+                    xms[k] += kicks[k][i][:, None]
                     extremes += [np.max(xms[k]), -np.min(xms[k])]
                 mx = np.max(extremes)
                 if not np.isfinite(mx) or mx > BLOWUP_BOUND:
                     raise NonFiniteState(grid.nodes[i + 1])
+        # free this chunk's noise before the next one is drawn
+        del kick0, kicks
 
-        exponents[:, start:stop, 0] = maj.delta * lam0
+        exponents[:, start:stop, 0] = maj.delta * lam0.reshape(L, c)
         for k in range(K):
             exponents[:, start:stop, 1 + slots[k]] = np.swapaxes(
-                minors[k].delta * lams[k], 1, 2)
+                minors[k].delta * lams[k].reshape(L, counts[k], c), 1, 2)
         fluct_sup[:, start:stop] = sup
         fluct_T[:, start:stop] = diff_T
 
@@ -403,45 +402,49 @@ def deterministic_population_run(spec: MajorMinorSpec, eq: MfgEquilibrium,
     n, K = spec.n, spec.K
     counts = apportion(spec.pi, N)
     assignment = assignment_from_counts(counts)
-    slices = _type_slices(counts)
+    slices = np.split(np.arange(N), np.cumsum(counts)[:-1])
     maj, minors = spec.major, spec.minors
-    # every law as half-grid tables (K, k) with u = K ext + k
+    # every agent's law, major first, as half-grid tables (K, k) with
+    # u = K ext + k
     (K0, k0), minor_laws = equilibrium_laws(eq)
-    major_law = (K0.half_values(), k0.half_values())
     type_laws = [(Kk.half_values(), kk.half_values()) for Kk, kk in minor_laws]
-    dev_agent, dev_law = None, None
+    laws = [(K0.half_values(), k0.half_values())] + [type_laws[k]
+                                                     for k in assignment]
     if override is not None:
-        dev_agent, law = override
-        dim = n * (1 + K) if dev_agent == "major" else n * (2 + K)
-        dev_law = _as_law(law).on_half_grid(grid, dim)
-        if dev_agent == "major":
-            major_law = dev_law
+        agent, law = override
+        if agent != "major" and not 0 <= int(agent) < N:
+            raise OutOfRange(f"agent {agent!r} not in the population")
+        slot = 0 if agent == "major" else 1 + int(agent)
+        dim = n * (1 + K) if slot == 0 else n * (2 + K)
+        laws[slot] = as_control_law(law, grid, dim, spec.m).on_half_grid(
+            grid, dim)
     b0 = half_grid_table(maj.b, grid)
     bk = [half_grid_table(th.b, grid) for th in minors]
 
     def field(j, y):
         x0 = y[:n]
         xm = y[n:n * (1 + N)].reshape(N, n)
-        xhat = np.stack([xm[slices[k]].mean(axis=0) for k in range(K)])
         xN = xm.mean(axis=0)
-        xhat_stack = xhat.reshape(-1)
+        xhat_stack = np.concatenate([xm[sl].mean(axis=0) for sl in slices])
         ext0 = np.concatenate([x0, xhat_stack])
-        gain, offset = major_law
+        gain, offset = laws[0]
         u0 = gain[j] @ ext0 + offset[j]
         dy = np.empty_like(y)
         dy[:n] = maj.A @ x0 + maj.F @ xN + maj.B @ u0 + b0[j]
         r0 = x0 - (maj.H @ xN + maj.eta)
-        dy[n * (1 + N)] = float(_quad(r0, maj.Q, maj.S, maj.R, u0))
+        dy[n * (1 + N)] = _quad(r0[:, None], maj.Q, maj.S, maj.R,
+                                u0[:, None])[0]
         for a in range(N):
             k = assignment[a]
             th = minors[k]
             ext = np.concatenate([xm[a], x0, xhat_stack])
-            gain, offset = dev_law if dev_agent == a else type_laws[k]
+            gain, offset = laws[1 + a]
             u = gain[j] @ ext + offset[j]
             dy[n * (1 + a):n * (2 + a)] = (th.A @ xm[a] + th.F @ xN
                                            + th.G @ x0 + th.B @ u + bk[k][j])
             r = xm[a] - (th.H @ x0 + th.H_hat @ xN + th.eta)
-            dy[n * (1 + N) + 1 + a] = float(_quad(r, th.Q, th.S, th.R, u))
+            dy[n * (1 + N) + 1 + a] = _quad(r[:, None], th.Q, th.S, th.R,
+                                            u[:, None])[0]
         return dy
 
     y0 = np.concatenate([maj.x0]
@@ -497,11 +500,8 @@ def default_deviation_family(eq: MfgEquilibrium, agent, type_index: int = 0,
                              offset_shifts=OFFSET_SHIFTS):
     """Gain rescalings and offset shifts of an agent's equilibrium law."""
     (K0, k0), minor_laws = equilibrium_laws(eq)
-    if agent == "major":
-        base = ControlLaw(K0.values, k0.values)
-    else:
-        Kk, kk = minor_laws[type_index]
-        base = ControlLaw(Kk.values, kk.values)
+    K, k = (K0, k0) if agent == "major" else minor_laws[type_index]
+    base = ControlLaw(K.values, k.values)
     family = [(f"gain x{g:g}", base.scaled(gain_factor=g))
               for g in gain_factors]
     family += [(f"offset {s:+g}", base.scaled(offset_shift=s))

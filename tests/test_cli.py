@@ -261,6 +261,12 @@ def _without_minor_field(doc, key):
     return doc
 
 
+def _with_minor_field(doc, key, value):
+    doc = json.loads(json.dumps(doc))
+    doc["model"]["minors"][0][key] = value
+    return doc
+
+
 _VERIFY = {"model": scalar_model(), "grid": {"steps": 50},
            "montecarlo": {"n_paths": 100, "seed": 1}}
 _GAME = dict(bundled_config("paper_example.json"), grid={"steps": 50})
@@ -279,9 +285,15 @@ _GAME = dict(bundled_config("paper_example.json"), grid={"steps": 50})
     ("solve-mfg", dict(_GAME, threads="x")),
     ("solve-mfg", _without_minor_field(_GAME, "A")),
     ("solve-mfg", dict(_GAME, model=5)),
+    ("verify-single", _with(_VERIFY, "model", A="x")),
+    ("verify-single", _with(_VERIFY, "model", A=[[1, 2], [3]])),
+    ("verify-single", _with(_VERIFY, "model", sigma={"nodes": "abc"})),
+    ("verify-single", _with(_VERIFY, "model", Q="q")),
+    ("solve-mfg", _with_minor_field(_GAME, "R", [[1.0], [2.0, 3.0]])),
 ], ids=["steps-1", "top-level-list", "n_paths-0", "n_paths-1", "N-0",
         "N_schedule-0", "n_reps-1", "N_schedule-scalar", "agent-outside",
-        "threads-text", "minor-without-A", "model-not-object"])
+        "threads-text", "minor-without-A", "model-not-object", "A-text",
+        "A-ragged", "sigma-nodes-text", "Q-text", "minor-R-ragged"])
 def test_malformed_config_exits_2(tmp_path, capsys, mode, doc):
     path = write_config(tmp_path, doc)
     assert main([mode, "--config", path]) == EXIT_PARSE

@@ -8,6 +8,7 @@ from conftest import decoupled_game, flocking_game, vector_game
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsmfg import population
 from rsmfg.errors import OutOfRange
 from rsmfg.mfg import (
     equilibrium_laws,
@@ -99,6 +100,68 @@ class TestSimulatePopulation:
         run = simulate_population(spec, eq, N=1, override=(0, law),
                                   n_reps=1, seed=7)
         assert np.array_equal(run.paths[:, 1, :], ens.states[0])
+
+    def test_decoupled_2d_minor_bitwise(self):
+        # the matrix branches: n = m = r = 2 with a full sigma and no
+        # coupling, so the one minor retraces the single-agent path 0
+        minor = dict(A=[[-0.6, 0.2], [0.1, -0.4]], B=[[1.0, 0.0], [0.2, 1.0]],
+                     b=[-0.05, 0.1], sigma=[[0.3, 0.1], [-0.05, 0.2]],
+                     Q=[[2.0, 0.1], [0.1, 1.0]], S=[[0.1, 0.0], [0.0, 0.05]],
+                     R=[[1.0, 0.1], [0.1, 1.5]], Q_hat=0.3 * np.eye(2),
+                     delta=0.5, x0=[0.5, -0.3])
+        zero = np.zeros((2, 2))
+        major = MajorParams(
+            A=-0.4 * np.eye(2), F=zero, B=np.eye(2), b=[0.1, 0.0],
+            sigma=0.4 * np.eye(2), Q=np.eye(2), S=zero, R=np.eye(2),
+            Q_hat=zero, H=zero, eta=[0.2, 0.0], delta=0.5, x0=[1.0, 0.0])
+        spec = MajorMinorSpec(
+            major=major,
+            minors=[MinorTypeParams(F=zero, G=zero, H=zero, H_hat=zero,
+                                    eta=[-0.1, 0.2], **minor)],
+            pi=[1.0], T=1.0, n=2, m=2, r=2)
+        grid = TimeGrid(1.0, 200)
+        eq = solve_consistency(spec, grid)
+        p = LqgProblem(eta=np.asarray(minor["Q"]) @ [-0.1, 0.2],
+                       zeta=[0.0, 0.0], T=1.0, **minor)
+        sol = solve(p, grid)
+        K_pad = np.zeros((grid.steps + 1, 2, 6))
+        K_pad[:, :, :2] = sol.K_gain.values
+        law = ControlLaw(K_pad, sol.k_offset.values)
+        ens = simulate(p, sol, 1, seed=7, grid=grid, store_paths=True)
+        run = simulate_population(spec, eq, N=1, override=(0, law),
+                                  n_reps=1, seed=7)
+        assert np.array_equal(run.paths[:, 1, :], ens.states[0])
+
+    def test_budget_chunks(self, monkeypatch):
+        # a noise budget of one or three replications forces chunks of
+        # that size; the results must not see it
+        spec = vector_game()
+        eq = solve_consistency(spec, TimeGrid(1.0, 50))
+        laws = [None, (1, default_deviation_family(eq, 1)[0][1])]
+        whole = simulate_population_laws(spec, eq, 5, laws, n_reps=7, seed=2)
+        # bytes per replication: the 2M kicks and M normals of each of the
+        # 1+N agents and one agent's M normals
+        per_rep = 8 * 50 * (6 * 2 + 6 * 1 + 1)
+        sizes = []
+        draw = population._noise_kicks
+
+        def recording(gens, c, *args):
+            sizes.append(c)
+            return draw(gens, c, *args)
+
+        monkeypatch.setattr(population, "_noise_kicks", recording)
+        for cap in (1, 3):
+            sizes.clear()
+            monkeypatch.setattr(population, "NOISE_BUDGET_BYTES",
+                                cap * per_rep)
+            runs = simulate_population_laws(spec, eq, 5, laws, n_reps=7,
+                                            seed=2)
+            # one draw for the major and one per type in every chunk
+            assert sizes[::3] == [min(cap, 7 - s) for s in range(0, 7, cap)]
+            for run, ref in zip(runs, whole):
+                assert np.array_equal(run.exponents, ref.exponents)
+                assert np.array_equal(run.fluct_sup, ref.fluct_sup)
+                assert np.array_equal(run.paths, ref.paths)
 
     def test_chunk_independence(self, flocking_eq):
         spec, eq = flocking_eq

@@ -238,7 +238,7 @@ def load_config(path, mode: str) -> ExperimentConfig:
 def _at_least(value, minimum: int, where: str) -> int:
     try:
         count = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{where} must be an integer") from None
     if count < minimum:
         raise ParseError(f"{where} must be at least {minimum}")
@@ -254,8 +254,24 @@ def parse_config(raw: dict, mode: str) -> ExperimentConfig:
         if not isinstance(doc, dict):
             raise ParseError(f"'{name}' must be a JSON object")
     steps = _at_least(docs["grid"].get("steps", 2000), 2, "grid.steps")
-    if mode in STOCHASTIC_MODES and "seed" not in docs["montecarlo"]:
+    mc = dict(docs["montecarlo"])
+    if "seed" in mc:
+        mc["seed"] = _at_least(mc["seed"], 0, "montecarlo.seed")
+        if mc["seed"] >= 2 ** 32:
+            raise ParseError("montecarlo.seed must be below 2**32")
+    elif mode in STOCHASTIC_MODES:
         raise ParseError("seed required")
+    # relaxation 1 would keep the initial guess and call it converged
+    fp = {key: _number(docs["fixedpoint"].get(key, default),
+                       f"fixedpoint.{key}")
+          for key, default in (("tol", 1e-10), ("relaxation", 0.0),
+                               ("eta_hat_sign", -1.0))}
+    fp["max_iter"] = _at_least(docs["fixedpoint"].get("max_iter", 50), 1,
+                               "fixedpoint.max_iter")
+    if not (fp["tol"] > 0.0 and fp["relaxation"] < 1.0
+            and fp["eta_hat_sign"] in (-1.0, 1.0)):
+        raise ParseError("fixedpoint needs tol > 0, relaxation < 1 and "
+                         "eta_hat_sign 1 or -1")
 
     model_doc = raw.get("model")
     if model_doc is None:
@@ -283,8 +299,7 @@ def parse_config(raw: dict, mode: str) -> ExperimentConfig:
 
     return ExperimentConfig(
         mode=mode, model=model, grid=grid,
-        montecarlo=dict(docs["montecarlo"]),
-        fixedpoint=dict(docs["fixedpoint"]),
+        montecarlo=mc, fixedpoint=fp,
         population=dict(docs["population"]), output=dict(docs["output"]),
         threads=_at_least(raw.get("threads", 1), 1, "threads"), raw=raw,
     )
@@ -347,15 +362,14 @@ def _run_verify_single(cfg: ExperimentConfig, bundle: ResultBundle):
     # a standard error needs two paths, or two replications below
     n_paths = _at_least(cfg.montecarlo.get("n_paths", 10_000), 2,
                         "montecarlo.n_paths")
-    seed = int(cfg.montecarlo["seed"])
+    seed = cfg.montecarlo["seed"]
     sol = _run_solve_single(cfg, bundle)
     rows = []
-    norm = check_normalization(cfg.model, sol, n_paths, seed)
-    rows.append(("normalization", "", repr(norm.value), repr(norm.target),
-                 repr(norm.std_error), repr(norm.z)))
-    cost = check_optimal_cost(cfg.model, sol, n_paths, seed + 1)
-    rows.append(("optimal_cost", "", repr(cost.value), repr(cost.target),
-                 repr(cost.std_error), repr(cost.z)))
+    for name, check, offset in (("normalization", check_normalization, 0),
+                                ("optimal_cost", check_optimal_cost, 1)):
+        rep = check(cfg.model, sol, n_paths, seed + offset)
+        rows.append((name, "", repr(rep.value), repr(rep.target),
+                     repr(rep.std_error), repr(rep.z)))
     quot = check_martingale_quotient(cfg.model, sol, n_paths, seed + 2)
     for j in range(cfg.model.n):
         rows.append(("martingale_quotient", str(j),
@@ -368,15 +382,8 @@ def _run_verify_single(cfg: ExperimentConfig, bundle: ResultBundle):
 
 
 def _solve_mfg(cfg: ExperimentConfig, callback=None):
-    fp = cfg.fixedpoint
-    return solve_consistency(
-        cfg.model, cfg.grid,
-        tol=float(fp.get("tol", 1e-10)),
-        max_iter=int(fp.get("max_iter", 50)),
-        relaxation=float(fp.get("relaxation", 0.0)),
-        eta_hat_sign=float(fp.get("eta_hat_sign", -1.0)),
-        callback=callback,
-    )
+    return solve_consistency(cfg.model, cfg.grid, callback=callback,
+                             **cfg.fixedpoint)
 
 
 def _emit_mfg_tables(cfg, bundle, eq):
@@ -425,9 +432,9 @@ def _run_simulate_population(cfg: ExperimentConfig, bundle: ResultBundle):
     pop = cfg.population
     N = _at_least(pop.get("N", 5), 1, "population.N")
     n_reps = _at_least(pop.get("n_reps", 1000), 2, "population.n_reps")
-    seed = int(cfg.montecarlo["seed"])
     eq = _solve_mfg(cfg)
-    run = simulate_population(cfg.model, eq, N, n_reps=n_reps, seed=seed)
+    run = simulate_population(cfg.model, eq, N, n_reps=n_reps,
+                              seed=cfg.montecarlo["seed"])
     rows = []
     for name, agent in [("major", "major")] + [(f"minor{j}", j)
                                                for j in range(N)]:
@@ -458,7 +465,7 @@ def _run_nash_gap(cfg: ExperimentConfig, bundle: ResultBundle):
         if agent >= min(schedule):
             raise ParseError("population.agent must be a minor slot of "
                              "every N in N_schedule")
-    seed = int(cfg.montecarlo["seed"])
+    seed = cfg.montecarlo["seed"]
     eq = _solve_mfg(cfg)
     rows, runs = [], []
     for N in schedule:

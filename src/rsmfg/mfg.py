@@ -35,11 +35,10 @@ def _pi_blocks(M: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 def assemble_mean_field(minors, pi):
-    """Structural mean-field matrices (A_breve, G_breve, B_breve, m_breve).
+    """Structural mean-field matrices (A_breve, G_breve, B_breve).
 
     Row block k of A_breve is A_k e_k + [pi_1 F_k, ..., pi_K F_k]; G_breve
-    stacks the G_k; B_breve is block-diagonal in the B_k; m_breve stacks
-    the drift offsets b_k(t).
+    stacks the G_k; B_breve is block-diagonal in the B_k.
     """
     K = len(minors)
     n = minors[0].A.shape[0]
@@ -56,19 +55,14 @@ def assemble_mean_field(minors, pi):
         A_breve[rows, n * k:n * (k + 1)] += th.A
         G_breve[rows] = th.G
         B_breve[rows, m * k:m * (k + 1)] = th.B
-
-    def m_breve(t):
-        return np.concatenate([th.b(t) for th in minors])
-
-    return A_breve, G_breve, B_breve, m_breve
+    return A_breve, G_breve, B_breve
 
 
 def assemble_major(spec: MajorMinorSpec) -> ExtendedSystem:
     """Extended system of the major agent on the state (x0, xbar)."""
     n, K = spec.n, spec.K
     maj = spec.major
-    A_breve, G_breve, B_breve, m_breve = assemble_mean_field(spec.minors,
-                                                             spec.pi)
+    A_breve, G_breve, B_breve = assemble_mean_field(spec.minors, spec.pi)
     F0_pi = _pi_blocks(maj.F, spec.pi)
     dim = n * (1 + K)
     A_tilde = np.block([[maj.A, F0_pi], [G_breve, A_breve]])
@@ -82,16 +76,10 @@ def assemble_major(spec: MajorMinorSpec) -> ExtendedSystem:
     eta_bar = T0.T @ (maj.Q @ maj.eta)
     n_bar = maj.S.T @ maj.eta
 
-    def M_tilde(t):
-        return np.concatenate([maj.b(t), m_breve(t)])
-
-    def Sigma(t):
-        return np.vstack([maj.sigma(t), np.zeros((n * K, spec.r))])
-
     x0 = np.concatenate([maj.x0] + [th.x0 for th in spec.minors])
     return ExtendedSystem(dim=dim, A_tilde=A_tilde, B_own=B_own,
-                          B_major=None, B_mean=B_mean, M_tilde=M_tilde,
-                          Sigma=Sigma, Q_bb=Q_bb, S_bb=S_bb, G_bb=G_bb,
+                          B_major=None, B_mean=B_mean,
+                          Q_bb=Q_bb, S_bb=S_bb, G_bb=G_bb,
                           eta_bar=eta_bar, n_bar=n_bar, R=maj.R,
                           delta=maj.delta, x0=x0)
 
@@ -130,19 +118,10 @@ def assemble_minor(spec: MajorMinorSpec, k: int,
     eta_bar = Tk_eta.T @ (th.Q @ th.eta)
     n_bar = th.S.T @ th.eta
 
-    def M_tilde(t, _maj=major_ext.M_tilde):
-        return np.concatenate([th.b(t), _maj(t)])
-
-    def Sigma(t, _maj_sig=major_ext.Sigma):
-        out = np.zeros((dim, 2 * spec.r))
-        out[:n, :spec.r] = th.sigma(t)
-        out[n:, spec.r:] = _maj_sig(t)
-        return out
-
     x0 = np.concatenate([th.x0, major_ext.x0])
     return ExtendedSystem(dim=dim, A_tilde=A_tilde, B_own=B_own,
-                          B_major=B_major, B_mean=B_mean, M_tilde=M_tilde,
-                          Sigma=Sigma, Q_bb=Q_bb, S_bb=S_bb, G_bb=G_bb,
+                          B_major=B_major, B_mean=B_mean,
+                          Q_bb=Q_bb, S_bb=S_bb, G_bb=G_bb,
                           eta_bar=eta_bar, n_bar=n_bar, R=th.R,
                           delta=th.delta, x0=x0)
 
@@ -184,8 +163,8 @@ def _extended_problem(sys: ExtendedSystem, A_nodes, M_nodes, sigma_half,
                       grid, T):
     """Wrap a time-varying extended system as a single-agent problem.
 
-    sigma_half holds sys.Sigma on grid.half_nodes; it does not change
-    from sweep to sweep, so it is tabulated once per fixed-point solve.
+    sigma_half, the extended diffusion on grid.half_nodes, is the same
+    in every sweep, so it is tabulated once per fixed-point solve.
     """
     return LqgProblem(
         A=HalfGridFunction(grid, half_grid_table(A_nodes, grid)),
@@ -212,16 +191,20 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
     """
     if grid is None:
         grid = TimeGrid(t_end=spec.T, steps=2000)
-    n, m, K = spec.n, spec.m, spec.K
+    n, r, K = spec.n, spec.r, spec.K
     M = grid.steps
     major_ext = assemble_major(spec)
     minor_exts = [assemble_minor(spec, k, eta_hat_sign) for k in range(K)]
     d0 = major_ext.dim
 
-    Rkinv = [np.linalg.inv(me.R) for me in minor_exts]
     F0_pi = _pi_blocks(spec.major.F, spec.pi)
-    sig0_half = half_grid_table(major_ext.Sigma, grid)
-    sigk_half = [half_grid_table(me.Sigma, grid) for me in minor_exts]
+    # extended diffusions: the major's noise drives x0, a minor's own x
+    sig0_half = np.zeros((2 * M + 1, d0, r))
+    sig0_half[:, :n] = half_grid_table(spec.major.sigma, grid)
+    sigk_half = [np.zeros((2 * M + 1, me.dim, 2 * r)) for me in minor_exts]
+    for th, sig in zip(spec.minors, sigk_half):
+        sig[:, :n, :r] = half_grid_table(th.sigma, grid)
+        sig[:, n:, r:] = sig0_half
     b0_nodes = half_grid_table(spec.major.b, grid)[::2]
     bk_nodes = [half_grid_table(th.b, grid)[::2] for th in spec.minors]
 
@@ -229,10 +212,9 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
     A_bar = np.zeros((M + 1, n * K, n * K))
     G_bar = np.zeros((M + 1, n * K, n))
     m_bar = np.zeros((M + 1, n * K))
-    for k, me in enumerate(minor_exts):
-        rows = slice(n * k, n * (k + 1))
-        Bk = spec.minors[k].B
-        m_bar[:, rows] = bk_nodes[k] + Bk @ Rkinv[k] @ me.n_bar
+    for k, (th, me) in enumerate(zip(spec.minors, minor_exts)):
+        m_bar[:, n * k:n * (k + 1)] = (bk_nodes[k] + th.B
+                                        @ np.linalg.inv(me.R) @ me.n_bar)
 
     errors = []
     for sweep in range(1, max_iter + 1):

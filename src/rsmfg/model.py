@@ -298,8 +298,6 @@ class ExtendedSystem:
     B_own: np.ndarray          # own control input, (dim, m)
     B_major: np.ndarray        # major's control input (minor only) or None
     B_mean: np.ndarray         # mean-field control input block
-    M_tilde: object            # t -> offset (dim,)
-    Sigma: object              # t -> diffusion (dim, n_noise)
     Q_bb: np.ndarray           # running state weight
     S_bb: np.ndarray           # running cross weight, (dim, m)
     G_bb: np.ndarray           # terminal state weight

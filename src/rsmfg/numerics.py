@@ -4,12 +4,12 @@ Everything here is deterministic, allocation-light, and operates on a
 uniform time grid.  The classical 4th-order Runge-Kutta scheme evaluates
 vector fields only at grid nodes and midpoints, so every coefficient is
 tabulated once on the half-grid (half_grid_table; node values are its
-even entries).  Linear ODEs go through propagate_linear, which turns
-each RK4 step into an affine map built for all steps at once; the
-general stepper integrate_ode serves the nonlinear Riccati equation and
-the quadratic cost integrals.  The path and population engines hold
-states as columns and multiply through _mm, coefficient matrix on the
-left, whose rounding does not depend on how many columns are stacked.
+even entries).  _step_maps builds the affine RK4 step maps of a linear
+ODE for all steps at once; propagate_linear and the Riccati solve apply
+them, and integrate_ode serves the quadratic cost integrals.  The path
+and population engines hold states as columns and multiply through _mm,
+coefficient matrix on the left, whose rounding does not depend on how
+many columns are stacked.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonFiniteState, OutOfRange
 
-# Any state entry beyond this magnitude is treated as finite escape.
+# Entries past this are a linear propagation's or a path's finite escape.
 BLOWUP_BOUND = 1e8
 
 
@@ -186,12 +186,11 @@ def _sweep(grid: TimeGrid, direction: str):
 
 def integrate_ode(vector_field, boundary_value, grid: TimeGrid,
                   direction: str = "forward",
-                  post_step=None, indexed: bool = False) -> MatrixTrajectory:
+                  indexed: bool = False) -> MatrixTrajectory:
     """Classical RK4 over the grid.
 
     `direction="forward"` places the boundary value at t=t_start;
     `"backward"` places it at t=t_end and integrates by time reversal.
-    `post_step`, if given, maps each new state (e.g. symmetrization).
     With `indexed=True` the field is called with the index j of the
     evaluation time in grid.half_nodes instead of the time itself, so it
     can read coefficients tabulated by half_grid_table directly.
@@ -215,41 +214,46 @@ def integrate_ode(vector_field, boundary_value, grid: TimeGrid,
         k3 = vector_field(t_mid, y + (h / 2.0) * k2)
         k4 = vector_field(t_next, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if post_step is not None:
-            y = post_step(y)
         _check_state(y, nodes[i + lands])
         values[i + lands] = y
     return MatrixTrajectory(grid, values)
 
 
-def propagate_linear(F, f, boundary_value, grid: TimeGrid,
-                     direction: str = "forward") -> MatrixTrajectory:
-    """Classical RK4 for the linear ODE y' = F(t) y + f(t).
+def _step_maps(F, grid: TimeGrid, direction: str, f=None):
+    """RK4 step maps (Phi, phi) of y' = F(t) y + f(t) for all M steps.
 
-    F, of shape (2M+1, d, d), and f, of shape (2M+1,) + y.shape, hold the
-    coefficients on grid.half_nodes; the state y is a vector (d,) or a
-    matrix (d, c).  An RK4 step of a linear field is an affine map
-    y -> Phi_i y + phi_i: the maps of all M steps are formed by batched
-    products, and the recurrence only applies them.  Directions and
-    blow-up are integrate_ode's: NonFiniteState at the first node past
-    BLOWUP_BOUND.
+    F (2M+1, d, d) and f (2M+1, d, c) or None are tabulated on the
+    half-grid; step i, numbered as in _sweep, maps y to Phi[i] y + phi[i].
     """
-    h, first, order, lands = _sweep(grid, direction)
-    y = np.asarray(boundary_value, dtype=float)
+    h, _, _, lands = _sweep(grid, direction)
     # coefficients where each step starts, at its midpoint, where it lands
     a, c, b = ((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2))
                if lands else
                (slice(2, None, 2), slice(1, None, 2), slice(0, -1, 2)))
     # RK4 on the augmented [F | f], f as columns, gives [Phi - I | phi]
     F = np.asarray(F, dtype=float)
-    G = np.concatenate([F, np.reshape(f, F.shape[:2] + (-1,))], axis=2)
+    G = F if f is None else np.concatenate([F, f], axis=2)
     k2 = G[c] + (h / 2.0) * (F[c] @ G[a])
     k3 = G[c] + (h / 2.0) * (F[c] @ k2)
     k4 = G[b] + h * (F[b] @ k3)
     incr = (h / 6.0) * (G[a] + 2.0 * k2 + 2.0 * k3 + k4)
     d = F.shape[1]
-    Phi = np.eye(d) + incr[:, :, :d]
-    phi = incr[:, :, d:].reshape((grid.steps,) + y.shape)
+    return np.eye(d) + incr[:, :, :d], incr[:, :, d:]
+
+
+def propagate_linear(F, f, boundary_value, grid: TimeGrid,
+                     direction: str = "forward") -> MatrixTrajectory:
+    """Classical RK4 for y' = F(t) y + f(t), applying _step_maps' maps.
+
+    F (2M+1, d, d) and f (2M+1,) + y.shape are tabulated on the half-grid;
+    y is a vector (d,) or a matrix (d, c).  Directions and blow-up are
+    integrate_ode's: NonFiniteState at the first node past BLOWUP_BOUND.
+    """
+    _, first, order, lands = _sweep(grid, direction)
+    y = np.asarray(boundary_value, dtype=float)
+    Phi, phi = _step_maps(F, grid, direction,
+                          np.reshape(f, np.shape(F)[:2] + (-1,)))
+    phi = phi.reshape((grid.steps,) + y.shape)
 
     nodes = grid.nodes
     values = np.empty((grid.steps + 1,) + y.shape)

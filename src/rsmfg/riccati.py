@@ -3,9 +3,11 @@
 The backward matrix Riccati equation carries an extra delta*Pi*sigma*
 sigma^T*Pi term relative to the classical LQR equation; for large risk
 loading it can escape to infinity in finite time, which is reported as
-FiniteEscape rather than propagated as garbage.  The offset equation is
-linear given Pi and goes through the linear propagator.  The constant C_star equals the log of the optimal
-exponential cost.
+FiniteEscape rather than propagated as garbage.  Each backward step is a
+Moebius map of Pi through the RK4 step map of the linear Hamiltonian
+system; an escape shows, at any scale, as a singular X.  The linear
+offset equation goes through the linear propagator.  C_star is the log
+of the optimal exponential cost.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .model import LqgProblem
 from .numerics import (
     MatrixTrajectory,
     TimeGrid,
+    _step_maps,
     half_grid_table,
-    integrate_ode,
     propagate_linear,
 )
 
@@ -55,25 +57,32 @@ def _diffusion_table(p: LqgProblem, grid: TimeGrid) -> np.ndarray:
 def solve_riccati(p: LqgProblem, grid: TimeGrid) -> MatrixTrajectory:
     """Backward solve of the risk-sensitive Riccati equation, Pi(T)=Q_hat.
 
-    With A_s = A - B R^-1 S^T and W = delta sigma sigma^T - B R^-1 B^T the
-    field is -(Pi A_s + A_s^T Pi + Pi W Pi + Q - S R^-1 S^T); both
-    coefficients are tabulated once on the half-grid.
+    -Pi' = Pi A_s + A_s^T Pi + Pi W Pi + Q_s, with A_s = A - B R^-1 S^T,
+    W = delta sigma sigma^T - B R^-1 B^T and Q_s = Q - S R^-1 S^T, has
+    Pi = Y X^-1 for [X; Y]' = H [X; Y], H = [[A_s, W], [-Q_s, -A_s^T]].
+    Step i maps [I; Pi_i+1] through H's RK4 step map to [X; Y] and sets
+    Pi_i = sym(Y X^-1); det X <= 0 or a non-finite Pi_i is FiniteEscape(t_i).
     """
     Rinv = np.linalg.inv(p.R)
-    B, S = p.B, p.S
+    B, S, n = p.B, p.S, p.n
     A_s = half_grid_table(p.A, grid) - B @ Rinv @ S.T
     W = p.delta * _diffusion_table(p, grid) - B @ Rinv @ B.T
-    Q_s = p.Q - S @ Rinv @ S.T
+    Q_s = np.broadcast_to(p.Q - S @ Rinv @ S.T, A_s.shape)
+    H = np.block([[A_s, W], [-Q_s, -np.swapaxes(A_s, 1, 2)]])
+    Phi, _ = _step_maps(H, grid, "backward")
 
-    def field(j, Pi):
-        PA = Pi @ A_s[j]
-        return -(PA + PA.T + Pi @ W[j] @ Pi + Q_s)
-
-    try:
-        return integrate_ode(field, p.Q_hat, grid, "backward",
-                             post_step=_symmetrize, indexed=True)
-    except NonFiniteState as e:
-        raise FiniteEscape(e.t) from e
+    values = np.empty((grid.steps + 1, n, n))
+    Pi = values[-1] = _symmetrize(p.Q_hat)
+    for i in range(grid.steps - 1, -1, -1):
+        XY = Phi[i, :, :n] + Phi[i, :, n:] @ Pi
+        X, Y = XY[:n], XY[n:]
+        if not np.linalg.det(X) > 0.0:
+            raise FiniteEscape(grid.nodes[i])
+        # Y X^-1 = (X^-T Y^T)^T, and sym ignores the transpose
+        Pi = values[i] = _symmetrize(np.linalg.solve(X.T, Y.T))
+        if not np.isfinite(Pi).all():
+            raise FiniteEscape(grid.nodes[i])
+    return MatrixTrajectory(grid, values)
 
 
 def solve_offset(p: LqgProblem, Pi: MatrixTrajectory,

@@ -270,6 +270,7 @@ def _with_minor_field(doc, key, value):
 _VERIFY = {"model": scalar_model(), "grid": {"steps": 50},
            "montecarlo": {"n_paths": 100, "seed": 1}}
 _GAME = dict(bundled_config("paper_example.json"), grid={"steps": 50})
+_PAPER = {"grid": {"steps": 50}}
 
 
 @pytest.mark.parametrize("mode,doc", [
@@ -290,10 +291,25 @@ _GAME = dict(bundled_config("paper_example.json"), grid={"steps": 50})
     ("verify-single", _with(_VERIFY, "model", sigma={"nodes": "abc"})),
     ("verify-single", _with(_VERIFY, "model", Q="q")),
     ("solve-mfg", _with_minor_field(_GAME, "R", [[1.0], [2.0, 3.0]])),
+    ("reproduce-paper", _with(_PAPER, "fixedpoint", tol="abc")),
+    ("reproduce-paper", _with(_PAPER, "fixedpoint", max_iter="a")),
+    ("reproduce-paper", _with(_PAPER, "fixedpoint", relaxation=[1, 2])),
+    ("reproduce-paper", _with(_PAPER, "fixedpoint", eta_hat_sign="q")),
+    ("reproduce-paper", _with(_PAPER, "fixedpoint", max_iter=0)),
+    ("reproduce-paper", _with(_PAPER, "fixedpoint", relaxation=1.0)),
+    ("reproduce-paper", _with(_PAPER, "fixedpoint", tol=-1)),
+    ("reproduce-paper", _with(_PAPER, "fixedpoint", tol=float("nan"))),
+    ("reproduce-paper", _with(_PAPER, "fixedpoint", eta_hat_sign=0.5)),
+    ("verify-single", _with(_VERIFY, "montecarlo", seed="x")),
+    ("verify-single", _with(_VERIFY, "montecarlo", seed=-1)),
+    ("verify-single", _with(_VERIFY, "montecarlo", seed=1e30)),
 ], ids=["steps-1", "top-level-list", "n_paths-0", "n_paths-1", "N-0",
         "N_schedule-0", "n_reps-1", "N_schedule-scalar", "agent-outside",
         "threads-text", "minor-without-A", "model-not-object", "A-text",
-        "A-ragged", "sigma-nodes-text", "Q-text", "minor-R-ragged"])
+        "A-ragged", "sigma-nodes-text", "Q-text", "minor-R-ragged",
+        "tol-text", "max_iter-text", "relaxation-list", "eta_hat_sign-text",
+        "max_iter-0", "relaxation-1", "tol-negative", "tol-nan",
+        "eta_hat_sign-half", "seed-text", "seed-negative", "seed-1e30"])
 def test_malformed_config_exits_2(tmp_path, capsys, mode, doc):
     path = write_config(tmp_path, doc)
     assert main([mode, "--config", path]) == EXIT_PARSE

@@ -30,9 +30,11 @@ class TestAssembly:
         assert np.array_equal(es.B_own, [[1.0], [0.0]])
         assert np.array_equal(es.B_mean, [[0.0], [1.0]])
         assert np.array_equal(es.G_bb, np.zeros((2, 2)))
-        assert np.array_equal(es.Sigma(0.0), [[0.3], [0.0]])
-        assert np.array_equal(es.M_tilde(0.5), [0.0, 0.0])
         assert np.array_equal(es.x0, [1.0, 1.0])
+        # the extended diffusion and drift offset are tabulated at solve
+        p0 = solve_consistency(toy_game(), GRID).major_problem
+        assert np.array_equal(p0.sigma(0.0), [[0.3], [0.0]])
+        assert np.array_equal(p0.b(0.5), [0.0, 0.0])
 
     def test_toy_minor_matrices(self):
         es = assemble_minor(toy_game(), 0)
@@ -44,10 +46,11 @@ class TestAssembly:
                                            [0.0, 1.0, 2.0]])
         assert np.array_equal(es.B_own, [[1.0], [0.0], [0.0]])
         assert np.array_equal(es.B_major, [[0.0], [1.0], [0.0]])
-        assert np.array_equal(es.Sigma(0.0), [[0.3, 0.0],
+        assert np.array_equal(es.x0, [1.0, 1.0, 1.0])
+        pk = solve_consistency(toy_game(), GRID).minor_problems[0]
+        assert np.array_equal(pk.sigma(0.0), [[0.3, 0.0],
                                               [0.0, 0.3],
                                               [0.0, 0.0]])
-        assert np.array_equal(es.x0, [1.0, 1.0, 1.0])
 
     def test_two_type_mean_field(self):
         g = toy_game()
@@ -58,13 +61,14 @@ class TestAssembly:
         )
         g2 = MajorMinorSpec(major=g.major, minors=[g.minors[0], other],
                             pi=[0.3, 0.7], T=1.0, n=1, m=1, r=1)
-        A_breve, G_breve, B_breve, m_breve = assemble_mean_field(
-            g2.minors, g2.pi)
+        A_breve, G_breve, B_breve = assemble_mean_field(g2.minors, g2.pi)
         assert np.allclose(A_breve, [[1.0 + 0.3, 0.7],
                                      [0.3 * 3.0, 2.0 + 0.7 * 3.0]])
         assert np.array_equal(G_breve, [[1.0], [4.0]])
         assert np.array_equal(B_breve, np.eye(2))
-        assert np.array_equal(m_breve(0.0), [0.0, 0.5])
+        # each type's extended drift offset leads with its own b_k
+        pks = solve_consistency(g2, GRID).minor_problems
+        assert [pk.b(0.0)[0] for pk in pks] == [0.0, 0.5]
 
     def test_eta_hat_sign_switch(self):
         g = toy_game()

@@ -99,13 +99,6 @@ class TestIntegrate:
             integrate_ode(lambda t, y: y * y, np.array([2.0]), g)
         assert 0.0 < exc.value.t <= 5.0
 
-    def test_post_step_applied(self):
-        g = TimeGrid(t_end=1.0, steps=10)
-        traj = integrate_ode(lambda t, y: np.ones_like(y), np.zeros(1), g,
-                             post_step=lambda y: np.round(y, 1))
-        assert np.allclose(traj.values[:, 0], np.round(g.nodes, 1))
-
-
     def test_indexed_field_matches_timed_field(self):
         # a field reading a half-grid table by index integrates exactly
         # as the same field evaluated at the times themselves

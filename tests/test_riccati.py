@@ -56,6 +56,24 @@ def lqr_riccati_oracle(p, t_eval):
     return sol.y[:, ::-1].T.reshape(len(t_eval), n, n)
 
 
+def risk_riccati_oracle(p, t_eval):
+    """Risk-sensitive Riccati via an adaptive 8th-order integrator."""
+    n = p.n
+    Rinv = np.linalg.inv(p.R)
+
+    def rhs(t, y):
+        Pi = y.reshape(n, n)
+        A, sig = p.A(t), p.sigma(t)
+        PBpS = Pi @ p.B + p.S
+        d = -(Pi @ A + A.T @ Pi - PBpS @ Rinv @ PBpS.T
+              + p.delta * Pi @ sig @ sig.T @ Pi + p.Q)
+        return d.reshape(-1)
+
+    sol = solve_ivp(rhs, (p.T, 0.0), p.Q_hat.reshape(-1), method="DOP853",
+                    t_eval=t_eval[::-1], rtol=1e-13, atol=1e-13)
+    return sol.y[:, ::-1].T.reshape(len(t_eval), n, n)
+
+
 class TestSolveRiccati:
     def test_zero_data_zero_solution(self):
         p = scalar_problem(Q=0.0, S=0.0, Q_hat=0.0, delta=0.5)
@@ -106,6 +124,21 @@ class TestSolveRiccati:
         oracle = lqr_riccati_oracle(p, grid.nodes)
         assert np.max(np.abs(Pi.values - oracle)) < 1e-6
 
+    def test_risk_sensitive_matrix_against_dop853(self):
+        # full 3x3 instance, delta=0.3, full sigma, time-varying drift:
+        # fourth-order convergence to an independent adaptive solve
+        p = random_instance(6)
+        A0, A1 = p.A(0.0), np.random.default_rng(7).standard_normal((3, 3))
+        p.A = lambda t: A0 + 0.5 * np.sin(3.0 * t) * A1
+        fine = TimeGrid(t_end=1.0, steps=2000)
+        oracle = risk_riccati_oracle(p, fine.nodes)
+        errs = {}
+        for M in (250, 500, 2000):
+            Pi = solve_riccati(p, TimeGrid(t_end=1.0, steps=M))
+            errs[M] = np.max(np.abs(Pi.values - oracle[::2000 // M]))
+        assert errs[250] / errs[500] >= 12.0
+        assert errs[2000] < 1e-10
+
     def test_grid_convergence(self):
         p = scalar_problem(delta=0.5)
         Pi1 = solve_riccati(p, TimeGrid(t_end=1.0, steps=2000))
@@ -120,6 +153,18 @@ class TestSolveRiccati:
         with pytest.raises(FiniteEscape) as exc:
             solve_riccati(p, GRID)
         assert 0.0 <= exc.value.t < 1.0
+
+    def test_finite_escape_scale_free(self):
+        # scaling the weights by c and delta by 1/c scales Pi by c, so the
+        # escape must be found at the same node at any scale
+        times = set()
+        for c in (1e-9, 1.0, 1e9):
+            p = scalar_problem(A=0.0, B=0.0, Q=c, R=c, S=0.0,
+                               Q_hat=10.0 * c, sigma=5.0, delta=4.0 / c)
+            with pytest.raises(FiniteEscape) as exc:
+                solve_riccati(p, GRID)
+            times.add(exc.value.t)
+        assert len(times) == 1
 
 
 class TestSolveOffset:
@@ -170,7 +215,7 @@ class TestFeedbackLaw:
         K, _ = feedback_law(p, Pi, s)
         assert abs(K.values[0][0, 0] + math.tanh(1.0)) < 1e-6
 
-    @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("c", [0.5, 2.0, 10.0, 1e-9])
     def test_scaling_invariance(self, c):
         p = scalar_problem(A=-0.2, Q=1.0, S=0.3, R=1.0, eta=0.2, zeta=0.1,
                            Q_hat=0.5, b=0.1, delta=0.4)

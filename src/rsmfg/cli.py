@@ -1,8 +1,8 @@
 """Command-line orchestration: config parsing, dispatch, CSV serialization.
 
-Usage: rsmfg <mode> --config <path> [--out <dir>] [--threads <n>] with mode
-one of solve-single, verify-single, solve-mfg, simulate-population,
-nash-gap, reproduce-paper.  Configs are JSON; cost matrices may be given
+Usage: rsmfg <mode> --config <path> [--out <dir>] with mode one of
+solve-single, verify-single, solve-mfg, simulate-population, nash-gap,
+reproduce-paper.  Configs are JSON; cost matrices may be given
 either with an explicit per-agent risk loading "delta" or with
 "raw_exponent": true, meaning the quadratic weights are the literal
 exponent coefficients (loaded as delta=2 so that delta/2 equals one).
@@ -60,6 +60,8 @@ from .riccati import solve
 MODES = ("solve-single", "verify-single", "solve-mfg",
          "simulate-population", "nash-gap", "reproduce-paper")
 STOCHASTIC_MODES = ("verify-single", "simulate-population", "nash-gap")
+SECTIONS = ("model", "grid", "montecarlo", "fixedpoint", "population",
+            "output")
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -81,7 +83,6 @@ class ExperimentConfig:
     fixedpoint: dict
     population: dict
     output: dict
-    threads: int
     raw: dict                     # the config document as read
 
 
@@ -151,7 +152,7 @@ def _agent_delta(doc: dict, raw_exponent: bool, where: str) -> float:
 
 
 def _parse_single(doc: dict, grid: TimeGrid) -> LqgProblem:
-    raw_exp = bool(doc.get("raw_exponent", False))
+    raw_exp = doc.get("raw_exponent", False)
     get = _getter(doc, "model")
     x0 = get("x0").reshape(-1)
     n = x0.size
@@ -198,7 +199,7 @@ def _agent(cls, doc: dict, where: str, grid: TimeGrid, n: int, m: int,
 
 
 def _parse_game(doc: dict, grid: TimeGrid) -> MajorMinorSpec:
-    raw_exp = bool(doc.get("raw_exponent", False))
+    raw_exp = doc.get("raw_exponent", False)
     n, m, r = (_at_least(_require(doc, key, "model"), 1, f"model.{key}")
                for key in ("n", "m", "r"))
     major = _agent(MajorParams, _require(doc, "major", "model"), "major",
@@ -236,23 +237,26 @@ def load_config(path, mode: str) -> ExperimentConfig:
 
 
 def _at_least(value, minimum: int, where: str) -> int:
-    try:
-        count = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where} must be an integer") from None
-    if count < minimum:
+    # a JSON integer only: no float, numeric string or boolean
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{where} must be an integer")
+    if value < minimum:
         raise ParseError(f"{where} must be at least {minimum}")
-    return count
+    return value
 
 
 def parse_config(raw: dict, mode: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ParseError("config must be a JSON object")
-    docs = {name: raw.get(name, {}) for name in
-            ("grid", "montecarlo", "fixedpoint", "population", "output")}
+    unknown = sorted(set(raw) - set(SECTIONS))
+    if unknown:
+        raise ParseError(f"unknown top-level key '{unknown[0]}'")
+    docs = {name: raw.get(name, {}) for name in SECTIONS[1:]}
     for name, doc in docs.items():
         if not isinstance(doc, dict):
             raise ParseError(f"'{name}' must be a JSON object")
+    if not isinstance(docs["output"].get("directory", ""), str):
+        raise ParseError("output.directory must be a string")
     steps = _at_least(docs["grid"].get("steps", 2000), 2, "grid.steps")
     mc = dict(docs["montecarlo"])
     if "seed" in mc:
@@ -279,6 +283,8 @@ def parse_config(raw: dict, mode: str) -> ExperimentConfig:
             raise ParseError("missing field 'model'")
         model_doc = bundled_config("paper_example.json")["model"]
     kind = _require(model_doc, "type", "model")
+    if not isinstance(model_doc.get("raw_exponent", False), bool):
+        raise ParseError("model.raw_exponent must be true or false")
     # grid end time comes from the model horizon
     T = _number(_require(model_doc, "T", "model"), "model.T")
     if not T > 0.0:
@@ -301,7 +307,7 @@ def parse_config(raw: dict, mode: str) -> ExperimentConfig:
         mode=mode, model=model, grid=grid,
         montecarlo=mc, fixedpoint=fp,
         population=dict(docs["population"]), output=dict(docs["output"]),
-        threads=_at_least(raw.get("threads", 1), 1, "threads"), raw=raw,
+        raw=raw,
     )
 
 
@@ -315,7 +321,6 @@ def _manifest(cfg: ExperimentConfig) -> dict:
         "mode": cfg.mode,
         "config": cfg.raw,
         "config_sha256": _config_hash(cfg.raw),
-        "threads": cfg.threads,
         "versions": {
             "rsmfg": __version__,
             "numpy": np.__version__,
@@ -454,10 +459,14 @@ def _run_simulate_population(cfg: ExperimentConfig, bundle: ResultBundle):
 def _run_nash_gap(cfg: ExperimentConfig, bundle: ResultBundle):
     pop = cfg.population
     schedule = pop.get("N_schedule", [5, 20, 80])
-    if not isinstance(schedule, list) or not schedule:
-        raise ParseError("population.N_schedule must be a non-empty list")
+    if not isinstance(schedule, list):
+        raise ParseError("population.N_schedule must be a list")
     schedule = [_at_least(N, 1, "population.N_schedule entry")
                 for N in schedule]
+    # the fluctuation slopes are fits over N
+    if len(set(schedule)) < 2:
+        raise ParseError("population.N_schedule needs at least two "
+                         "distinct sizes")
     n_reps = _at_least(pop.get("n_reps", 1000), 2, "population.n_reps")
     agent = pop.get("agent", "major")
     if agent != "major":
@@ -538,12 +547,9 @@ def main(argv=None) -> int:
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.mode)
-        if args.threads is not None:
-            cfg.threads = args.threads
         bundle = run(cfg)
         out_dir = args.out or cfg.output.get("directory")
         if out_dir:

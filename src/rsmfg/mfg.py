@@ -6,9 +6,13 @@ risk-sensitive problems on extended states: the major agent sees
 The mean-field drift coefficients Abar(t), Gbar(t), mbar(t) both feed
 those extended problems and are recomputed from their solutions, so the
 equilibrium is the fixed point of a sweep: solve the major's Riccati and
-offset, then each minor type's, then refresh the coefficients.  Each
-inner solve delegates to the single-agent riccati module with the
-extended matrices substituted.
+offset, then each minor type's, then refresh the coefficients.  The
+sweep reads its drifts from the assembled systems, with the iterate in
+the major's mean-field rows and the major's closed loop in each minor's,
+and the refresh is the averaging identity [Gbar | Abar] = [G~ | A~] +
+B_breve Xi, mbar = b_breve + B_breve varsigma, with (Xi, varsigma) the
+minor laws averaged within each type.  Each inner solve delegates to the
+single-agent riccati module with the extended matrices substituted.
 """
 
 from __future__ import annotations
@@ -177,6 +181,22 @@ def _extended_problem(sys: ExtendedSystem, A_nodes, M_nodes, sigma_half,
     )
 
 
+def _average_laws(minor_laws, n: int):
+    """(Xi, varsigma) of ubar = Xi (x0, xbar) + varsigma from the minor laws.
+
+    Averaging type k's law over its agents replaces the own state by the
+    type's mean-field coordinate, so the gain's own-state columns move
+    onto that coordinate; the gains act on (own state, major, mean field).
+    """
+    Xi = np.concatenate([Kk.values[:, :, n:] for Kk, _ in minor_laws], axis=1)
+    for k, (Kk, _) in enumerate(minor_laws):
+        own = Kk.values[:, :, :n]
+        rows = slice(own.shape[1] * k, own.shape[1] * (k + 1))
+        Xi[:, rows, n * (1 + k):n * (2 + k)] += own
+    vs = np.concatenate([kk.values for _, kk in minor_laws], axis=1)
+    return Xi, vs
+
+
 def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
                       tol: float = 1e-10, max_iter: int = 50,
                       relaxation: float = 0.0, eta_hat_sign: float = -1.0,
@@ -185,9 +205,10 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
 
     Each sweep solves the major extended Riccati/offset first (the minor
     systems consume its closed-loop coefficients), then every minor type,
-    then refreshes the mean-field coefficients.  The error is the sum of
-    the sup-norms of the A_bar and G_bar changes over the grid.  The
-    optional callback(j, A_bar, G_bar, m_bar, error) observes each sweep.
+    then refreshes the mean-field coefficients by the averaging identity.
+    The error is the sum of the sup-norms of the A_bar and G_bar changes
+    over the grid.  The optional callback(j, A_bar, G_bar, m_bar, error)
+    observes each sweep.
     """
     if grid is None:
         grid = TimeGrid(t_end=spec.T, steps=2000)
@@ -196,8 +217,10 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
     major_ext = assemble_major(spec)
     minor_exts = [assemble_minor(spec, k, eta_hat_sign) for k in range(K)]
     d0 = major_ext.dim
+    # the mean-field rows n: of the major system: structural drift
+    # [G_tilde | A_tilde] and control input B_breve
+    GA_tilde, B_breve = major_ext.A_tilde[n:], major_ext.B_mean[n:]
 
-    F0_pi = _pi_blocks(spec.major.F, spec.pi)
     # extended diffusions: the major's noise drives x0, a minor's own x
     sig0_half = np.zeros((2 * M + 1, d0, r))
     sig0_half[:, :n] = half_grid_table(spec.major.sigma, grid)
@@ -206,24 +229,23 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         sig[:, :n, :r] = half_grid_table(th.sigma, grid)
         sig[:, n:, r:] = sig0_half
     b0_nodes = half_grid_table(spec.major.b, grid)[::2]
-    bk_nodes = [half_grid_table(th.b, grid)[::2] for th in spec.minors]
+    b_breve = np.concatenate([half_grid_table(th.b, grid)[::2]
+                              for th in spec.minors], axis=1)
+    # extended drifts on the nodes; each sweep writes the iterate into the
+    # major's mean-field rows and the major's closed loop into each minor's
+    A0_nodes = np.repeat(major_ext.A_tilde[None], M + 1, axis=0)
+    Ak_nodes = [np.repeat(me.A_tilde[None], M + 1, axis=0)
+                for me in minor_exts]
 
-    # iterates on the grid
-    A_bar = np.zeros((M + 1, n * K, n * K))
-    G_bar = np.zeros((M + 1, n * K, n))
-    m_bar = np.zeros((M + 1, n * K))
-    for k, (th, me) in enumerate(zip(spec.minors, minor_exts)):
-        m_bar[:, n * k:n * (k + 1)] = (bk_nodes[k] + th.B
-                                        @ np.linalg.inv(me.R) @ me.n_bar)
+    # iterates on the grid: [G_bar | A_bar] and m_bar
+    GA_bar = np.zeros((M + 1, n * K, d0))
+    m_bar = b_breve + B_breve @ np.concatenate(
+        [np.linalg.inv(me.R) @ me.n_bar for me in minor_exts])
 
     errors = []
     for sweep in range(1, max_iter + 1):
         # (1) major extended solve with the current mean-field coefficients
-        A0_nodes = np.zeros((M + 1, d0, d0))
-        A0_nodes[:, :n, :n] = spec.major.A
-        A0_nodes[:, :n, n:] = F0_pi
-        A0_nodes[:, n:, :n] = G_bar
-        A0_nodes[:, n:, n:] = A_bar
+        A0_nodes[:, n:] = GA_bar
         M0_nodes = np.concatenate([b0_nodes, m_bar], axis=1)
         p0 = _extended_problem(major_ext, A0_nodes, M0_nodes, sig0_half,
                               grid, spec.T)
@@ -240,15 +262,10 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         # (2) minor extended solves
         Piks, sks, pks = [], [], []
         for k, me in enumerate(minor_exts):
-            th = spec.minors[k]
-            dk = me.dim
-            Ak_nodes = np.zeros((M + 1, dk, dk))
-            Ak_nodes[:, :n, :n] = th.A
-            Ak_nodes[:, :n, n:2 * n] = th.G
-            Ak_nodes[:, :n, 2 * n:] = _pi_blocks(th.F, spec.pi)
-            Ak_nodes[:, n:, n:] = closed_A0
-            Mk_nodes = np.concatenate([bk_nodes[k], closed_M0], axis=1)
-            pk = _extended_problem(me, Ak_nodes, Mk_nodes, sigk_half[k],
+            Ak_nodes[k][:, n:, n:] = closed_A0
+            Mk_nodes = np.concatenate([b_breve[:, n * k:n * (k + 1)],
+                                       closed_M0], axis=1)
+            pk = _extended_problem(me, Ak_nodes[k], Mk_nodes, sigk_half[k],
                                   grid, spec.T)
             Pik = solve_riccati(pk, grid)
             sk = solve_offset(pk, Pik, grid)
@@ -256,33 +273,22 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
             sks.append(sk)
             pks.append(pk)
 
-        # (3) refresh the mean-field coefficients from the minor blocks
-        A_new = np.empty_like(A_bar)
-        G_new = np.empty_like(G_bar)
-        m_new = np.empty_like(m_bar)
-        for k, th in enumerate(spec.minors):
-            # B_k times the type's law (K, k); the gain's columns act on
-            # (own state, major state, mean field)
-            Kk, kk = feedback_law(pks[k], Piks[k], sks[k])
-            BK = np.einsum("ij,tjk->tik", th.B, Kk.values)
-            rows = slice(n * k, n * (k + 1))
-            block = _pi_blocks(th.F, spec.pi) + BK[:, :, 2 * n:]
-            block[:, :, n * k:n * (k + 1)] += th.A + BK[:, :, :n]
-            A_new[:, rows] = block
-            G_new[:, rows] = th.G + BK[:, :, n:2 * n]
-            m_new[:, rows] = bk_nodes[k] + kk.values @ th.B.T
+        # (3) refresh the mean field from the averaged minor laws
+        Xi, vs = _average_laws([feedback_law(pk, Pik, sk) for pk, Pik, sk
+                                in zip(pks, Piks, sks)], n)
+        GA_new = GA_tilde + B_breve @ Xi
+        m_new = b_breve + vs @ B_breve.T
 
         if relaxation:
-            A_new = (1.0 - relaxation) * A_new + relaxation * A_bar
-            G_new = (1.0 - relaxation) * G_new + relaxation * G_bar
+            GA_new = (1.0 - relaxation) * GA_new + relaxation * GA_bar
             m_new = (1.0 - relaxation) * m_new + relaxation * m_bar
 
-        error = float(np.max(np.abs(A_new - A_bar))
-                      + np.max(np.abs(G_new - G_bar)))
+        change = np.abs(GA_new - GA_bar)
+        error = float(np.max(change[:, :, n:]) + np.max(change[:, :, :n]))
         errors.append(error)
-        A_bar, G_bar, m_bar = A_new, G_new, m_new
+        GA_bar, m_bar = GA_new, m_new
         if callback is not None:
-            callback(sweep, A_bar, G_bar, m_bar, error)
+            callback(sweep, GA_bar[:, :, n:], GA_bar[:, :, :n], m_bar, error)
         if error < tol:
             break
     else:
@@ -291,8 +297,8 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
     log = IterationLog(errors=errors, tolerance=tol, converged=True)
     return MfgEquilibrium(
         spec=spec, grid=grid, Pi0=Pi0, s0=s0, Pik=Piks, sk=sks,
-        A_bar=MatrixTrajectory(grid, A_bar),
-        G_bar=MatrixTrajectory(grid, G_bar),
+        A_bar=MatrixTrajectory(grid, GA_bar[:, :, n:]),
+        G_bar=MatrixTrajectory(grid, GA_bar[:, :, :n]),
         m_bar=MatrixTrajectory(grid, m_bar),
         major_problem=p0, minor_problems=pks,
         major_ext=major_ext, minor_exts=minor_exts,
@@ -316,24 +322,9 @@ def equilibrium_laws(eq: MfgEquilibrium):
 
 
 def control_mean_field_coefficients(eq: MfgEquilibrium):
-    """The affine map (Xi, varsigma) with ubar = Xi (x0, xbar) + varsigma.
-
-    Obtained by averaging the minor equilibrium laws within each type,
-    replacing the own state by the type's mean-field coordinate.
-    """
-    spec = eq.spec
-    n, m, K = spec.n, spec.m, spec.K
-    M = eq.grid.steps
-    Xi = np.zeros((M + 1, m * K, n * (1 + K)))
-    vs = np.zeros((M + 1, m * K))
+    """The affine map (Xi, varsigma) with ubar = Xi (x0, xbar) + varsigma."""
     _, minor_laws = equilibrium_laws(eq)
-    for k, (Kk, kk) in enumerate(minor_laws):
-        # the gain's columns act on (own state, major state, mean field)
-        rows = slice(m * k, m * (k + 1))
-        Xi[:, rows] = Kk.values[:, :, n:]
-        Xi[:, rows, n * (1 + k):n * (2 + k)] += Kk.values[:, :, :n]
-        vs[:, rows] = kk.values
-    return Xi, vs
+    return _average_laws(minor_laws, eq.spec.n)
 
 
 def mean_field_trajectory(eq: MfgEquilibrium, x0_path) -> MatrixTrajectory:

@@ -294,10 +294,13 @@ class ExtendedSystem:
     """
 
     dim: int
-    A_tilde: np.ndarray        # structural drift (mean-field matrices)
+    A_tilde: np.ndarray        # structural drift; the sweep copies it to
+                               # the nodes, then writes in the iterate
+                               # (major) or the major's loop (minor)
     B_own: np.ndarray          # own control input, (dim, m)
     B_major: np.ndarray        # major's control input (minor only) or None
-    B_mean: np.ndarray         # mean-field control input block
+    B_mean: np.ndarray         # mean-field control input; its mean-
+                               # field rows are the refresh's B_breve
     Q_bb: np.ndarray           # running state weight
     S_bb: np.ndarray           # running cross weight, (dim, m)
     G_bb: np.ndarray           # terminal state weight

@@ -39,10 +39,6 @@ class RiccatiSolution:
     k_offset: MatrixTrajectory  # (m,)
     C_star: float
 
-    def control(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Feedback control at node i for state x (vectorized over rows)."""
-        return x @ self.K_gain.values[i].T + self.k_offset.values[i]
-
 
 def _symmetrize(M):
     return 0.5 * (M + M.T)

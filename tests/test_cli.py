@@ -1,9 +1,13 @@
 """Tests for config parsing, CLI dispatch, exit codes, and output stability."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmfg.cli import (
     EXIT_FINITE_ESCAPE,
@@ -150,16 +154,6 @@ class TestSolveSingleMode:
         assert "finite escape" in err
         assert "t=" in err
 
-    def test_threads_recorded(self, tmp_path):
-        doc = {"model": scalar_model(), "grid": {"steps": 200}}
-        path = write_config(tmp_path, doc)
-        out = str(tmp_path / "out")
-        assert main(["solve-single", "--config", path, "--out", out,
-                     "--threads", "4"]) == EXIT_OK
-        manifest = json.loads((tmp_path / "out" / "manifest.json")
-                              .read_text())
-        assert manifest["threads"] == 4
-
 
 class TestVerifySingleMode:
     def test_scalar_tanh_all_z_in_bounds(self, tmp_path):
@@ -303,16 +297,99 @@ _PAPER = {"grid": {"steps": 50}}
     ("verify-single", _with(_VERIFY, "montecarlo", seed="x")),
     ("verify-single", _with(_VERIFY, "montecarlo", seed=-1)),
     ("verify-single", _with(_VERIFY, "montecarlo", seed=1e30)),
+    ("reproduce-paper", dict(_PAPER, fixedpoints={"max_iter": 1})),
+    ("reproduce-paper", _with(_PAPER, "fixedpoint", max_iter=30.5)),
+    ("verify-single", _with(_VERIFY, "montecarlo", seed=True)),
+    ("verify-single", _with(_VERIFY, "grid", steps="50")),
+    ("nash-gap", _with(_GAME, "population", N_schedule=[2.0, 3.5],
+                       n_reps=4)),
+    ("solve-mfg", _with(_GAME, "model", raw_exponent="no")),
+    ("nash-gap", _with(_GAME, "population", N_schedule=[2, 2], n_reps=4)),
+    ("solve-mfg", _with(_GAME, "output", directory=5)),
 ], ids=["steps-1", "top-level-list", "n_paths-0", "n_paths-1", "N-0",
         "N_schedule-0", "n_reps-1", "N_schedule-scalar", "agent-outside",
         "threads-text", "minor-without-A", "model-not-object", "A-text",
         "A-ragged", "sigma-nodes-text", "Q-text", "minor-R-ragged",
         "tol-text", "max_iter-text", "relaxation-list", "eta_hat_sign-text",
         "max_iter-0", "relaxation-1", "tol-negative", "tol-nan",
-        "eta_hat_sign-half", "seed-text", "seed-negative", "seed-1e30"])
+        "eta_hat_sign-half", "seed-text", "seed-negative", "seed-1e30",
+        "section-typo", "max_iter-float", "seed-bool", "steps-text",
+        "N_schedule-float", "raw_exponent-text", "N_schedule-repeated",
+        "directory-number"])
 def test_malformed_config_exits_2(tmp_path, capsys, mode, doc):
     path = write_config(tmp_path, doc)
     assert main([mode, "--config", path]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# config fuzzing: one field of a small valid config removed or replaced
+_REMOVE = object()
+_BAD_VALUES = ("x", True, None, [], {}, -1, -2.5, 0)
+# absent, these take defaults far above the fuzz's size cap of 8
+_KEEP = {("grid",), ("grid", "steps"), ("montecarlo",),
+         ("montecarlo", "n_paths"), ("population",),
+         ("population", "n_reps"), ("population", "N_schedule")}
+
+
+def _fuzz_bases():
+    small = {"grid": {"steps": 8}, "montecarlo": {"n_paths": 8, "seed": 1},
+             "output": {"directory": "out"}}
+    single = dict(small, model=scalar_model(b=[0.1], S=[[0.0]], eta=[0.2],
+                                            zeta=[0.0]))
+    model = bundled_config("paper_example.json")["model"]
+    for agent in [model["major"]] + model["minors"]:
+        agent.update(b=[0.1], S=[[0.0]], Q_hat=[[0.5]], eta=[0.2])
+    game = dict(small, model=model,
+                fixedpoint={"tol": 1e-10, "max_iter": 50, "relaxation": 0.0,
+                            "eta_hat_sign": -1},
+                population={"N": 3, "N_schedule": [2, 4], "n_reps": 4,
+                            "agent": 0})
+    return {"solve-single": single, "verify-single": single,
+            **{mode: game for mode in ("solve-mfg", "simulate-population",
+                                       "nash-gap", "reproduce-paper")}}
+
+
+def _field_paths(doc):
+    """Every section, every field of a section, of major and of minors[k]."""
+    for section, fields in doc.items():
+        yield (section,)
+        yield from ((section, key) for key in fields)
+    model = doc["model"]
+    if model["type"] == "major_minor":
+        yield from (("model", "major", key) for key in model["major"])
+        for k, minor in enumerate(model["minors"]):
+            yield from (("model", "minors", k, key) for key in minor)
+
+
+_FUZZ_CASES = [
+    (mode, path, value)
+    for mode, base in _fuzz_bases().items()
+    for path in _field_paths(base)
+    for value in (_REMOVE,) + _BAD_VALUES
+    if not (value is _REMOVE and path in _KEEP)
+    and not (path == ("output", "directory") and isinstance(value, str))
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=900)
+@given(case=st.sampled_from(_FUZZ_CASES))
+def test_fuzzed_config_exit_code(tmp_path_factory, case):
+    mode, path, value = case
+    tmp = tmp_path_factory.getbasetemp() / "fuzz"
+    tmp.mkdir(exist_ok=True)
+    doc = json.loads(json.dumps(_fuzz_bases()[mode]))
+    doc["output"]["directory"] = str(tmp / "out")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _REMOVE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([mode, "--config", write_config(tmp, doc)])
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()

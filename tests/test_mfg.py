@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import decoupled_game, flocking_game, toy_game
+from conftest import decoupled_game, flocking_game, toy_game, vector_game
 from scipy.integrate import solve_ivp
 
 from rsmfg.errors import NotConverged
@@ -16,7 +16,7 @@ from rsmfg.mfg import (
     solve_consistency,
 )
 from rsmfg.model import LqgProblem, MajorMinorSpec, MinorTypeParams
-from rsmfg.numerics import TimeGrid
+from rsmfg.numerics import TimeGrid, half_grid_table
 from rsmfg.riccati import solve
 
 GRID = TimeGrid(t_end=1.0, steps=400)
@@ -99,6 +99,27 @@ class TestConsistency:
         assert np.max(np.abs(Xi[:, 0, 0] + P[:, 0, 1])) < 1e-13
         assert np.max(np.abs(Xi[:, 0, 1] + P[:, 0, 0] + P[:, 0, 2])) < 1e-13
         assert np.all(vs == 0.0)
+
+    def test_refresh_matches_per_type_blocks(self):
+        # the mean field written type by type: row block k of A_bar is
+        # [pi_1 F_k, ..., pi_K F_k] + B_k K_mf plus A_k + B_k K_own on the
+        # diagonal, of G_bar G_k + B_k K_x0, of m_bar b_k + B_k k_k
+        spec = vector_game()
+        grid = TimeGrid(1.0, 200)
+        eq = solve_consistency(spec, grid)
+        _, minor_laws = equilibrium_laws(eq)
+        n = spec.n
+        for k, (th, (Kk, kk)) in enumerate(zip(spec.minors, minor_laws)):
+            BK = np.einsum("ij,tjk->tik", th.B, Kk.values)
+            rows = slice(n * k, n * (k + 1))
+            block = (np.concatenate([w * th.F for w in spec.pi], axis=1)
+                     + BK[:, :, 2 * n:])
+            block[:, :, n * k:n * (k + 1)] += th.A + BK[:, :, :n]
+            G_k = th.G + BK[:, :, n:2 * n]
+            m_k = half_grid_table(th.b, grid)[::2] + kk.values @ th.B.T
+            assert np.max(np.abs(eq.A_bar.values[:, rows] - block)) < 1e-12
+            assert np.max(np.abs(eq.G_bar.values[:, rows] - G_k)) < 1e-12
+            assert np.max(np.abs(eq.m_bar.values[:, rows] - m_k)) < 1e-12
 
     def test_offset_averaging_identity(self):
         eq = solve_consistency(decoupled_game(), GRID)

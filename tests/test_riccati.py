@@ -259,7 +259,7 @@ class TestCStar:
         Rinv = np.linalg.inv(p.R)
         x = np.array([0.3, -1.2, 0.7])
         i = 700
-        u = sol.control(i, x)
+        u = sol.K_gain.values[i] @ x + sol.k_offset.values[i]
         expected = -Rinv @ (p.S.T @ x - p.zeta
                             + p.B.T @ (sol.Pi.values[i] @ x + sol.s.values[i]))
         assert np.max(np.abs(u - expected)) < 1e-12

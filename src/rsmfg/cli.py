@@ -478,12 +478,10 @@ def _run_nash_gap(cfg: ExperimentConfig, bundle: ResultBundle):
     eq = _solve_mfg(cfg)
     rows, runs = [], []
     for N in schedule:
-        # the equilibrium population serves both the gap and the
-        # fluctuation statistics
-        run = simulate_population(cfg.model, eq, N, n_reps=n_reps, seed=seed)
-        runs.append(run)
-        rep = nash_gap(cfg.model, eq, agent, N=N, n_reps=n_reps, seed=seed,
-                       equilibrium_run=run)
+        # one population pass gives the gap and, from its equilibrium
+        # ensemble, the fluctuation statistics
+        rep = nash_gap(cfg.model, eq, agent, N=N, n_reps=n_reps, seed=seed)
+        runs.append(rep.equilibrium_run)
         rows.append((str(N), "equilibrium", repr(rep.equilibrium.log_value),
                      repr(rep.equilibrium.std_error), repr(rep.gap),
                      repr(rep.gap_std_error)))

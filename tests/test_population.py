@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsmfg import population
-from rsmfg.errors import OutOfRange
+from rsmfg.errors import NonFiniteState, OutOfRange
 from rsmfg.mfg import (
     equilibrium_laws,
     mean_field_trajectory,
@@ -56,6 +56,87 @@ def noiseless_game():
     g.minors[0].x0 = np.array([0.2])
     return MajorMinorSpec(major=g.major, minors=g.minors, pi=g.pi,
                           T=g.T, n=1, m=1, r=1)
+
+
+def assert_deviator_column(run, col):
+    # a deviation run holds the deviator's cost only; NaN means not computed
+    assert np.all(np.isfinite(run.exponents[:, col]))
+    assert np.all(np.isnan(np.delete(run.exponents, col, axis=1)))
+
+
+def euler_reference(spec, eq, N, override, n_reps, seed):
+    """Every agent of the population stepped in full, one replication
+    axis, plain matrix products.
+
+    Same step order and coupling timing as the engine: controls and costs
+    at node i, then xbar and the major step from node i, then the minors
+    with a coupling that reads the major's advanced state.  Minor slot j
+    draws from the stream (seed, j), the major from (seed, N).  Returns
+    (exponents, paths of replication 0, fluct_sup, empirical_avg of
+    replication 0).
+    """
+    grid = eq.grid
+    M, h = grid.steps, grid.h
+    n, K = spec.n, spec.K
+    maj, minors = spec.major, spec.minors
+    types = assignment_from_counts(apportion(spec.pi, N))
+    agents = [maj] + [minors[k] for k in types]
+    (K0, k0), minor_laws = equilibrium_laws(eq)
+    laws = [(K0.values, k0.values)] + [
+        (minor_laws[k][0].values, minor_laws[k][1].values) for k in types]
+    if override is not None:
+        agent, law = override
+        laws[0 if agent == "major" else 1 + agent] = (law.K, law.k)
+    z = [np.random.Generator(np.random.Philox(key=[seed, key]))
+         .standard_normal((n_reps, M, spec.r))
+         for key in [N] + list(range(N))]
+    x = np.empty((n_reps, 1 + N, n))
+    for a, p in enumerate(agents):
+        x[:, a] = p.x0
+    xbar = np.tile(np.concatenate([th.x0 for th in minors]), (n_reps, 1))
+    lam = np.zeros((n_reps, 1 + N))
+    sup = np.zeros(n_reps)
+    paths = np.empty((M + 1, 1 + N, n))
+    avg = np.empty((M + 1, n))
+    for i, t in enumerate(grid.nodes):
+        xhat = np.concatenate([x[:, 1:][:, types == k].mean(axis=1)
+                               for k in range(K)], axis=1)
+        xN = x[:, 1:].mean(axis=1)
+        ext0 = np.concatenate([x[:, 0], xhat], axis=1)
+        w = h if 0 < i < M else 0.5 * h
+        us = []
+        for a, p in enumerate(agents):
+            if a == 0:
+                ext = ext0
+                r = x[:, 0] - (xN @ p.H.T + p.eta)
+            else:
+                ext = np.concatenate([x[:, a], ext0], axis=1)
+                r = x[:, a] - (x[:, 0] @ p.H.T + xN @ p.H_hat.T + p.eta)
+            gain, offset = laws[a]
+            u = ext @ gain[i].T + offset[i]
+            us.append(u)
+            lam[:, a] += w * (0.5 * np.einsum("pi,ij,pj->p", r, p.Q, r)
+                              + np.einsum("pi,ij,pj->p", r, p.S, u)
+                              + 0.5 * np.einsum("pi,ij,pj->p", u, p.R, u))
+            if i == M:
+                lam[:, a] += 0.5 * np.einsum("pi,ij,pj->p", r, p.Q_hat, r)
+        sup = np.maximum(sup, np.max(np.abs(xhat - xbar), axis=1))
+        paths[i] = x[0]
+        avg[i] = xN[0]
+        if i == M:
+            break
+        xbar = xbar + (xbar @ eq.A_bar.values[i].T
+                       + x[:, 0] @ eq.G_bar.values[i].T
+                       + eq.m_bar.values[i]) * h
+        new = x.copy()
+        for a, p in enumerate(agents):
+            coupling = xN @ p.F.T + (0.0 if a == 0 else new[:, 0] @ p.G.T)
+            new[:, a] += (x[:, a] @ p.A.T + us[a] @ p.B.T + coupling
+                          + p.b(t)) * h
+            new[:, a] += z[a][:, i] @ p.sigma(t).T * math.sqrt(h)
+        x = new
+    deltas = np.array([p.delta for p in agents])
+    return deltas * lam, paths, sup, avg
 
 
 class TestApportionment:
@@ -159,9 +240,12 @@ class TestSimulatePopulation:
             # one draw for the major and one per type in every chunk
             assert sizes[::3] == [min(cap, 7 - s) for s in range(0, 7, cap)]
             for run, ref in zip(runs, whole):
-                assert np.array_equal(run.exponents, ref.exponents)
+                assert np.array_equal(run.exponents, ref.exponents,
+                                      equal_nan=True)
                 assert np.array_equal(run.fluct_sup, ref.fluct_sup)
                 assert np.array_equal(run.paths, ref.paths)
+        # the deviation run computes the deviator's cost column only
+        assert_deviator_column(whole[1], 2)
 
     def test_chunk_independence(self, flocking_eq):
         spec, eq = flocking_eq
@@ -196,15 +280,60 @@ class TestSimulatePopulation:
         for ov, run in zip(overrides, runs):
             alone = simulate_population(spec, eq, 5, override=ov, n_reps=9,
                                         seed=3)
-            assert np.array_equal(run.exponents, alone.exponents)
+            assert np.array_equal(run.exponents, alone.exponents,
+                                  equal_nan=True)
             assert np.array_equal(run.paths, alone.paths)
             assert np.array_equal(run.fluct_sup, alone.fluct_sup)
         assert not np.array_equal(runs[0].exponents, runs[1].exponents)
+        assert_deviator_column(runs[1], 0)
+        assert_deviator_column(runs[2], 4)
         swapped = simulate_population(spec, eq, 5, n_reps=9, seed=3,
                                       agent_keys=[1, 2, 0, 4, 3])
         assert np.array_equal(swapped.empirical_avg, runs[0].empirical_avg)
         assert np.array_equal(swapped.exponents[:, [0, 3, 1, 2, 5, 4]],
                               runs[0].exponents)
+
+    @pytest.mark.parametrize("game", ["vector", "flocking"])
+    def test_reduced_engine_matches_full_population(self, game):
+        # the deviation laws' type-shared shifts against every agent
+        # stepped in full; a chunk smaller than n_reps, and the deviators
+        # are the major, a type-0 and (vector game) a type-1 slot
+        spec = vector_game() if game == "vector" else flocking_game()
+        eq = solve_consistency(spec, TimeGrid(1.0, 50))
+        N, types = 7, assignment_from_counts(apportion(spec.pi, 7))
+        deviators = ["major", 1] + ([5] if game == "vector" else [])
+        overrides = [None] + [
+            (a, default_deviation_family(
+                eq, a, 0 if a == "major" else types[a])[j][1])
+            for a in deviators for j in (0, 5)]
+        runs = simulate_population_laws(spec, eq, N, overrides, n_reps=5,
+                                        seed=4, chunk=2)
+
+        def close(a, b):
+            return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+        for ov, run in zip(overrides, runs):
+            w, paths, sup, avg = euler_reference(spec, eq, N, ov, 5, 4)
+            col = (slice(None) if ov is None
+                   else 0 if ov[0] == "major" else 1 + ov[0])
+            assert close(run.exponents[:, col], w[:, col]), ov
+            assert close(run.paths, paths), ov
+            assert close(run.fluct_sup, sup), ov
+            assert close(run.empirical_avg, avg), ov
+
+    @pytest.mark.parametrize("agent", ["major", 1])
+    def test_deviation_blowup_raises(self, flocking_eq, agent):
+        # a gain x1e5 law drives the deviation's population past the
+        # blow-up bound within a few steps
+        spec, eq = flocking_eq
+        family = default_deviation_family(eq, agent, gain_factors=(1e5,),
+                                          offset_shifts=())
+        with pytest.raises(NonFiniteState):
+            simulate_population_laws(spec, eq, 3, [None, (agent,
+                                                          family[0][1])],
+                                     n_reps=4, seed=1)
+        with pytest.raises(NonFiniteState):
+            nash_gap(spec, eq, agent, family, N=3, n_reps=4, seed=1)
 
     def test_noiseless_matches_mean_field(self):
         spec = noiseless_game()
@@ -265,16 +394,26 @@ class TestFiniteCost:
         oracle = deterministic_log_cost(p, sol, grid)
         assert abs(finite_cost(run, 0).log_value - oracle) < 1e-6
 
-    def test_euler_converges_to_rk4(self):
+    @pytest.mark.parametrize("agent", [None, "major", 0],
+                             ids=["equilibrium", "major", "minor"])
+    def test_euler_converges_to_rk4(self, agent):
+        # the RK4 oracle integrates every agent in full; under a gain x0.9
+        # deviation the deviator's column is compared
         spec = noiseless_game()
         errs = []
         for steps in (200, 2000):
             grid = TimeGrid(1.0, steps)
             eq = solve_consistency(spec, grid)
-            em = simulate_population(spec, eq, N=3, n_reps=1, seed=0)
-            rk = deterministic_population_run(spec, eq, N=3)
-            errs.append(abs(finite_cost(em, 0).log_value
-                            - finite_cost(rk, 0).log_value))
+            override = None if agent is None else (
+                agent, default_deviation_family(eq, agent, gain_factors=(0.9,),
+                                                offset_shifts=())[0][1])
+            em = simulate_population(spec, eq, N=3, override=override,
+                                     n_reps=1, seed=0)
+            rk = deterministic_population_run(spec, eq, N=3,
+                                              override=override)
+            col = 0 if agent is None else agent
+            errs.append(abs(finite_cost(em, col).log_value
+                            - finite_cost(rk, col).log_value))
         assert errs[1] < errs[0] / 5.0
 
     def test_major_cost_near_infinite_population(self, flocking_eq):
@@ -335,6 +474,24 @@ class TestNashGap:
                                           n_reps=30, seed=21)
                 assert rep_label == label
                 assert est == finite_cost(run, agent)
+
+    def test_default_family_follows_slot_type(self):
+        # slot 3 is a type-1 minor at N=5, so its default deviations
+        # perturb type 1's law
+        spec = vector_game()
+        eq = solve_consistency(spec, TimeGrid(1.0, 50))
+        rep = nash_gap(spec, eq, 3, N=5, n_reps=20, seed=1)
+        ref = nash_gap(spec, eq, 3, default_deviation_family(eq, 3, 1),
+                       N=5, n_reps=20, seed=1)
+        assert rep.deviations == ref.deviations
+
+    def test_equilibrium_run_on_another_grid_rejected(self, flocking_eq):
+        spec, eq = flocking_eq
+        coarse = solve_consistency(spec, TimeGrid(1.0, 100))
+        run = simulate_population(spec, coarse, N=3, n_reps=10, seed=2)
+        with pytest.raises(OutOfRange):
+            nash_gap(spec, eq, "major", N=3, n_reps=10, seed=2,
+                     equilibrium_run=run)
 
     def test_infinite_population_sanity(self, flocking_eq):
         # on the limiting extended problem no deviation from the family

@@ -50,6 +50,7 @@ from .montecarlo import (
 )
 from .numerics import MatrixTrajectory, TimeGrid
 from .population import (
+    apportion,
     finite_cost,
     nash_gap,
     simulate_population,
@@ -433,9 +434,18 @@ def _run_reproduce_paper(cfg: ExperimentConfig, bundle: ResultBundle):
     return eq
 
 
+def _populated(spec, N: int) -> int:
+    """N, if apportion gives every minor type at least one agent."""
+    counts = apportion(spec.pi, N)
+    if not counts.all():
+        raise ParseError(f"population N={N} gives minor type "
+                         f"{int(np.argmin(counts))} no agents")
+    return N
+
+
 def _run_simulate_population(cfg: ExperimentConfig, bundle: ResultBundle):
     pop = cfg.population
-    N = _at_least(pop.get("N", 5), 1, "population.N")
+    N = _populated(cfg.model, _at_least(pop.get("N", 5), 1, "population.N"))
     n_reps = _at_least(pop.get("n_reps", 1000), 2, "population.n_reps")
     eq = _solve_mfg(cfg)
     run = simulate_population(cfg.model, eq, N, n_reps=n_reps,
@@ -461,7 +471,8 @@ def _run_nash_gap(cfg: ExperimentConfig, bundle: ResultBundle):
     schedule = pop.get("N_schedule", [5, 20, 80])
     if not isinstance(schedule, list):
         raise ParseError("population.N_schedule must be a list")
-    schedule = [_at_least(N, 1, "population.N_schedule entry")
+    schedule = [_populated(cfg.model,
+                           _at_least(N, 1, "population.N_schedule entry"))
                 for N in schedule]
     # the fluctuation slopes are fits over N
     if len(set(schedule)) < 2:

@@ -5,8 +5,11 @@ uniform time grid.  The classical 4th-order Runge-Kutta scheme evaluates
 vector fields only at grid nodes and midpoints, so every coefficient is
 tabulated once on the half-grid (half_grid_table; node values are its
 even entries).  _step_maps builds the affine RK4 step maps of a linear
-ODE for all steps at once; propagate_linear and the Riccati solve apply
-them, and integrate_ode serves the quadratic cost integrals.  The path
+ODE for all steps at once, and _scan applies them in blocks of steps:
+batched products within every block, a sequential pass over the block
+starts only, and one batched fill of every node.  propagate_linear and
+the Riccati solve both go through _scan; integrate_ode serves the
+quadratic cost integrals.  The path
 and population engines hold states as columns and multiply through _mm,
 coefficient matrix on the left, whose rounding does not depend on how
 many columns are stacked.
@@ -15,6 +18,7 @@ many columns are stacked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -241,29 +245,97 @@ def _step_maps(F, grid: TimeGrid, direction: str, f=None):
     return np.eye(d) + incr[:, :, :d], incr[:, :, d:]
 
 
+def _max_row_sum(a) -> float:
+    """Largest infinity norm over a stack of matrices."""
+    return float(np.abs(a).sum(axis=-1).max())
+
+
+def _block_length(M: int, h: float, rho: float) -> int:
+    """Steps b per block of _scan: b <= sqrt(M) and h*rho*b <= 1.
+
+    rho bounds the growth rate of the linear system, so the maps across
+    one block grow by at most e, which bounds the rounding their products
+    lose (Davison & Maki 1973).  A stiff system gets b = 1.
+    """
+    b = isqrt(M)
+    if h * rho * b > 1.0:
+        b = max(1, int(1.0 / (h * rho)))
+    return b
+
+
+def _scan(Phi, boundary, node, rho, grid: TimeGrid, direction: str):
+    """Node values of a recurrence over step maps, in blocks of steps.
+
+    Phi (M, D, D) holds _step_maps' maps, numbered as in _sweep.  node(P,
+    v) gives (value, ok) at the node that the product P of consecutive
+    step maps reaches from a node of value v; both are stacked over any
+    leading axes.  The steps are split, in sweep order, into blocks of
+    _block_length(M, h, rho) steps.  Batched products give each block's
+    maps up to every step, a loop over the blocks gives the value at each
+    block start, stopping at the first block end that is not ok, and one
+    batched node call fills every node up to there.
+
+    Returns the values on all nodes, the boundary value at the boundary
+    node, and the first node in sweep order that is not ok (None if all
+    are); nodes past that one hold no meaningful value.
+    """
+    h, first, order, lands = _sweep(grid, direction)
+    M, D = Phi.shape[0], Phi.shape[-1]
+    b = _block_length(M, abs(h), rho)
+    blocks = -(-M // b)
+    # P[j, k] starts as the k-th step map of block j; identities pad the
+    # last block
+    P = np.empty((blocks * b, D, D))
+    P[:M] = Phi[order]
+    P[M:] = np.eye(D)
+    P = P.reshape(blocks, b, D, D)
+    with np.errstate(all="ignore"):
+        for k in range(1, b):
+            P[:, k] = P[:, k] @ P[:, k - 1]
+        starts = [boundary]
+        for j in range(blocks - 1):
+            v, ok = node(P[j, -1], starts[-1])
+            if not ok:
+                break
+            starts.append(v)
+        v, ok = node(P[:len(starts)], np.stack(starts)[:, None])
+    landing = np.asarray(order)[:min(M, len(starts) * b)] + lands
+    values = np.empty((M + 1,) + np.shape(boundary))
+    values[first] = boundary
+    values[landing] = v.reshape((-1,) + v.shape[2:])[:len(landing)]
+    bad = np.flatnonzero(~ok.reshape(-1)[:len(landing)])
+    return values, (int(landing[bad[0]]) if bad.size else None)
+
+
 def propagate_linear(F, f, boundary_value, grid: TimeGrid,
                      direction: str = "forward") -> MatrixTrajectory:
     """Classical RK4 for y' = F(t) y + f(t), applying _step_maps' maps.
 
     F (2M+1, d, d) and f (2M+1,) + y.shape are tabulated on the half-grid;
-    y is a vector (d,) or a matrix (d, c).  Directions and blow-up are
-    integrate_ode's: NonFiniteState at the first node past BLOWUP_BOUND.
+    y is a vector (d,) or a matrix (d, c).  The affine maps y -> Phi y +
+    phi, written as [[Phi, phi], [0, I]] on [y; I], go through _scan with
+    rho = max_t |F(t)|_inf.  Directions and blow-up are integrate_ode's:
+    NonFiniteState at the first node past BLOWUP_BOUND.
     """
-    _, first, order, lands = _sweep(grid, direction)
     y = np.asarray(boundary_value, dtype=float)
+    _check_state(y, grid.nodes[_sweep(grid, direction)[1]])
+    Y = y.reshape(len(y), -1)
+    d, c = Y.shape
     Phi, phi = _step_maps(F, grid, direction,
-                          np.reshape(f, np.shape(F)[:2] + (-1,)))
-    phi = phi.reshape((grid.steps,) + y.shape)
+                          np.reshape(f, np.shape(F)[:2] + (c,)))
+    maps = np.zeros((grid.steps, d + c, d + c))
+    maps[:, :d, :d], maps[:, :d, d:] = Phi, phi
+    maps[:, d:, d:] = np.eye(c)
 
-    nodes = grid.nodes
-    values = np.empty((grid.steps + 1,) + y.shape)
-    values[first] = y
-    _check_state(y, nodes[first])
-    for i in order:
-        y = Phi[i] @ y + phi[i]
-        _check_state(y, nodes[i + lands])
-        values[i + lands] = y
-    return MatrixTrajectory(grid, values)
+    def node(P, v):
+        v = P[..., :d, :d] @ v + P[..., :d, d:]
+        # a NaN fails the comparison as well
+        return v, np.abs(v).max(axis=(-2, -1)) <= BLOWUP_BOUND
+
+    values, bad = _scan(maps, Y, node, _max_row_sum(F), grid, direction)
+    if bad is not None:
+        raise NonFiniteState(grid.nodes[bad])
+    return MatrixTrajectory(grid, values.reshape((-1,) + y.shape))
 
 
 def state_transition(A, grid: TimeGrid):

@@ -428,7 +428,9 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
     once; each deviation law rides along on the same draws as a
     _Deviation, so run l equals simulate_population(...,
     override=overrides[l]) with the same seed.  A deviation run computes
-    the deviator's cost column only; the other columns are NaN.
+    the deviator's cost column only; the other columns are NaN.  Raises
+    OutOfRange when apportion(spec.pi, N) gives a minor type no agents,
+    since the per-type averages are then undefined.
     """
     if N < 1:
         raise OutOfRange("N must be at least 1")
@@ -440,6 +442,9 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
     M, h = grid.steps, grid.h
     sqrt_h = math.sqrt(h)
     counts = apportion(spec.pi, N)
+    if not counts.all():
+        raise OutOfRange(f"minor type {int(np.argmin(counts))} has no "
+                         f"agents at N={N}")
     assignment = assignment_from_counts(counts)
     if agent_keys is None:
         agent_keys = list(range(N))

@@ -3,11 +3,12 @@
 The backward matrix Riccati equation carries an extra delta*Pi*sigma*
 sigma^T*Pi term relative to the classical LQR equation; for large risk
 loading it can escape to infinity in finite time, which is reported as
-FiniteEscape rather than propagated as garbage.  Each backward step is a
-Moebius map of Pi through the RK4 step map of the linear Hamiltonian
-system; an escape shows, at any scale, as a singular X.  The linear
-offset equation goes through the linear propagator.  C_star is the log
-of the optimal exponential cost.
+FiniteEscape rather than propagated as garbage.  Pi at each node is a
+Moebius map of Pi at the start of its block of steps through the
+product of the block's RK4 step maps of the linear Hamiltonian system
+(numerics._scan); an escape shows, at any scale, as a singular X.  The
+linear offset equation goes through the linear propagator.  C_star is
+the log of the optimal exponential cost.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .model import LqgProblem
 from .numerics import (
     MatrixTrajectory,
     TimeGrid,
+    _max_row_sum,
+    _scan,
     _step_maps,
     half_grid_table,
     propagate_linear,
@@ -41,7 +44,7 @@ class RiccatiSolution:
 
 
 def _symmetrize(M):
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def _diffusion_table(p: LqgProblem, grid: TimeGrid) -> np.ndarray:
@@ -56,8 +59,14 @@ def solve_riccati(p: LqgProblem, grid: TimeGrid) -> MatrixTrajectory:
     -Pi' = Pi A_s + A_s^T Pi + Pi W Pi + Q_s, with A_s = A - B R^-1 S^T,
     W = delta sigma sigma^T - B R^-1 B^T and Q_s = Q - S R^-1 S^T, has
     Pi = Y X^-1 for [X; Y]' = H [X; Y], H = [[A_s, W], [-Q_s, -A_s^T]].
-    Step i maps [I; Pi_i+1] through H's RK4 step map to [X; Y] and sets
-    Pi_i = sym(Y X^-1); det X <= 0 or a non-finite Pi_i is FiniteEscape(t_i).
+    A product P of H's RK4 step maps carries a node's Pi to [X; Y] = P
+    [I; Pi] at a later node in the backward sweep, and Pi there is
+    sym(Y X^-1); numerics._scan applies this to every node, with rho =
+    max|A_s| + sqrt(max|W| max|Q_s|) in the infinity norm, which the
+    scaling of the weights by c and of delta by 1/c leaves unchanged.
+    det X is the product of the per-step determinants, so the first node
+    with det X <= 0 or a non-finite Pi is the per-step recurrence's
+    first singular step; it raises FiniteEscape(t).
     """
     Rinv = np.linalg.inv(p.R)
     B, S, n = p.B, p.S, p.n
@@ -65,19 +74,24 @@ def solve_riccati(p: LqgProblem, grid: TimeGrid) -> MatrixTrajectory:
     W = p.delta * _diffusion_table(p, grid) - B @ Rinv @ B.T
     Q_s = np.broadcast_to(p.Q - S @ Rinv @ S.T, A_s.shape)
     H = np.block([[A_s, W], [-Q_s, -np.swapaxes(A_s, 1, 2)]])
+    rho = _max_row_sum(A_s) + np.sqrt(_max_row_sum(W) * _max_row_sum(Q_s))
     Phi, _ = _step_maps(H, grid, "backward")
 
-    values = np.empty((grid.steps + 1, n, n))
-    Pi = values[-1] = _symmetrize(p.Q_hat)
-    for i in range(grid.steps - 1, -1, -1):
-        XY = Phi[i, :, :n] + Phi[i, :, n:] @ Pi
-        X, Y = XY[:n], XY[n:]
-        if not np.linalg.det(X) > 0.0:
-            raise FiniteEscape(grid.nodes[i])
+    def node(P, Pi):
+        XY = P[..., :n] + P[..., n:] @ Pi
         # Y X^-1 = (X^-T Y^T)^T, and sym ignores the transpose
-        Pi = values[i] = _symmetrize(np.linalg.solve(X.T, Y.T))
-        if not np.isfinite(Pi).all():
-            raise FiniteEscape(grid.nodes[i])
+        Xt = np.swapaxes(XY[..., :n, :], -1, -2)
+        ok = np.linalg.det(Xt) > 0.0
+        # a dropped node solves against I, so solve never sees singular X
+        Xt = np.where(ok[..., None, None], Xt, np.eye(n))
+        Pi = _symmetrize(np.linalg.solve(
+            Xt, np.swapaxes(XY[..., n:, :], -1, -2)))
+        return Pi, ok & np.isfinite(Pi).all(axis=(-2, -1))
+
+    values, bad = _scan(Phi, _symmetrize(p.Q_hat), node, rho, grid,
+                        "backward")
+    if bad is not None:
+        raise FiniteEscape(grid.nodes[bad])
     return MatrixTrajectory(grid, values)
 
 

@@ -243,6 +243,24 @@ class TestPopulationModes:
         assert (tmp_path / "out" / "slopes.csv").exists()
 
 
+    @pytest.mark.parametrize("mode,population", [
+        ("nash-gap", {"N_schedule": [1, 5], "n_reps": 4}),
+        ("simulate-population", {"N": 1, "n_reps": 4}),
+    ])
+    def test_type_without_agents_exits_2(self, tmp_path, capsys, mode,
+                                         population):
+        # two minor types with pi = [0.6, 0.4]: N=1 gives type 1 no agents
+        doc = bundled_config("paper_example.json")
+        doc["model"]["minors"] *= 2
+        doc["model"]["pi"] = [0.6, 0.4]
+        doc["grid"] = {"steps": 50}
+        doc["population"] = population
+        path = write_config(tmp_path, doc)
+        assert main([mode, "--config", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "N=1" in err
+
+
 def _with(doc, section, **fields):
     doc = json.loads(json.dumps(doc))
     doc.setdefault(section, {}).update(fields)

@@ -1,6 +1,7 @@
 """Tests for the fixed-step ODE integrators and grid utilities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rsmfg.numerics import (
     HalfGridFunction,
     MatrixTrajectory,
     TimeGrid,
+    _block_length,
     half_grid_table,
     integrate_ode,
     interpolate,
@@ -168,6 +170,35 @@ class TestPropagateLinear:
             integrate_ode(lambda t, y: F(t) @ y, np.ones(1), g, direction)
         assert prop.value.t == ref.value.t
         assert 0.0 < prop.value.t < 1.0
+
+    @pytest.mark.parametrize("M,block", [(7, 1), (9, 2), (2001, 44)])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_blocks_match_integrate_ode(self, M, block, direction, columns):
+        # blocks of `block` steps; in each case the last block is partial
+        g = TimeGrid(t_end=1.0, steps=M)
+        F, f = self._field(3)
+        F_h, f_h = half_grid_table(F, g), half_grid_table(f, g)
+        assert _block_length(M, g.h, np.abs(F_h).sum(axis=-1).max()) == block
+        y0 = np.array([1.0, -0.5, 0.2])
+        if columns is not None:
+            weights = np.arange(1.0, columns + 1.0)
+            y0, f_h = np.outer(y0, weights), f_h[:, :, None] * weights
+        prop = propagate_linear(F_h, f_h, y0, g, direction)
+        ref = integrate_ode(lambda j, y: F_h[j] @ y + f_h[j], y0, g,
+                            direction, indexed=True)
+        assert np.max(np.abs(prop.values - ref.values)) <= 1e-13
+
+    @pytest.mark.parametrize("direction,rate", [("forward", 30.0),
+                                                ("backward", -30.0)])
+    def test_blowup_raises_without_warnings(self, direction, rate):
+        g = TimeGrid(t_end=1.0, steps=200)
+        F = np.full((2 * g.steps + 1, 1, 1), rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState):
+                propagate_linear(F, np.zeros((2 * g.steps + 1, 1)),
+                                 np.ones(1), g, direction)
 
     def test_rk4_order(self):
         # y' = cos(t) y + cos(t) has y = 2 exp(sin t) - 1 from y(0) = 1;

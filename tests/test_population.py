@@ -348,6 +348,13 @@ class TestSimulatePopulation:
         with pytest.raises(OutOfRange):
             simulate_population(spec, eq, N=2, grid=TimeGrid(1.0, 100))
 
+    def test_type_without_agents_rejected(self):
+        # apportion([0.6, 0.4], 1) = [1, 0]
+        spec = vector_game()
+        eq = solve_consistency(spec, TimeGrid(1.0, 50))
+        with pytest.raises(OutOfRange, match="N=1"):
+            simulate_population(spec, eq, N=1, n_reps=2)
+
     def test_seed_determinism(self, flocking_eq):
         spec, eq = flocking_eq
         r1 = simulate_population(spec, eq, N=3, n_reps=10, seed=5)

@@ -1,6 +1,7 @@
 """Tests for the risk-sensitive Riccati/offset solver and feedback law."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from rsmfg.errors import FiniteEscape
 from rsmfg.model import LqgProblem, scalar_problem
-from rsmfg.numerics import TimeGrid
+from rsmfg.numerics import TimeGrid, _block_length, _step_maps, half_grid_table
 from rsmfg.riccati import (
     c_star,
     feedback_law,
@@ -37,6 +38,30 @@ def random_instance(seed, n=3, m=2, delta=0.3):
         Q_hat=Lh @ Lh.T, delta=delta,
         x0=rng.standard_normal(n), T=1.0,
     )
+
+
+def per_step_riccati(p, grid):
+    """The Moebius recurrence one step at a time, the scan's reference."""
+    Rinv = np.linalg.inv(p.R)
+    B, S, n = p.B, p.S, p.n
+    A_s = half_grid_table(p.A, grid) - B @ Rinv @ S.T
+    sig = half_grid_table(p.sigma, grid)
+    W = p.delta * sig @ np.swapaxes(sig, 1, 2) - B @ Rinv @ B.T
+    Q_s = np.broadcast_to(p.Q - S @ Rinv @ S.T, A_s.shape)
+    H = np.block([[A_s, W], [-Q_s, -np.swapaxes(A_s, 1, 2)]])
+    Phi, _ = _step_maps(H, grid, "backward")
+    values = np.empty((grid.steps + 1, n, n))
+    Pi = values[-1] = 0.5 * (p.Q_hat + p.Q_hat.T)
+    for i in range(grid.steps - 1, -1, -1):
+        XY = Phi[i, :, :n] + Phi[i, :, n:] @ Pi
+        X, Y = XY[:n], XY[n:]
+        if not np.linalg.det(X) > 0.0:
+            raise FiniteEscape(grid.nodes[i])
+        Pi = np.linalg.solve(X.T, Y.T)
+        Pi = values[i] = 0.5 * (Pi + Pi.T)
+        if not np.isfinite(Pi).all():
+            raise FiniteEscape(grid.nodes[i])
+    return values
 
 
 def lqr_riccati_oracle(p, t_eval):
@@ -167,6 +192,47 @@ class TestSolveRiccati:
         assert len(times) == 1
 
 
+class TestBlockedScan:
+    @pytest.mark.parametrize("M", [7, 200, 2001])
+    def test_matches_per_step_recurrence(self, M):
+        # 1-, 14- and 44-step blocks; 200 and 2001 end in a partial block
+        grid = TimeGrid(t_end=1.0, steps=M)
+        p = random_instance(2)
+        ref = per_step_riccati(p, grid)
+        Pi = solve_riccati(p, grid).values
+        assert np.max(np.abs(Pi - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_stiff_problem_steps_singly(self):
+        # rho >= |A_s| = 300 leaves one step per block at h = 1/200
+        grid = TimeGrid(t_end=1.0, steps=200)
+        assert _block_length(grid.steps, grid.h, 300.0) == 1
+        p = scalar_problem(A=-300.0, delta=0.5)
+        ref = per_step_riccati(p, grid)
+        Pi = solve_riccati(p, grid).values
+        assert np.max(np.abs(Pi - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("M", [200, 2000])
+    def test_escape_node_matches_per_step(self, M):
+        grid = TimeGrid(t_end=1.0, steps=M)
+        for q in np.linspace(1.0, 12.0, 23):
+            p = random_instance(2, delta=3.0)
+            p.Q_hat = q * np.eye(3)
+            with pytest.raises(FiniteEscape) as ref:
+                per_step_riccati(p, grid)
+            with pytest.raises(FiniteEscape) as got:
+                solve_riccati(p, grid)
+            assert got.value.t == ref.value.t
+
+    def test_escape_raises_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (1e-9, 1.0, 1e9):
+                p = scalar_problem(A=0.0, B=0.0, Q=c, R=c, S=0.0,
+                                   Q_hat=10.0 * c, sigma=5.0, delta=4.0 / c)
+                with pytest.raises(FiniteEscape):
+                    solve_riccati(p, GRID)
+
+
 class TestSolveOffset:
     def test_zero_forcing(self):
         p = scalar_problem(eta=0.0, zeta=0.0, b=0.0, delta=0.5)
@@ -215,7 +281,7 @@ class TestFeedbackLaw:
         K, _ = feedback_law(p, Pi, s)
         assert abs(K.values[0][0, 0] + math.tanh(1.0)) < 1e-6
 
-    @pytest.mark.parametrize("c", [0.5, 2.0, 10.0, 1e-9])
+    @pytest.mark.parametrize("c", [0.5, 2.0, 10.0, 1e-9, 1e-6, 1e9])
     def test_scaling_invariance(self, c):
         p = scalar_problem(A=-0.2, Q=1.0, S=0.3, R=1.0, eta=0.2, zeta=0.1,
                            Q_hat=0.5, b=0.1, delta=0.4)

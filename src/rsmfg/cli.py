@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import importlib.resources
+import io
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -92,7 +95,7 @@ class ResultBundle:
     """In-memory results: manifest, named CSV tables, convergence log."""
 
     manifest: dict
-    tables: dict = field(default_factory=dict)   # name -> (header, rows)
+    tables: dict = field(default_factory=dict)   # name -> CSV text
     convergence: list = field(default_factory=list)
 
 
@@ -334,33 +337,61 @@ TRAJ_HEADER = ("time [problem units]", "entity", "component",
                "value [dimensionless]")
 
 
-def _components(shape):
-    if len(shape) == 0:
-        return [("", ())]
-    idx = np.ndindex(*shape)
-    return [(",".join(map(str, ix)), ix) for ix in idx]
+def _csv_line(*fields) -> str:
+    """fields as one CSV line, quoted as csv.writer quotes them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
 
 
-def _traj_rows(grid: TimeGrid, values: np.ndarray, entity: str):
-    rows = []
-    comps = _components(values.shape[1:])
-    for i, t in enumerate(grid.nodes):
-        for name, ix in comps:
-            rows.append((repr(float(t)), entity, name,
-                         repr(float(values[(i,) + ix]))))
-    return rows
+def _csv_table(header, rows) -> str:
+    """A small table's CSV text, header line first."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@functools.lru_cache(maxsize=1)
+def _time_column(grid: TimeGrid) -> tuple:
+    """The grid nodes as the time fields of trajectory rows."""
+    return tuple(map(repr, grid.nodes.tolist()))
+
+
+def _traj_csv(times: tuple, values, entity: str, *lead) -> str:
+    """CSV lines (time, entity, component, value) of one trajectory.
+
+    Times run outer and components inner, in index order, as csv.writer
+    writes the rows (*lead, repr(float(t)), entity, component,
+    repr(float(v))): the entity/component prefixes are quoted once,
+    since a matrix component such as "0,1" holds the delimiter, and the
+    values pass through one tolist() and repr.
+    """
+    values = np.asarray(values, dtype=float)
+    prefixes = [_csv_line(entity, ",".join(map(str, ix)))[:-1]
+                for ix in np.ndindex(*values.shape[1:])]
+    heads = [f"{t},{p}," for t in times for p in prefixes]
+    lead = _csv_line(*lead)[:-1] + "," if lead else ""
+    return (lead + ("\n" + lead).join(
+        map(operator.add, heads, map(repr, values.ravel().tolist())))
+        + "\n")
+
+
+def _traj_table(grid: TimeGrid, trajectories) -> str:
+    """TRAJ_HEADER and the lines of every (values, entity) in turn."""
+    times = _time_column(grid)
+    return _csv_line(*TRAJ_HEADER) + "".join(
+        _traj_csv(times, values, entity) for values, entity in trajectories)
 
 
 def _run_solve_single(cfg: ExperimentConfig, bundle: ResultBundle):
     sol = solve(cfg.model, cfg.grid)
-    rows = []
-    rows += _traj_rows(cfg.grid, sol.Pi.values, "Pi")
-    rows += _traj_rows(cfg.grid, sol.s.values, "s")
-    rows += _traj_rows(cfg.grid, sol.K_gain.values, "K_gain")
-    rows += _traj_rows(cfg.grid, sol.k_offset.values, "k_offset")
-    bundle.tables["solution"] = (TRAJ_HEADER, rows)
-    bundle.tables["scalars"] = (("name", "value"),
-                                [("C_star", repr(float(sol.C_star)))])
+    bundle.tables["solution"] = _traj_table(cfg.grid, (
+        (sol.Pi.values, "Pi"), (sol.s.values, "s"),
+        (sol.K_gain.values, "K_gain"), (sol.k_offset.values, "k_offset")))
+    bundle.tables["scalars"] = _csv_table(
+        ("name", "value"), [("C_star", repr(float(sol.C_star)))])
     return sol
 
 
@@ -383,7 +414,7 @@ def _run_verify_single(cfg: ExperimentConfig, bundle: ResultBundle):
                      repr(float(quot.target[j])),
                      repr(float(quot.std_error[j])),
                      repr(float(quot.z[j]))))
-    bundle.tables["checks"] = (
+    bundle.tables["checks"] = _csv_table(
         ("check", "component", "value", "target", "std_error", "z"), rows)
 
 
@@ -393,21 +424,17 @@ def _solve_mfg(cfg: ExperimentConfig, callback=None):
 
 
 def _emit_mfg_tables(cfg, bundle, eq):
-    rows = []
-    rows += _traj_rows(cfg.grid, eq.A_bar.values, "A_bar")
-    rows += _traj_rows(cfg.grid, eq.G_bar.values, "G_bar")
-    rows += _traj_rows(cfg.grid, eq.m_bar.values, "m_bar")
-    bundle.tables["mean_field"] = (TRAJ_HEADER, rows)
+    bundle.tables["mean_field"] = _traj_table(cfg.grid, (
+        (eq.A_bar.values, "A_bar"), (eq.G_bar.values, "G_bar"),
+        (eq.m_bar.values, "m_bar")))
     (K0, k0), minor_laws = equilibrium_laws(eq)
-    rows = []
-    rows += _traj_rows(cfg.grid, K0.values, "major_gain")
-    rows += _traj_rows(cfg.grid, k0.values, "major_offset")
+    laws = [(K0.values, "major_gain"), (k0.values, "major_offset")]
     for k, (Kk, kk) in enumerate(minor_laws):
-        rows += _traj_rows(cfg.grid, Kk.values, f"minor{k}_gain")
-        rows += _traj_rows(cfg.grid, kk.values, f"minor{k}_offset")
-    bundle.tables["laws"] = (TRAJ_HEADER, rows)
+        laws += [(Kk.values, f"minor{k}_gain"),
+                 (kk.values, f"minor{k}_offset")]
+    bundle.tables["laws"] = _traj_table(cfg.grid, laws)
     bundle.convergence = list(eq.iterations.errors)
-    bundle.tables["convergence"] = (
+    bundle.tables["convergence"] = _csv_table(
         ("iteration", "error"),
         [(str(j + 1), repr(e)) for j, e in enumerate(eq.iterations.errors)])
 
@@ -419,18 +446,17 @@ def _run_solve_mfg(cfg: ExperimentConfig, bundle: ResultBundle):
 
 
 def _run_reproduce_paper(cfg: ExperimentConfig, bundle: ResultBundle):
-    iter_rows = []
+    times = _time_column(cfg.grid)
+    blocks = [_csv_line("iteration", *TRAJ_HEADER)]
 
     def record(j, A_bar, G_bar, m_bar, error):
         for values, entity in ((A_bar, "A_bar"), (G_bar, "G_bar"),
                                (m_bar, "m_bar")):
-            for t, ent, comp, val in _traj_rows(cfg.grid, values, entity):
-                iter_rows.append((str(j), t, ent, comp, val))
+            blocks.append(_traj_csv(times, values, entity, str(j)))
 
     eq = _solve_mfg(cfg, callback=record)
     _emit_mfg_tables(cfg, bundle, eq)
-    bundle.tables["iterations"] = (
-        ("iteration",) + TRAJ_HEADER, iter_rows)
+    bundle.tables["iterations"] = "".join(blocks)
     return eq
 
 
@@ -456,11 +482,11 @@ def _run_simulate_population(cfg: ExperimentConfig, bundle: ResultBundle):
         est = finite_cost(run, agent)
         rows.append((name, repr(est.log_value), repr(est.std_error),
                      str(est.n)))
-    bundle.tables["costs"] = (
+    bundle.tables["costs"] = _csv_table(
         ("agent", "log_cost", "std_error", "n_reps"), rows)
-    bundle.tables["empirical_avg"] = (
-        TRAJ_HEADER, _traj_rows(cfg.grid, run.empirical_avg, "x_emp"))
-    bundle.tables["fluctuations"] = (
+    bundle.tables["empirical_avg"] = _traj_table(
+        cfg.grid, [(run.empirical_avg, "x_emp")])
+    bundle.tables["fluctuations"] = _csv_table(
         ("statistic", "value"),
         [("mean_sup", repr(float(np.mean(run.fluct_sup)))),
          ("mean_terminal", repr(float(np.mean(run.fluct_T))))])
@@ -499,15 +525,15 @@ def _run_nash_gap(cfg: ExperimentConfig, bundle: ResultBundle):
         for label, est in rep.deviations:
             rows.append((str(N), label, repr(est.log_value),
                          repr(est.std_error), "", ""))
-    bundle.tables["gaps"] = (
+    bundle.tables["gaps"] = _csv_table(
         ("N", "law", "log_cost", "std_error", "gap", "gap_std_error"), rows)
     stats = summarize_fluctuations(runs)
     rows = [(str(N), repr(float(s)), repr(float(t)))
             for N, s, t in zip(schedule, stats.mean_sup,
                                stats.mean_terminal)]
-    bundle.tables["fluctuations"] = (
+    bundle.tables["fluctuations"] = _csv_table(
         ("N", "mean_sup", "mean_terminal"), rows)
-    bundle.tables["slopes"] = (
+    bundle.tables["slopes"] = _csv_table(
         ("statistic", "value"),
         [("slope_sup", repr(stats.slope_sup)),
          ("slope_terminal", repr(stats.slope_terminal))])
@@ -539,12 +565,10 @@ def write_bundle(bundle: ResultBundle, out_dir) -> list:
         json.dump(bundle.manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     written.append(path)
-    for name, (header, rows) in bundle.tables.items():
+    for name, text in bundle.tables.items():
         path = os.path.join(out_dir, f"{name}.csv")
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(text)
         written.append(path)
     return written
 

@@ -53,6 +53,22 @@ def _diffusion_table(p: LqgProblem, grid: TimeGrid) -> np.ndarray:
     return sig @ np.swapaxes(sig, 1, 2)
 
 
+def _half_tables(p: LqgProblem, grid: TimeGrid):
+    """(A, sigma sigma^T) on grid.half_nodes, formed once per problem.
+
+    solve_riccati and solve_offset both read them, so the pair is kept on
+    the problem with the grid and the coefficient objects it came from;
+    another grid or a replaced A or sigma forms it afresh.
+    """
+    cached = getattr(p, "_half_tables_cache", None)
+    if (cached is None or cached[0] != grid or cached[1] is not p.A
+            or cached[2] is not p.sigma):
+        cached = (grid, p.A, p.sigma, half_grid_table(p.A, grid),
+                  _diffusion_table(p, grid))
+        p._half_tables_cache = cached
+    return cached[3:]
+
+
 def solve_riccati(p: LqgProblem, grid: TimeGrid) -> MatrixTrajectory:
     """Backward solve of the risk-sensitive Riccati equation, Pi(T)=Q_hat.
 
@@ -70,8 +86,9 @@ def solve_riccati(p: LqgProblem, grid: TimeGrid) -> MatrixTrajectory:
     """
     Rinv = np.linalg.inv(p.R)
     B, S, n = p.B, p.S, p.n
-    A_s = half_grid_table(p.A, grid) - B @ Rinv @ S.T
-    W = p.delta * _diffusion_table(p, grid) - B @ Rinv @ B.T
+    A_half, sig2 = _half_tables(p, grid)
+    A_s = A_half - B @ Rinv @ S.T
+    W = p.delta * sig2 - B @ Rinv @ B.T
     Q_s = np.broadcast_to(p.Q - S @ Rinv @ S.T, A_s.shape)
     H = np.block([[A_s, W], [-Q_s, -np.swapaxes(A_s, 1, 2)]])
     rho = _max_row_sum(A_s) + np.sqrt(_max_row_sum(W) * _max_row_sum(Q_s))
@@ -109,9 +126,10 @@ def solve_offset(p: LqgProblem, Pi: MatrixTrajectory,
     BRinv = B @ Rinv
     SRinv = S @ Rinv
     Pi_h = Pi.half_values()
-    M = (np.swapaxes(half_grid_table(p.A, grid), 1, 2)
+    A_half, sig2 = _half_tables(p, grid)
+    M = (np.swapaxes(A_half, 1, 2)
          - Pi_h @ (BRinv @ B.T) - SRinv @ B.T
-         + p.delta * Pi_h @ _diffusion_table(p, grid))
+         + p.delta * Pi_h @ sig2)
     forcing = (np.einsum("tij,tj->ti", Pi_h,
                          half_grid_table(p.b, grid) + BRinv @ p.zeta)
                + SRinv @ p.zeta - p.eta)

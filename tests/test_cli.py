@@ -1,7 +1,9 @@
 """Tests for config parsing, CLI dispatch, exit codes, and output stability."""
 
+import csv
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsmfg import cli
 from rsmfg.cli import (
     EXIT_FINITE_ESCAPE,
     EXIT_NOT_CONVERGED,
@@ -22,6 +25,7 @@ from rsmfg.cli import (
 )
 from rsmfg.errors import ParseError
 from rsmfg.model import LqgProblem, MajorMinorSpec
+from rsmfg.numerics import TimeGrid
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -213,6 +217,99 @@ class TestMfgModes:
         path = write_config(tmp_path, doc)
         assert main(["solve-mfg", "--config", path]) == EXIT_NOT_CONVERGED
         assert "did not converge" in capsys.readouterr().err
+
+
+class TestCsvRendering:
+    SPECIAL = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+               1e22, 0.1 + 0.2]
+
+    @staticmethod
+    def writer_text(grid, values, entity, lead):
+        """What csv.writer writes for the per-value rows."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for i, t in enumerate(grid.nodes):
+            for ix in np.ndindex(*values.shape[1:]):
+                writer.writerow(lead + (repr(float(t)), entity,
+                                        ",".join(map(str, ix)),
+                                        repr(float(values[(i,) + ix]))))
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("lead", [(), ("7",)])
+    def test_matches_csv_writer(self, shape, lead):
+        grid = TimeGrid(t_end=0.7, steps=6)
+        size = (grid.steps + 1) * int(np.prod(shape))
+        values = np.resize(self.SPECIAL, size).reshape((-1,) + shape)
+        text = cli._traj_csv(cli._time_column(grid), values, "minor0_gain",
+                             *lead)
+        assert text == self.writer_text(grid, values, "minor0_gain", lead)
+        if shape == (2, 3):
+            assert ',"0,1",' in text
+
+    def test_table_header(self):
+        grid = TimeGrid(t_end=1.0, steps=2)
+        values = np.arange(3.0)
+        text = cli._traj_table(grid, [(values, "x"), (2 * values, "y")])
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(cli.TRAJ_HEADER)
+        assert text == (buf.getvalue()
+                        + self.writer_text(grid, values, "x", ())
+                        + self.writer_text(grid, 2 * values, "y", ()))
+
+    def test_last_sweep_matches_mean_field(self, tmp_path):
+        # the per-sweep and the final rendering of the mean field agree
+        path = write_config(tmp_path, {"grid": {"steps": 40}})
+        out = tmp_path / "out"
+        assert main(["reproduce-paper", "--config", path,
+                     "--out", str(out)]) == EXIT_OK
+        iters = (out / "iterations.csv").read_text().splitlines()
+        mean_field = (out / "mean_field.csv").read_text().splitlines()
+        sweeps = len((out / "convergence.csv").read_text().splitlines()) - 1
+        assert iters[0] == "iteration," + mean_field[0]
+        last = [line.split(",", 1)[1] for line in iters[1:]
+                if line.split(",", 1)[0] == str(sweeps)]
+        assert last == mean_field[1:]
+        assert len(iters) - 1 == sweeps * (len(mean_field) - 1)
+
+
+SMALL_RUNS = {
+    "solve-single": {"model": scalar_model(), "grid": {"steps": 20}},
+    "verify-single": {"model": scalar_model(), "grid": {"steps": 20},
+                      "montecarlo": {"n_paths": 50, "seed": 1}},
+    "solve-mfg": {"grid": {"steps": 20}},
+    "reproduce-paper": {"grid": {"steps": 20}},
+    "simulate-population": {"grid": {"steps": 20}, "montecarlo": {"seed": 1},
+                            "population": {"N": 2, "n_reps": 4}},
+    "nash-gap": {"grid": {"steps": 20}, "montecarlo": {"seed": 1},
+                 "population": {"N_schedule": [2, 3], "n_reps": 4}},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SMALL_RUNS))
+def test_write_bundle_returns_every_written_file(tmp_path, capsys,
+                                                 monkeypatch, mode):
+    # benchmarks sum the sizes of the returned paths as the bytes written
+    doc = dict(SMALL_RUNS[mode])
+    doc.setdefault("model", bundled_config("paper_example.json")["model"])
+    path = write_config(tmp_path, doc)
+    returned = []
+
+    def recording(bundle, out_dir):
+        paths = write_bundle(bundle, out_dir)
+        returned.extend(paths)
+        return paths
+
+    write_bundle = cli.write_bundle
+    monkeypatch.setattr(cli, "write_bundle", recording)
+    out = tmp_path / "out"
+    assert main([mode, "--config", path, "--out", str(out)]) == EXIT_OK
+    assert sorted(returned) == sorted(str(out / name)
+                                      for name in os.listdir(out))
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:len(returned)] == returned
+    assert all(not line.startswith(str(out))
+               for line in printed[len(returned):])
 
 
 class TestPopulationModes:

@@ -5,6 +5,7 @@ import pytest
 from conftest import decoupled_game, flocking_game, toy_game, vector_game
 from scipy.integrate import solve_ivp
 
+from rsmfg import riccati
 from rsmfg.errors import NotConverged
 from rsmfg.mfg import (
     assemble_major,
@@ -236,3 +237,20 @@ class TestMeanFieldTrajectory:
         x2 = mean_field_trajectory(
             eq, type(eq.A_bar)(GRID, x0_path))
         assert np.array_equal(x1.values, x2.values)
+
+
+def test_diffusion_tabulated_once_per_problem(monkeypatch):
+    # solve_riccati and solve_offset share sigma sigma^T: one table for
+    # each extended problem, the major's and every minor type's per sweep
+    tabulated = []
+    original = riccati._diffusion_table
+
+    def counted(p, grid):
+        tabulated.append(p)
+        return original(p, grid)
+
+    monkeypatch.setattr(riccati, "_diffusion_table", counted)
+    game = vector_game()
+    eq = solve_consistency(game, TimeGrid(t_end=1.0, steps=50))
+    assert len(tabulated) == (1 + game.K) * eq.iterations.iterations
+    assert len({id(p) for p in tabulated}) == len(tabulated)

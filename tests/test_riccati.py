@@ -233,6 +233,22 @@ class TestBlockedScan:
                     solve_riccati(p, GRID)
 
 
+class TestHalfTables:
+    def test_formed_afresh_for_new_grid_or_sigma(self):
+        p = random_instance(7)
+        coarse = TimeGrid(t_end=1.0, steps=200)
+        fresh = random_instance(7)
+        solve(p, GRID)
+        assert np.array_equal(solve_riccati(p, coarse).values,
+                              solve_riccati(fresh, coarse).values)
+        sigma = lambda t: 0.5 * np.eye(3)  # noqa: E731
+        p.sigma = fresh.sigma = sigma
+        Pi = solve_riccati(p, coarse)
+        assert np.array_equal(Pi.values, solve_riccati(fresh, coarse).values)
+        assert np.array_equal(solve_offset(p, Pi, coarse).values,
+                              solve_offset(fresh, Pi, coarse).values)
+
+
 class TestSolveOffset:
     def test_zero_forcing(self):
         p = scalar_problem(eta=0.0, zeta=0.0, b=0.0, delta=0.5)

@@ -385,6 +385,59 @@ def _traj_table(grid: TimeGrid, trajectories) -> str:
         _traj_csv(times, values, entity) for values, entity in trajectories)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+# (fn, jobs) of a fork_map, set in each of its workers by _start_worker
+_WORKER_JOBS = None
+
+
+def _start_worker(fn, jobs):
+    global _WORKER_JOBS
+    _WORKER_JOBS = fn, jobs
+
+
+def _run_job(i: int):
+    fn, jobs = _WORKER_JOBS
+    return fn(jobs[i])
+
+
+def fork_map(fn, jobs, sizes) -> list:
+    """[fn(job) for job in jobs] over forked worker processes.
+
+    One worker per usable CPU, at most one per job.  Jobs are submitted
+    largest sizes[i] first and their results come back in input order.
+    Forked workers inherit fn and the jobs, so only job indices and
+    results are pickled.  With one worker, or where fork is unavailable,
+    the same jobs run in this process in a plain loop.  Either way the
+    error raised is that of the first failing job in submission order,
+    and every worker has exited when the call returns or raises.
+    """
+    import multiprocessing  # here, so that modes that never fork skip it
+
+    order = sorted(range(len(jobs)), key=lambda i: sizes[i], reverse=True)
+    workers = min(len(jobs), _usable_cpus())
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        results = {i: fn(jobs[i]) for i in order}
+    else:
+        pool = multiprocessing.get_context("fork").Pool(
+            workers, initializer=_start_worker, initargs=(fn, jobs))
+        # after a failure the pool still drains: terminating it can kill
+        # a worker while it holds the result queue's lock, and the pool's
+        # own shutdown then waits on that lock forever
+        try:
+            results = dict(zip(order, pool.imap(_run_job, order)))
+        finally:
+            pool.close()
+            pool.join()
+    return [results[i] for i in range(len(jobs))]
+
+
 def _run_solve_single(cfg: ExperimentConfig, bundle: ResultBundle):
     sol = solve(cfg.model, cfg.grid)
     bundle.tables["solution"] = _traj_table(cfg.grid, (
@@ -401,13 +454,16 @@ def _run_verify_single(cfg: ExperimentConfig, bundle: ResultBundle):
                         "montecarlo.n_paths")
     seed = cfg.montecarlo["seed"]
     sol = _run_solve_single(cfg, bundle)
-    rows = []
-    for name, check, offset in (("normalization", check_normalization, 0),
-                                ("optimal_cost", check_optimal_cost, 1)):
-        rep = check(cfg.model, sol, n_paths, seed + offset)
-        rows.append((name, "", repr(rep.value), repr(rep.target),
-                     repr(rep.std_error), repr(rep.z)))
-    quot = check_martingale_quotient(cfg.model, sol, n_paths, seed + 2)
+    # independent checks on seeds seed, seed+1, seed+2; the quotient
+    # check takes a little longer than the others, so it starts first
+    checks = (check_normalization, check_optimal_cost,
+              check_martingale_quotient)
+    *reports, quot = fork_map(
+        lambda j: checks[j](cfg.model, sol, n_paths, seed + j),
+        range(3), sizes=(0, 0, 1))
+    rows = [(name, "", repr(rep.value), repr(rep.target),
+             repr(rep.std_error), repr(rep.z))
+            for name, rep in zip(("normalization", "optimal_cost"), reports)]
     for j in range(cfg.model.n):
         rows.append(("martingale_quotient", str(j),
                      repr(float(quot.quotient[j])),
@@ -513,11 +569,14 @@ def _run_nash_gap(cfg: ExperimentConfig, bundle: ResultBundle):
                              "every N in N_schedule")
     seed = cfg.montecarlo["seed"]
     eq = _solve_mfg(cfg)
+    # one population pass per N gives the gap and, from its equilibrium
+    # ensemble, the fluctuation statistics; the passes are independent
+    reports = fork_map(
+        lambda N: nash_gap(cfg.model, eq, agent, N=N, n_reps=n_reps,
+                           seed=seed),
+        schedule, sizes=schedule)
     rows, runs = [], []
-    for N in schedule:
-        # one population pass gives the gap and, from its equilibrium
-        # ensemble, the fluctuation statistics
-        rep = nash_gap(cfg.model, eq, agent, N=N, n_reps=n_reps, seed=seed)
+    for N, rep in zip(schedule, reports):
         runs.append(rep.equilibrium_run)
         rows.append((str(N), "equilibrium", repr(rep.equilibrium.log_value),
                      repr(rep.equilibrium.std_error), repr(rep.gap),

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Errors with their own constructor arguments rebuild from those arguments
+when unpickled (__reduce__), so an error raised in a worker process
+reaches the caller with the same type, fields and message.
+"""
 
 
 class RsmfgError(Exception):
@@ -12,6 +17,9 @@ class NonFiniteState(RsmfgError):
         self.t = t
         super().__init__(message or f"non-finite or exploding state at t={t:.6g}")
 
+    def __reduce__(self):
+        return type(self), (self.t, str(self))
+
 
 class FiniteEscape(RsmfgError):
     """The Riccati solution blows up before reaching t=0.
@@ -24,6 +32,9 @@ class FiniteEscape(RsmfgError):
         self.t = t
         super().__init__(message or f"Riccati finite escape detected near t={t:.6g}")
 
+    def __reduce__(self):
+        return type(self), (self.t, str(self))
+
 
 class OutOfRange(RsmfgError):
     """A time query fell outside the trajectory's grid."""
@@ -35,6 +46,9 @@ class AssumptionViolated(RsmfgError):
     def __init__(self, name):
         self.name = name
         super().__init__(f"assumption violated: {name}")
+
+    def __reduce__(self):
+        return type(self), (self.name,)
 
 
 class DimensionMismatch(RsmfgError):
@@ -51,6 +65,9 @@ class NotConverged(RsmfgError):
             f"fixed point not converged after {iterations} iterations "
             f"(last error {last_error:.3e})"
         )
+
+    def __reduce__(self):
+        return type(self), (self.iterations, self.last_error)
 
 
 class ParseError(RsmfgError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionViolated, DimensionMismatch
-from .numerics import HalfGridFunction
+from .numerics import ConstantFunction, HalfGridFunction
 
 # Symmetric-part eigenvalues down to this level still count as PSD:
 # congruence transforms in floating point shed tiny negative eigenvalues.
@@ -43,19 +43,32 @@ def _as_vector(value, n, name):
     return a
 
 
+class FloatValued:
+    """Callable t -> fn(t) as a float array."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, t: float) -> np.ndarray:
+        return np.asarray(self.fn(t), dtype=float)
+
+
 def as_time_function(value, shape, name):
     """Normalize a constant array or callable to a callable of time.
 
-    A HalfGridFunction is kept as it is, so its table stays readable.
+    A HalfGridFunction or ConstantFunction is kept as it is, so its table
+    stays readable.  The callables made here are module-level classes,
+    so a problem built from picklable coefficients pickles.
     """
     if callable(value):
         probe = np.asarray(value(0.0), dtype=float)
         if probe.shape != shape:
             raise DimensionMismatch(
                 f"{name}(t) has shape {probe.shape}, expected {shape}")
-        if isinstance(value, HalfGridFunction):
+        if isinstance(value, (HalfGridFunction, ConstantFunction,
+                              FloatValued)):
             return value
-        return lambda t: np.asarray(value(t), dtype=float)
+        return FloatValued(value)
     a = np.asarray(value, dtype=float)
     if a.ndim == 0 and shape == (1, 1):
         a = a.reshape(1, 1)
@@ -65,7 +78,7 @@ def as_time_function(value, shape, name):
         a = a.reshape(-1, 1)
     if a.shape != shape:
         raise DimensionMismatch(f"{name} has shape {a.shape}, expected {shape}")
-    return lambda t, _a=a: _a
+    return ConstantFunction(a)
 
 
 def min_symmetric_eigenvalue(M):

@@ -123,15 +123,29 @@ class HalfGridFunction:
         return self.half_values[idx]
 
 
+class ConstantFunction:
+    """Callable t -> value, the same array at every time."""
+
+    def __init__(self, value: np.ndarray):
+        self.value = value
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self.value
+
+
 def half_grid_table(fn, grid: TimeGrid) -> np.ndarray:
     """Values on grid.half_nodes, every RK4 evaluation time.
 
     fn is a callable of time, stacked over the half-nodes (a
-    HalfGridFunction on the same grid hands over its table), or an array
-    of node values, kept at the nodes and linear at the midpoints.
+    HalfGridFunction on the same grid hands over its table, a
+    ConstantFunction is repeated into a fresh array), or an array of
+    node values, kept at the nodes and linear at the midpoints.
     """
     if isinstance(fn, HalfGridFunction) and fn.grid == grid:
         return fn.half_values
+    if isinstance(fn, ConstantFunction):
+        value = np.asarray(fn.value, dtype=float)
+        return np.repeat(value[None], 2 * grid.steps + 1, axis=0)
     if callable(fn):
         return np.stack([np.asarray(fn(t), dtype=float)
                          for t in grid.half_nodes])

@@ -1,6 +1,18 @@
 """Shared game fixtures used across the test modules."""
 
+import multiprocessing
+
+import pytest
+
 from rsmfg.model import MajorMinorSpec, MajorParams, MinorTypeParams
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process of this one running."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes still running: {left}"
 
 
 def toy_game(sigma=0.3):

@@ -3,8 +3,12 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 from rsmfg import cli
 from rsmfg.cli import (
     EXIT_FINITE_ESCAPE,
+    EXIT_NON_FINITE,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_PARSE,
@@ -23,7 +28,7 @@ from rsmfg.cli import (
     parse_config,
     run,
 )
-from rsmfg.errors import ParseError
+from rsmfg.errors import NonFiniteState, ParseError
 from rsmfg.model import LqgProblem, MajorMinorSpec
 from rsmfg.numerics import TimeGrid
 
@@ -356,6 +361,117 @@ class TestPopulationModes:
         assert main([mode, "--config", path]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "N=1" in err
+
+
+class TestForkMap:
+    def test_workers_return_results_in_input_order(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = cli.fork_map(lambda j: (j * j, os.getpid()), [1, 2, 3],
+                           sizes=[1, 3, 2])
+        assert [r for r, _ in out] == [1, 4, 9]
+        assert os.getpid() not in {pid for _, pid in out}
+
+    def test_one_cpu_runs_in_process_largest_first(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        calls = []
+        out = cli.fork_map(lambda j: calls.append(j) or os.getpid(),
+                           [1, 2, 3], sizes=[1, 3, 2])
+        assert out == [os.getpid()] * 3
+        assert calls == [2, 3, 1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failure_in_submission_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+
+        def fail(j):
+            raise NonFiniteState(float(j))
+
+        with pytest.raises(NonFiniteState) as exc:
+            cli.fork_map(fail, [1, 2, 3], sizes=[1, 3, 2])
+        assert exc.value.t == 2.0
+
+    def test_failing_maps_shut_down(self):
+        # terminating a pool can kill a worker that holds the result
+        # queue's lock and leave the shutdown waiting on it; the hang came
+        # after 2 to 270 failing maps, so 200 run in a child with a timeout
+        script = f"""
+import sys
+sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
+from rsmfg import cli
+from rsmfg.errors import NonFiniteState
+cli._usable_cpus = lambda: 2
+
+def fail(j):
+    raise NonFiniteState(float(j))
+
+for _ in range(200):
+    try:
+        cli.fork_map(fail, [1, 2, 3], sizes=[1, 3, 2])
+    except NonFiniteState:
+        pass
+"""
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       timeout=60)
+
+
+def _two_type_game():
+    doc = bundled_config("paper_example.json")
+    doc["model"]["minors"] *= 2
+    doc["model"]["minors"][1] = dict(doc["model"]["minors"][1],
+                                     A=[[-4.0]])
+    doc["model"]["pi"] = [0.6, 0.4]
+    return doc
+
+
+_WORKER_RUNS = {
+    "nash-major": ("nash-gap", dict(
+        bundled_config("paper_example.json"), grid={"steps": 50},
+        population={"N_schedule": [2, 6, 3], "n_reps": 20,
+                    "agent": "major"})),
+    "nash-minor": ("nash-gap", dict(
+        _two_type_game(), grid={"steps": 40},
+        population={"N_schedule": [4, 2], "n_reps": 16, "agent": 1})),
+    "verify": ("verify-single", {
+        "model": scalar_model(b=[0.1], S=[[0.2]], eta=[0.3], zeta=[0.1]),
+        "grid": {"steps": 50}, "montecarlo": {"n_paths": 300, "seed": 5}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WORKER_RUNS))
+def test_worker_count_keeps_every_output(tmp_path, monkeypatch, name):
+    mode, doc = _WORKER_RUNS[name]
+    path = write_config(tmp_path, doc)
+    outs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main([mode, "--config", path, "--out", str(out)]) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for file in names:
+        assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes()
+
+
+def test_worker_error_keeps_exit_code(tmp_path, monkeypatch, capsys):
+    # a major starting past the blow-up bound: the fixed point converges,
+    # and every population pass fails at its first step
+    doc = bundled_config("paper_example.json")
+    doc["model"]["major"]["x0"] = [2e8]
+    doc["grid"] = {"steps": 50}
+    doc["fixedpoint"] = {"tol": 1e-4}
+    doc["population"] = {"N_schedule": [2, 4], "n_reps": 4}
+    path = write_config(tmp_path, doc)
+    errs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert main(["nash-gap", "--config", path]) == EXIT_NON_FINITE
+        assert multiprocessing.active_children() == []
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: simulation became non-finite")
+    assert "Traceback" not in errs[0]
 
 
 def _with(doc, section, **fields):

@@ -1,8 +1,12 @@
 """Tests for parameter containers and assumption validation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from conftest import vector_game
+from rsmfg.cli import bundled_config, parse_config
 from rsmfg.errors import AssumptionViolated, DimensionMismatch
 from rsmfg.model import (
     LqgProblem,
@@ -14,6 +18,7 @@ from rsmfg.model import (
     validate_game,
     validate_single,
 )
+from rsmfg.numerics import TimeGrid, half_grid_table
 
 
 def toy_game():
@@ -145,3 +150,38 @@ class TestValidateGame:
         g.major.R = np.array([[-1.0]])
         with pytest.raises(AssumptionViolated, match="R_0"):
             validate_game(g)
+
+
+def _agents(spec):
+    return [spec] if isinstance(spec, LqgProblem) \
+        else [spec.major] + spec.minors
+
+
+def _nodes_game():
+    """The bundled game with a major drift offset given at the nodes."""
+    doc = bundled_config("paper_example.json")
+    doc["grid"] = {"steps": 20}
+    doc["model"]["major"]["b"] = {"nodes": [[0.05 * i] for i in range(21)]}
+    return parse_config(doc, "solve-mfg").model
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_config(bundled_config("paper_example.json"),
+                         "solve-mfg").model,
+    vector_game,
+    _nodes_game,
+    lambda: scalar_problem(A=-0.5, b=0.1, sigma=0.3),
+], ids=["paper_example", "vector_game", "nodes", "single"])
+def test_spec_pickle_round_trip(make):
+    # specs travel between processes inside population results
+    spec = make()
+    back = pickle.loads(pickle.dumps(spec))
+    grid = TimeGrid(t_end=spec.T, steps=20)
+    for agent, copy in zip(_agents(spec), _agents(back)):
+        for name, value in vars(agent).items():
+            if callable(value):
+                assert np.array_equal(half_grid_table(value, grid),
+                                      half_grid_table(getattr(copy, name),
+                                                      grid)), name
+            else:
+                assert np.array_equal(value, getattr(copy, name)), name

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from rsmfg.errors import NonFiniteState, OutOfRange
 from rsmfg.numerics import (
+    ConstantFunction,
     HalfGridFunction,
     MatrixTrajectory,
     TimeGrid,
@@ -292,6 +293,16 @@ class TestHalfGrid:
         assert half_grid_table(sample, g) is sample.half_values
         table = half_grid_table(lambda t: np.array([t, 2.0 * t]), g)
         assert np.array_equal(table[:, 1], 2.0 * g.half_nodes)
+
+    def test_constant_repeated_into_writable_copy(self):
+        g = TimeGrid(t_end=1.0, steps=4)
+        value = np.array([[1.5, -2.0], [0.25, 3.0]])
+        table = half_grid_table(ConstantFunction(value), g)
+        looped = half_grid_table(lambda t: value, g)
+        assert table.shape == looped.shape == (9, 2, 2)
+        assert np.array_equal(table, looped)
+        table[0, 0, 0] = 7.0
+        assert value[0, 0] == 1.5
 
     def test_trajectory_half_values(self):
         g = TimeGrid(t_end=1.0, steps=4)

@@ -45,13 +45,20 @@ from .model import (
 )
 from .montecarlo import (
     ControlLaw,
+    _run_paths,
+    as_control_law,
     check_martingale_quotient,
     check_normalization,
     check_optimal_cost,
     estimate_cost,
+    is_deterministic,
+    normalization_report,
+    optimal_cost_report,
+    path_blocks,
+    quotient_report,
     simulate,
 )
-from .numerics import MatrixTrajectory, TimeGrid
+from .numerics import MatrixTrajectory, TimeGrid, state_transition
 from .population import (
     apportion,
     finite_cost,
@@ -393,6 +400,16 @@ def _usable_cpus() -> int:
         return 1
 
 
+# A fork_map whose sizes sum to fewer path-steps or agent-steps than this
+# runs in-process.  On a 2-core Xeon a pool start (a three-job map of
+# trivial jobs, after a solve) took 12 ms best to 17 ms mean, and two
+# workers at most halve the work.  The slowest jobs per step, two paths
+# or two replications, took 14-47 ms per 1000 steps in-process (1-d and
+# 2-d verify-single, nash-gap on the bundled game), about what a pool
+# start plus half of that costs; jobs of more paths or replications run
+# 1000 steps faster in-process.  The benchmark's smallest map is 2.6 M.
+FORK_MIN_STEPS = 1000
+
 # (fn, jobs) of a fork_map, set in each of its workers by _start_worker
 _WORKER_JOBS = None
 
@@ -410,19 +427,22 @@ def _run_job(i: int):
 def fork_map(fn, jobs, sizes) -> list:
     """[fn(job) for job in jobs] over forked worker processes.
 
-    One worker per usable CPU, at most one per job.  Jobs are submitted
+    sizes[i] is the work of job i in path-steps or agent-steps.  One
+    worker per usable CPU, at most one per job.  Jobs are submitted
     largest sizes[i] first and their results come back in input order.
     Forked workers inherit fn and the jobs, so only job indices and
-    results are pickled.  With one worker, or where fork is unavailable,
-    the same jobs run in this process in a plain loop.  Either way the
-    error raised is that of the first failing job in submission order,
-    and every worker has exited when the call returns or raises.
+    results are pickled.  With one worker, with sizes summing to less
+    than FORK_MIN_STEPS, or where fork is unavailable, the same jobs run
+    in this process in a plain loop.  Either way the error raised is
+    that of the first failing job in submission order, and every worker
+    has exited when the call returns or raises.
     """
     import multiprocessing  # here, so that modes that never fork skip it
 
     order = sorted(range(len(jobs)), key=lambda i: sizes[i], reverse=True)
     workers = min(len(jobs), _usable_cpus())
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if (workers < 2 or sum(sizes) < FORK_MIN_STEPS
+            or "fork" not in multiprocessing.get_all_start_methods()):
         results = {i: fn(jobs[i]) for i in order}
     else:
         pool = multiprocessing.get_context("fork").Pool(
@@ -454,13 +474,15 @@ def _run_verify_single(cfg: ExperimentConfig, bundle: ResultBundle):
                         "montecarlo.n_paths")
     seed = cfg.montecarlo["seed"]
     sol = _run_solve_single(cfg, bundle)
-    # independent checks on seeds seed, seed+1, seed+2; the quotient
-    # check takes a little longer than the others, so it starts first
-    checks = (check_normalization, check_optimal_cost,
-              check_martingale_quotient)
-    *reports, quot = fork_map(
-        lambda j: checks[j](cfg.model, sol, n_paths, seed + j),
-        range(3), sizes=(0, 0, 1))
+    p, grid = cfg.model, cfg.grid
+    if is_deterministic(p, grid):
+        # one noise-free path per check, integrated by RK4 in-process;
+        # the quotient runs first, as in the sampled branch
+        quot = check_martingale_quotient(p, sol, n_paths, seed + 2)
+        reports = [check(p, sol, n_paths, seed + j) for j, check in
+                   enumerate((check_normalization, check_optimal_cost))]
+    else:
+        reports, quot = _sampled_checks(p, sol, grid, n_paths, seed)
     rows = [(name, "", repr(rep.value), repr(rep.target),
              repr(rep.std_error), repr(rep.z))
             for name, rep in zip(("normalization", "optimal_cost"), reports)]
@@ -472,6 +494,43 @@ def _run_verify_single(cfg: ExperimentConfig, bundle: ResultBundle):
                      repr(float(quot.z[j]))))
     bundle.tables["checks"] = _csv_table(
         ("check", "component", "value", "target", "std_error", "z"), rows)
+
+
+def _sampled_checks(p: LqgProblem, sol, grid: TimeGrid, n_paths: int,
+                    seed: int):
+    """The three identity checks, their path blocks run as one fork_map.
+
+    Check j (normalization, optimal cost, quotient) samples paths
+    0..n_paths-1 on seed + j.  Each check's blocks are concatenated in
+    path order and passed to its estimator, which gives the reports of
+    check_normalization, check_optimal_cost and check_martingale_quotient
+    bit for bit.  The job list depends on n_paths alone, so the first
+    failing block, and with it the error, does not depend on the CPUs.
+    """
+    ups, _ = state_transition(p.A, grid)
+    law = as_control_law(sol, grid, p.n, p.m)
+    streams = ({}, {}, {"ups_values": ups.values})
+    # a quotient path-step also streams G and measured about 15 % slower,
+    # so its blocks are submitted first
+    cost = (1.0, 1.0, 1.15)
+    blocks = path_blocks(range(n_paths))
+    jobs = [(j, paths) for j in range(3) for paths in blocks]
+
+    def sample(job):
+        j, paths = job
+        return _run_paths(p, law, paths, seed + j, grid, **streams[j])
+
+    samples = fork_map(sample, jobs, sizes=[
+        cost[j] * len(paths) * grid.steps for j, paths in jobs])
+
+    def joined(j):
+        parts = samples[j * len(blocks):(j + 1) * len(blocks)]
+        return {key: np.concatenate([part[key] for part in parts])
+                for key in parts[0]}
+
+    return ((normalization_report(sol, joined(0)),
+             optimal_cost_report(sol, joined(1))),
+            quotient_report(p, sol, ups, joined(2)))
 
 
 def _solve_mfg(cfg: ExperimentConfig, callback=None):
@@ -574,7 +633,8 @@ def _run_nash_gap(cfg: ExperimentConfig, bundle: ResultBundle):
     reports = fork_map(
         lambda N: nash_gap(cfg.model, eq, agent, N=N, n_reps=n_reps,
                            seed=seed),
-        schedule, sizes=schedule)
+        schedule, sizes=[n_reps * (1 + N) * cfg.grid.steps
+                         for N in schedule])
     rows, runs = [], []
     for N, rep in zip(schedule, reports):
         runs.append(rep.equilibrium_run)

@@ -5,18 +5,28 @@ cost uses trapezoidal quadrature.  All expectations of exponentials are
 computed as max-shifted log-mean-exp with delta-method standard errors, so
 nothing is exponentiated before shifting.
 
-The path engine holds a block's states as columns and reads per-node
-tables built once per call: the law's gains, the drift and diffusion
-coefficients, the running cost under the law as a quadratic in the state
-(running_cost), and the integrands of the quotient and derivative
-estimators (gradient_integrand).  A step forms the control and otherwise
-only multiplies state rows by table entries.  Every per-path product is
-the fixed-order multiply-add numerics._mm, and path j's noise is the
-Philox stream keyed by (master seed, j), so every estimate is independent
-of the block size and of the order in which blocks are evaluated.  The
-drift is A x + B u + b, not the closed loop (A + B K) x + (B k + b), so
-that it rounds like the population engine, whose decoupled minor retraces
-a single-agent path bit for bit.
+The path engine (_run_paths) simulates a range of path indices and
+returns per-path arrays in path order.  It splits the range into
+path_blocks: ceil(count / DEFAULT_BLOCK) contiguous blocks of equal size,
+the first ones one path larger where the count does not divide.  It holds
+a block's states as columns and reads per-node tables built once per
+call: the law's gains, the drift and diffusion coefficients, the running
+cost under the law as a quadratic in the state (running_cost), and the
+integrands of the quotient and derivative estimators
+(gradient_integrand).  A step forms the control and otherwise only
+multiplies state rows by table entries.  Every per-path product is the
+fixed-order multiply-add numerics._mm, and path j's noise is the Philox
+stream keyed by (master seed, j), so a path's arrays do not depend on the
+block or range it was simulated in.  The drift is A x + B u + b, not the
+closed loop (A + B K) x + (B k + b), so that it rounds like the
+population engine, whose decoupled minor retraces a single-agent path bit
+for bit.
+
+Each identity check is a sampling part and an estimator: the *_report
+functions are pure functions of the per-path arrays of all paths in path
+order.  Any split of [0, n_paths) into ranges, simulated in any order or
+process and concatenated in path order, therefore gives the check's
+report bit for bit; cli runs the checks' blocks in worker processes so.
 
 Coefficients are tabulated once on the half-grid, and closed_loop turns
 an affine law into tables of its gains and of the closed-loop drift.
@@ -247,10 +257,30 @@ def _noise_block(seed, first_path, count, steps, r):
     return noise
 
 
-def _run_paths(p: LqgProblem, law: ControlLaw, n_paths: int, seed: int,
+def path_blocks(paths: range, block=DEFAULT_BLOCK) -> list:
+    """paths as ceil(len(paths) / block) contiguous ranges of equal size.
+
+    Where the count does not divide, the first len(paths) mod count
+    ranges hold one path more.  No range is longer than block.
+    """
+    count = -(-len(paths) // block)
+    size, extra = divmod(len(paths), max(count, 1))
+    blocks, start = [], paths.start
+    for j in range(count):
+        stop = start + size + (j < extra)
+        blocks.append(range(start, stop))
+        start = stop
+    return blocks
+
+
+def _run_paths(p: LqgProblem, law: ControlLaw, paths: range, seed: int,
                grid: TimeGrid, store_paths=False, ups_values=None,
                omega=None, v=None, block=DEFAULT_BLOCK):
     """Core Euler-Maruyama engine with streaming accumulators.
+
+    Simulates the paths whose indices lie in the range paths, path j on
+    the Philox stream keyed by (seed, j), and returns per-path arrays
+    whose row i belongs to path paths.start + i.
 
     Always accumulates the trapezoidal cost integral.  When ups_values is
     given, also streams G(t) = int_0^t Ups(s)^T (Q x_s + S u_s - eta) ds
@@ -260,6 +290,7 @@ def _run_paths(p: LqgProblem, law: ControlLaw, n_paths: int, seed: int,
     A block's states are held as columns, x of shape (n, paths), so each
     product with a node table is a few multiply-adds of whole rows.
     """
+    n_paths = len(paths)
     M = grid.steps
     h = grid.h
     sqrt_h = math.sqrt(h)
@@ -295,10 +326,10 @@ def _run_paths(p: LqgProblem, law: ControlLaw, n_paths: int, seed: int,
         out["states"] = np.empty((n_paths, M + 1, n))
         out["controls"] = np.empty((n_paths, M + 1, m))
 
-    for start in range(0, n_paths, block):
-        stop = min(start + block, n_paths)
-        nb = stop - start
-        noise = _noise_block(seed, start, nb, M, r) if noisy else None
+    for rows in path_blocks(paths, block):
+        start, stop = rows.start - paths.start, rows.stop - paths.start
+        nb = len(rows)
+        noise = _noise_block(seed, rows.start, nb, M, r) if noisy else None
         x = np.repeat(p.x0[:, None], nb, axis=1)
         lam = np.zeros(nb)
         if stream_G:
@@ -351,8 +382,8 @@ def simulate(p: LqgProblem, law, n_paths: int, seed: int,
     if grid is None:
         grid = TimeGrid(t_end=p.T, steps=2000)
     cl = as_control_law(law, grid, p.n, p.m)
-    res = _run_paths(p, cl, n_paths, seed, grid, store_paths=store_paths,
-                     block=block)
+    res = _run_paths(p, cl, range(n_paths), seed, grid,
+                     store_paths=store_paths, block=block)
     return PathEnsemble(grid=grid, n_paths=n_paths, seed=seed,
                         log_weights=res["log_weights"], x_T=res["x_T"],
                         states=res.get("states"),
@@ -387,6 +418,24 @@ def deterministic_log_cost(p: LqgProblem, law, grid: TimeGrid) -> float:
     return p.delta * lam
 
 
+def _optimal_paths(p: LqgProblem, sol: RiccatiSolution, n_paths: int,
+                   seed: int, grid: TimeGrid, ups_values=None):
+    """Per-path arrays of paths 0, ..., n_paths-1 under the law of sol."""
+    return _run_paths(p, as_control_law(sol, grid, p.n, p.m),
+                      range(n_paths), seed, grid, ups_values=ups_values)
+
+
+def normalization_report(sol: RiccatiSolution, samples) -> ZScoreReport:
+    """The normalization check on the log_weights of samples."""
+    w = samples["log_weights"] - sol.C_star
+    L = float(np.max(w))
+    y = np.exp(w - L)
+    mean = float(np.mean(y))
+    est = math.exp(L) * mean
+    se = math.exp(L) * float(np.std(y, ddof=1)) / math.sqrt(w.size)
+    return ZScoreReport(_zscore(est, 1.0, se), est, 1.0, se)
+
+
 def check_normalization(p: LqgProblem, sol: RiccatiSolution, n_paths: int,
                         seed: int, grid: TimeGrid = None) -> ZScoreReport:
     """Verify E[exp(delta*Lambda_T(u*) - C_star)] = 1."""
@@ -396,14 +445,15 @@ def check_normalization(p: LqgProblem, sol: RiccatiSolution, n_paths: int,
         w = deterministic_log_cost(p, sol, grid) - sol.C_star
         est = math.exp(w)
         return ZScoreReport(_zscore(est, 1.0, 0.0), est, 1.0, 0.0)
-    ens = simulate(p, sol, n_paths, seed, grid)
-    w = ens.log_weights - sol.C_star
-    L = float(np.max(w))
-    y = np.exp(w - L)
-    mean = float(np.mean(y))
-    est = math.exp(L) * mean
-    se = math.exp(L) * float(np.std(y, ddof=1)) / math.sqrt(n_paths)
-    return ZScoreReport(_zscore(est, 1.0, se), est, 1.0, se)
+    return normalization_report(
+        sol, _optimal_paths(p, sol, n_paths, seed, grid))
+
+
+def optimal_cost_report(sol: RiccatiSolution, samples) -> ZScoreReport:
+    """The optimal-cost check on the log_weights of samples."""
+    est = log_mean_exp(samples["log_weights"])
+    return ZScoreReport(_zscore(est.log_value, sol.C_star, est.std_error),
+                        est.log_value, sol.C_star, est.std_error)
 
 
 def check_optimal_cost(p: LqgProblem, sol: RiccatiSolution, n_paths: int,
@@ -415,10 +465,8 @@ def check_optimal_cost(p: LqgProblem, sol: RiccatiSolution, n_paths: int,
         log_j = deterministic_log_cost(p, sol, grid)
         return ZScoreReport(_zscore(log_j, sol.C_star, 0.0),
                             log_j, sol.C_star, 0.0)
-    ens = simulate(p, sol, n_paths, seed, grid)
-    est = estimate_cost(ens)
-    return ZScoreReport(_zscore(est.log_value, sol.C_star, est.std_error),
-                        est.log_value, sol.C_star, est.std_error)
+    return optimal_cost_report(
+        sol, _optimal_paths(p, sol, n_paths, seed, grid))
 
 
 def estimate_gateaux(p: LqgProblem, law, omega: np.ndarray, n_paths: int,
@@ -440,8 +488,8 @@ def estimate_gateaux(p: LqgProblem, law, omega: np.ndarray, n_paths: int,
     # v(t) = Ups^{-1}(t) B omega(t); W1 = int_0^T v dt (deterministic)
     v = np.einsum("tij,tj->ti", ups_inv.values, omega @ p.B.T)
     W1 = np.trapezoid(v, grid.nodes, axis=0)
-    res = _run_paths(p, cl, n_paths, seed, grid, ups_values=ups.values,
-                     omega=omega, v=v, block=block)
+    res = _run_paths(p, cl, range(n_paths), seed, grid,
+                     ups_values=ups.values, omega=omega, v=v, block=block)
     x_T = res["x_T"]
     # terminal term: <Ups(T) W1, Q_hat x_T>
     w_tilde = ups.values[-1] @ W1
@@ -459,6 +507,36 @@ def estimate_gateaux(p: LqgProblem, law, omega: np.ndarray, n_paths: int,
     return est, se
 
 
+def _quotient_report(p: LqgProblem, sol: RiccatiSolution, quotient, se):
+    target = sol.Pi.values[0] @ p.x0 + sol.s.values[0]
+    z = np.array([_zscore(quotient[j], target[j], se[j])
+                  for j in range(p.n)])
+    return QuotientReport(z=z, quotient=quotient, target=target,
+                          std_error=se)
+
+
+def quotient_report(p: LqgProblem, sol: RiccatiSolution,
+                    ups: MatrixTrajectory, samples) -> QuotientReport:
+    """The quotient check on the log_weights, x_T and G_T of samples.
+
+    ups is the state transition of p.A on the grid of the paths, the
+    one whose values streamed G_T.
+    """
+    V = (samples["x_T"] @ p.Q_hat.T) @ ups.values[-1] + samples["G_T"]
+    w = samples["log_weights"]
+    L = float(np.max(w))
+    a = np.exp(w - L)
+    a_mean = float(np.mean(a))
+    quotient = (a @ V) / (a.size * a_mean)
+    if a.size < 2:
+        se = np.zeros(p.n)
+    else:
+        # ratio-estimator (delta method) variance of sum(a V)/sum(a)
+        resid = a[:, None] * (V - quotient)
+        se = np.std(resid, axis=0, ddof=1) / (a_mean * math.sqrt(a.size))
+    return _quotient_report(p, sol, quotient, se)
+
+
 def check_martingale_quotient(p: LqgProblem, sol: RiccatiSolution,
                               n_paths: int, seed: int,
                               grid: TimeGrid = None) -> QuotientReport:
@@ -470,15 +548,13 @@ def check_martingale_quotient(p: LqgProblem, sol: RiccatiSolution,
     """
     if grid is None:
         grid = sol.grid
-    cl = as_control_law(sol, grid, p.n, p.m)
     ups, _ = state_transition(p.A, grid)
-    target = sol.Pi.values[0] @ p.x0 + sol.s.values[0]
     if is_deterministic(p, grid):
         # single path; x and G = int Ups^T (Q x + S u - eta) ds solve one
         # linear ODE, integrated by RK4 for quadrature accuracy instead of
         # the Euler scheme's first-order error
         n = p.n
-        K, k, F, f = closed_loop(p, cl, grid)
+        K, k, F, f = closed_loop(p, sol, grid)
         G_x, g = gradient_integrand(p, K, k, ups.half_values())
         F_xG = np.zeros((len(F), 2 * n, 2 * n))
         F_xG[:, :n, :n] = F
@@ -488,27 +564,9 @@ def check_martingale_quotient(p: LqgProblem, sol: RiccatiSolution,
                                 np.concatenate([p.x0, np.zeros(n)]), grid)
         x_T, G_T = traj.values[-1][:n], traj.values[-1][n:]
         quotient = ups.values[-1].T @ (p.Q_hat @ x_T) + G_T
-        se = np.zeros(n)
-        z = np.array([_zscore(quotient[j], target[j], 0.0) for j in range(n)])
-        return QuotientReport(z=z, quotient=quotient, target=target,
-                              std_error=se)
-    res = _run_paths(p, cl, n_paths, seed, grid, ups_values=ups.values)
-    V = (res["x_T"] @ p.Q_hat.T) @ ups.values[-1] + res["G_T"]
-    w = res["log_weights"]
-    L = float(np.max(w))
-    a = np.exp(w - L)
-    a_mean = float(np.mean(a))
-    quotient = (a @ V) / (a.size * a_mean)
-    if n_paths < 2:
-        se = np.zeros(p.n)
-    else:
-        # ratio-estimator (delta method) variance of sum(a V)/sum(a)
-        resid = a[:, None] * (V - quotient)
-        se = np.std(resid, axis=0, ddof=1) / (a_mean * math.sqrt(n_paths))
-    z = np.array([_zscore(quotient[j], target[j], se[j])
-                  for j in range(p.n)])
-    return QuotientReport(z=z, quotient=quotient, target=target,
-                          std_error=se)
+        return _quotient_report(p, sol, quotient, np.zeros(n))
+    return quotient_report(p, sol, ups, _optimal_paths(
+        p, sol, n_paths, seed, grid, ups_values=ups.values))
 
 
 def sampled_convexity(p: LqgProblem, u1: np.ndarray, u2: np.ndarray,

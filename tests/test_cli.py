@@ -30,7 +30,13 @@ from rsmfg.cli import (
 )
 from rsmfg.errors import NonFiniteState, ParseError
 from rsmfg.model import LqgProblem, MajorMinorSpec
+from rsmfg.montecarlo import (
+    check_martingale_quotient,
+    check_normalization,
+    check_optimal_cost,
+)
 from rsmfg.numerics import TimeGrid
+from rsmfg.riccati import solve
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -366,6 +372,7 @@ class TestPopulationModes:
 class TestForkMap:
     def test_workers_return_results_in_input_order(self, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "FORK_MIN_STEPS", 0)
         out = cli.fork_map(lambda j: (j * j, os.getpid()), [1, 2, 3],
                            sizes=[1, 3, 2])
         assert [r for r, _ in out] == [1, 4, 9]
@@ -379,9 +386,20 @@ class TestForkMap:
         assert out == [os.getpid()] * 3
         assert calls == [2, 3, 1]
 
+    def test_small_maps_run_in_process(self, monkeypatch):
+        # below FORK_MIN_STEPS in total a pool would cost more than the work
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        small = [cli.FORK_MIN_STEPS // 3] * 3
+        out = cli.fork_map(lambda j: os.getpid(), [1, 2, 3], sizes=small)
+        assert out == [os.getpid()] * 3
+        out = cli.fork_map(lambda j: os.getpid(), [1, 2, 3],
+                           sizes=[cli.FORK_MIN_STEPS, 0, 0])
+        assert os.getpid() not in out
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_failure_in_submission_order(self, monkeypatch, cpus):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "FORK_MIN_STEPS", 0)
 
         def fail(j):
             raise NonFiniteState(float(j))
@@ -400,6 +418,7 @@ sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
 from rsmfg import cli
 from rsmfg.errors import NonFiniteState
 cli._usable_cpus = lambda: 2
+cli.FORK_MIN_STEPS = 0
 
 def fail(j):
     raise NonFiniteState(float(j))
@@ -434,6 +453,10 @@ _WORKER_RUNS = {
     "verify": ("verify-single", {
         "model": scalar_model(b=[0.1], S=[[0.2]], eta=[0.3], zeta=[0.1]),
         "grid": {"steps": 50}, "montecarlo": {"n_paths": 300, "seed": 5}}),
+    # three path blocks of 3000 per check
+    "verify-blocks": ("verify-single", {
+        "model": scalar_model(b=[0.1], S=[[0.2]], eta=[0.3], zeta=[0.1]),
+        "grid": {"steps": 10}, "montecarlo": {"n_paths": 9000, "seed": 5}}),
 }
 
 
@@ -441,17 +464,60 @@ _WORKER_RUNS = {
 def test_worker_count_keeps_every_output(tmp_path, monkeypatch, name):
     mode, doc = _WORKER_RUNS[name]
     path = write_config(tmp_path, doc)
+    monkeypatch.setattr(cli, "FORK_MIN_STEPS", 0)
     outs = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         out = tmp_path / f"cpus{cpus}"
         assert main([mode, "--config", path, "--out", str(out)]) == EXIT_OK
         assert multiprocessing.active_children() == []
         outs.append(out)
     names = sorted(os.listdir(outs[0]))
-    assert names == sorted(os.listdir(outs[1]))
-    for file in names:
-        assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes()
+    for out in outs[1:]:
+        assert names == sorted(os.listdir(out))
+        for file in names:
+            assert (outs[0] / file).read_bytes() == (out / file).read_bytes()
+
+
+def test_path_blocks_give_the_library_checks(tmp_path, monkeypatch):
+    # the blocks joined in path order feed the estimators of check_*
+    mode, doc = _WORKER_RUNS["verify-blocks"]
+    monkeypatch.setattr(cli, "FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert main([mode, "--config", write_config(tmp_path, doc), "--out",
+                 str(out)]) == EXIT_OK
+    rows = list(csv.reader(io.StringIO((out / "checks.csv").read_text())))
+    cfg = parse_config(doc, mode)
+    p, sol, seed = cfg.model, solve(cfg.model, cfg.grid), 5
+    norm = check_normalization(p, sol, 9000, seed)
+    cost = check_optimal_cost(p, sol, 9000, seed + 1)
+    quot = check_martingale_quotient(p, sol, 9000, seed + 2)
+    assert rows[1:] == [
+        ["normalization", "", repr(norm.value), repr(norm.target),
+         repr(norm.std_error), repr(norm.z)],
+        ["optimal_cost", "", repr(cost.value), repr(cost.target),
+         repr(cost.std_error), repr(cost.z)],
+        ["martingale_quotient", "0", repr(float(quot.quotient[0])),
+         repr(float(quot.target[0])), repr(float(quot.std_error[0])),
+         repr(float(quot.z[0]))]]
+
+
+def _error_at_every_worker_count(tmp_path, monkeypatch, capsys, mode,
+                                 doc) -> str:
+    """The stderr of a run that exits 5, the same for 1, 2 and 3 CPUs."""
+    path = write_config(tmp_path, doc)
+    monkeypatch.setattr(cli, "FORK_MIN_STEPS", 0)
+    errs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert main([mode, "--config", path]) == EXIT_NON_FINITE
+        assert multiprocessing.active_children() == []
+        errs.append(capsys.readouterr().err)
+    assert errs[1:] == errs[:1] * 2
+    assert errs[0].startswith("error: simulation became non-finite")
+    assert "Traceback" not in errs[0]
+    return errs[0]
 
 
 def test_worker_error_keeps_exit_code(tmp_path, monkeypatch, capsys):
@@ -462,16 +528,45 @@ def test_worker_error_keeps_exit_code(tmp_path, monkeypatch, capsys):
     doc["grid"] = {"steps": 50}
     doc["fixedpoint"] = {"tol": 1e-4}
     doc["population"] = {"N_schedule": [2, 4], "n_reps": 4}
+    _error_at_every_worker_count(tmp_path, monkeypatch, capsys, "nash-gap",
+                                 doc)
+
+
+def test_path_block_error_keeps_exit_code(tmp_path, monkeypatch, capsys):
+    # uncontrolled (Q = Q_hat = 0) explosive paths pass the blow-up bound
+    # while the state transition e^{15 t} stays below it; the quotient's
+    # three blocks (seed 7 + 2) fail at t = 55/60, 54/60 and 54/60, and
+    # the first of them in submission order is the error
+    doc = {"model": scalar_model(A=[[15.0]], Q=[[0.0]], sigma=[[1000.0]],
+                                 x0=[0.0]),
+           "grid": {"steps": 60}, "montecarlo": {"n_paths": 9000, "seed": 7}}
+    err = _error_at_every_worker_count(tmp_path, monkeypatch, capsys,
+                                       "verify-single", doc)
+    cfg = parse_config(doc, "verify-single")
+    with pytest.raises(NonFiniteState) as exc:
+        check_martingale_quotient(cfg.model, solve(cfg.model, cfg.grid),
+                                  9000, 9)
+    assert exc.value.t == cfg.grid.nodes[55]
+    assert err == ("error: simulation became non-finite at "
+                   f"t={exc.value.t:.6g}\n")
+
+
+def test_noise_free_verify_starts_no_worker(tmp_path, monkeypatch):
+    # sigma = 0: each check integrates its one path by RK4 in-process
+    def no_pool(fn, jobs, sizes):
+        raise AssertionError("fork_map called")
+
+    monkeypatch.setattr(cli, "fork_map", no_pool)
+    monkeypatch.setattr(cli, "FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    doc = {"model": scalar_model(sigma=[[0.0]]), "grid": {"steps": 50},
+           "montecarlo": {"n_paths": 9000, "seed": 5}}
+    out = tmp_path / "out"
     path = write_config(tmp_path, doc)
-    errs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        assert main(["nash-gap", "--config", path]) == EXIT_NON_FINITE
-        assert multiprocessing.active_children() == []
-        errs.append(capsys.readouterr().err)
-    assert errs[0] == errs[1]
-    assert errs[0].startswith("error: simulation became non-finite")
-    assert "Traceback" not in errs[0]
+    assert main(["verify-single", "--config", path, "--out", str(out)]) \
+        == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO((out / "checks.csv").read_text())))
+    assert [row["std_error"] for row in rows] == ["0.0"] * 3
 
 
 def _with(doc, section, **fields):

@@ -8,6 +8,7 @@ import pytest
 from rsmfg.model import LqgProblem, scalar_problem
 from rsmfg.montecarlo import (
     ControlLaw,
+    _run_paths,
     as_control_law,
     check_martingale_quotient,
     check_normalization,
@@ -18,10 +19,11 @@ from rsmfg.montecarlo import (
     _noise_block,
     estimate_gateaux,
     log_mean_exp,
+    path_blocks,
     sampled_convexity,
     simulate,
 )
-from rsmfg.numerics import TimeGrid
+from rsmfg.numerics import TimeGrid, state_transition
 from rsmfg.riccati import solve
 
 GRID = TimeGrid(t_end=1.0, steps=500)
@@ -48,6 +50,27 @@ def mild_2d(delta=0.3, sigma_scale=0.3):
         x0=np.array([1.0, -0.5]),
         T=1.0,
     )
+
+
+def assert_path_ranges_match(p, grid, n_paths, splits, seed=5):
+    """Consecutive path ranges of each split, run apart and concatenated
+    in order, give every per-path array of one run over all paths."""
+    law = as_control_law(solve(p, grid), grid, p.n, p.m)
+    ups, ups_inv = state_transition(p.A, grid)
+    t = grid.nodes
+    omega = np.stack([np.sin(2 * np.pi * t), 0.5 - t], axis=1)[:, :p.m]
+    v = np.einsum("tij,tj->ti", ups_inv.values, omega @ p.B.T)
+    streams = dict(ups_values=ups.values, omega=omega, v=v)
+    whole = _run_paths(p, law, range(n_paths), seed, grid, **streams)
+    assert sorted(whole) == ["G_T", "cross", "log_weights", "qmid", "x_T"]
+    for sizes in splits:
+        stops = np.cumsum(sizes)
+        assert stops[-1] == n_paths
+        parts = [_run_paths(p, law, range(stop - size, stop), seed, grid,
+                            **streams) for size, stop in zip(sizes, stops)]
+        for key, value in whole.items():
+            joined = np.concatenate([part[key] for part in parts])
+            assert np.array_equal(joined, value), (sizes, key)
 
 
 class TestSimulate:
@@ -106,6 +129,9 @@ class TestSimulate:
         e2 = simulate(p, sol, 300, seed=5, grid=GRID, block=4096)
         assert np.array_equal(e1.log_weights, e2.log_weights)
         assert np.array_equal(e1.x_T, e2.x_T)
+        grid = TimeGrid(t_end=1.0, steps=20)
+        assert_path_ranges_match(p, grid, 7, [(3, 4), (1, 5, 1)])
+        assert_path_ranges_match(p, grid, 5000, [(2500, 2500), (4096, 904)])
 
     def test_block_size_independence_2d(self):
         # every per-path product is a fixed-order multiply-add, so a
@@ -126,6 +152,22 @@ class TestSimulate:
             assert np.array_equal(e.states, ens[0].states)
             assert np.array_equal(e.controls, ens[0].controls)
             assert g == grads[0]
+        short = TimeGrid(t_end=1.0, steps=20)
+        assert_path_ranges_match(p, short, 7, [(3, 4), (1, 5, 1)])
+        assert_path_ranges_match(p, short, 5000, [(2500, 2500), (4096, 904)])
+
+    def test_path_blocks_are_equal_ranges(self):
+        # ceil(n / block) ranges, the first n mod count one path longer
+        assert path_blocks(range(5000)) == [range(0, 2500),
+                                            range(2500, 5000)]
+        assert path_blocks(range(10, 17), 3) == [range(10, 13),
+                                                 range(13, 15),
+                                                 range(15, 17)]
+        assert path_blocks(range(8192)) == [range(0, 4096),
+                                            range(4096, 8192)]
+        assert [len(b) for b in path_blocks(range(8194))] == [2732, 2731,
+                                                              2731]
+        assert path_blocks(range(0)) == []
 
     def test_noise_rows_are_path_keyed_streams(self):
         # row j is the stream of a fresh Philox keyed (seed, first + j);

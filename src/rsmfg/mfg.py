@@ -24,7 +24,6 @@ import numpy as np
 from .errors import DimensionMismatch, NotConverged
 from .model import ExtendedSystem, LqgProblem, MajorMinorSpec
 from .numerics import (
-    HalfGridFunction,
     MatrixTrajectory,
     TimeGrid,
     half_grid_table,
@@ -161,20 +160,22 @@ class MfgEquilibrium:
     major_ext: ExtendedSystem
     minor_exts: list
     iterations: IterationLog
+    _laws: tuple   # the final sweep's laws, read by equilibrium_laws
 
 
-def _extended_problem(sys: ExtendedSystem, A_nodes, M_nodes, sigma_half,
+def _extended_problem(sys: ExtendedSystem, A_nodes, M_nodes, sigma,
                       grid, T):
     """Wrap a time-varying extended system as a single-agent problem.
 
-    sigma_half, the extended diffusion on grid.half_nodes, is the same
-    in every sweep, so it is tabulated once per fixed-point solve.
+    A and b are the sweep's drift arrays on the grid nodes; A is copied,
+    since the sweep overwrites its drift arrays in place.  sigma, the
+    extended diffusion as a MatrixTrajectory, is the same in every sweep.
     """
     return LqgProblem(
-        A=HalfGridFunction(grid, half_grid_table(A_nodes, grid)),
+        A=MatrixTrajectory(grid, A_nodes.copy()),
         B=sys.B_own,
-        b=HalfGridFunction(grid, half_grid_table(M_nodes, grid)),
-        sigma=HalfGridFunction(grid, sigma_half),
+        b=MatrixTrajectory(grid, M_nodes),
+        sigma=sigma,
         Q=sys.Q_bb, S=sys.S_bb, R=sys.R,
         eta=sys.eta_bar, zeta=sys.n_bar, Q_hat=sys.G_bb,
         delta=sys.delta, x0=sys.x0, T=T,
@@ -221,13 +222,15 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
     # [G_tilde | A_tilde] and control input B_breve
     GA_tilde, B_breve = major_ext.A_tilde[n:], major_ext.B_mean[n:]
 
-    # extended diffusions: the major's noise drives x0, a minor's own x
-    sig0_half = np.zeros((2 * M + 1, d0, r))
-    sig0_half[:, :n] = half_grid_table(spec.major.sigma, grid)
-    sigk_half = [np.zeros((2 * M + 1, me.dim, 2 * r)) for me in minor_exts]
-    for th, sig in zip(spec.minors, sigk_half):
-        sig[:, :n, :r] = half_grid_table(th.sigma, grid)
-        sig[:, n:, r:] = sig0_half
+    # extended node diffusions: the major's noise drives x0, a minor's own x
+    sig0_nodes = np.zeros((M + 1, d0, r))
+    sig0_nodes[:, :n] = half_grid_table(spec.major.sigma, grid)[::2]
+    sigk_nodes = [np.zeros((M + 1, me.dim, 2 * r)) for me in minor_exts]
+    for th, sig in zip(spec.minors, sigk_nodes):
+        sig[:, :n, :r] = half_grid_table(th.sigma, grid)[::2]
+        sig[:, n:, r:] = sig0_nodes
+    sig0 = MatrixTrajectory(grid, sig0_nodes)
+    sigk = [MatrixTrajectory(grid, sig) for sig in sigk_nodes]
     b0_nodes = half_grid_table(spec.major.b, grid)[::2]
     b_breve = np.concatenate([half_grid_table(th.b, grid)[::2]
                               for th in spec.minors], axis=1)
@@ -247,8 +250,8 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         # (1) major extended solve with the current mean-field coefficients
         A0_nodes[:, n:] = GA_bar
         M0_nodes = np.concatenate([b0_nodes, m_bar], axis=1)
-        p0 = _extended_problem(major_ext, A0_nodes, M0_nodes, sig0_half,
-                              grid, spec.T)
+        p0 = _extended_problem(major_ext, A0_nodes, M0_nodes, sig0, grid,
+                               spec.T)
         Pi0 = solve_riccati(p0, grid)
         s0 = solve_offset(p0, Pi0, grid)
 
@@ -265,8 +268,8 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
             Ak_nodes[k][:, n:, n:] = closed_A0
             Mk_nodes = np.concatenate([b_breve[:, n * k:n * (k + 1)],
                                        closed_M0], axis=1)
-            pk = _extended_problem(me, Ak_nodes[k], Mk_nodes, sigk_half[k],
-                                  grid, spec.T)
+            pk = _extended_problem(me, Ak_nodes[k], Mk_nodes, sigk[k], grid,
+                                   spec.T)
             Pik = solve_riccati(pk, grid)
             sk = solve_offset(pk, Pik, grid)
             Piks.append(Pik)
@@ -274,8 +277,9 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
             pks.append(pk)
 
         # (3) refresh the mean field from the averaged minor laws
-        Xi, vs = _average_laws([feedback_law(pk, Pik, sk) for pk, Pik, sk
-                                in zip(pks, Piks, sks)], n)
+        minor_laws = [feedback_law(pk, Pik, sk)
+                      for pk, Pik, sk in zip(pks, Piks, sks)]
+        Xi, vs = _average_laws(minor_laws, n)
         GA_new = GA_tilde + B_breve @ Xi
         m_new = b_breve + vs @ B_breve.T
 
@@ -302,7 +306,7 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         m_bar=MatrixTrajectory(grid, m_bar),
         major_problem=p0, minor_problems=pks,
         major_ext=major_ext, minor_exts=minor_exts,
-        iterations=log,
+        iterations=log, _laws=((K0, k0), minor_laws),
     )
 
 
@@ -311,14 +315,9 @@ def equilibrium_laws(eq: MfgEquilibrium):
 
     Returns (major (K_gain, k_offset), [per-type minor (K_gain, k_offset)])
     where the major gain acts on (x0, xbar) and minor gains on
-    (x, x0, xbar).
+    (x, x0, xbar): the final sweep's feedback_law of each extended problem.
     """
-    if not eq.iterations.converged:
-        raise NotConverged(eq.iterations.iterations, eq.iterations.errors[-1])
-    major = feedback_law(eq.major_problem, eq.Pi0, eq.s0)
-    minors = [feedback_law(pk, Pik, sk)
-              for pk, Pik, sk in zip(eq.minor_problems, eq.Pik, eq.sk)]
-    return major, minors
+    return eq._laws
 
 
 def control_mean_field_coefficients(eq: MfgEquilibrium):

@@ -2,10 +2,12 @@
 
 Single-agent problems and major/minor game specifications are plain
 dataclasses.  Time-dependent coefficients (drift matrix, drift offset,
-diffusion) may be given as constant arrays or as callables of time; the
-constructors normalize them to callables.  Validation checks the
-positivity conditions required for the feedback solution to exist and
-raises AssumptionViolated naming the failed condition.
+diffusion) may be given as constant arrays, which the constructors wrap
+as numerics.ConstantFunction, or as callables of time, such as a
+numerics.MatrixTrajectory of node values, which they keep as given.
+Validation checks the positivity conditions required for the feedback
+solution to exist and raises AssumptionViolated naming the failed
+condition.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionViolated, DimensionMismatch
-from .numerics import ConstantFunction, HalfGridFunction
+from .numerics import ConstantFunction
 
 # Symmetric-part eigenvalues down to this level still count as PSD:
 # congruence transforms in floating point shed tiny negative eigenvalues.
@@ -43,32 +45,20 @@ def _as_vector(value, n, name):
     return a
 
 
-class FloatValued:
-    """Callable t -> fn(t) as a float array."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.asarray(self.fn(t), dtype=float)
-
-
 def as_time_function(value, shape, name):
     """Normalize a constant array or callable to a callable of time.
 
-    A HalfGridFunction or ConstantFunction is kept as it is, so its table
-    stays readable.  The callables made here are module-level classes,
-    so a problem built from picklable coefficients pickles.
+    A callable is kept as it was given once its value at t = 0 has the
+    shape, so a MatrixTrajectory's table stays readable; a constant
+    becomes a ConstantFunction, a module-level class, so a problem built
+    from picklable coefficients pickles.
     """
     if callable(value):
         probe = np.asarray(value(0.0), dtype=float)
         if probe.shape != shape:
             raise DimensionMismatch(
                 f"{name}(t) has shape {probe.shape}, expected {shape}")
-        if isinstance(value, (HalfGridFunction, ConstantFunction,
-                              FloatValued)):
-            return value
-        return FloatValued(value)
+        return value
     a = np.asarray(value, dtype=float)
     if a.ndim == 0 and shape == (1, 1):
         a = a.reshape(1, 1)

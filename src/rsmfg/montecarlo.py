@@ -66,54 +66,43 @@ DETERMINISTIC_TOL = 1e-6
 
 @dataclass
 class ControlLaw:
-    """Affine law u(t,x) = K(t)x + k(t) sampled on the grid.
+    """Affine law u(t,x) = K(t)x + k(t) sampled on the grid nodes.
 
-    K may be None for a purely open-loop control.
+    An open-loop control has K = 0.
     """
 
-    K: np.ndarray  # (M+1, m, n) or None
+    K: np.ndarray  # (M+1, m, n)
     k: np.ndarray  # (M+1, m)
 
     def u(self, i, x):
         """The control at node i for states held as columns, x (n, paths)."""
-        k = self.k[i][:, None]
-        if self.K is None:
-            return np.broadcast_to(k, (len(k), x.shape[1]))
-        return _mm(self.K[i], x) + k
+        return _mm(self.K[i], x) + self.k[i][:, None]
 
     def scaled(self, gain_factor=1.0, offset_shift=0.0):
-        K = None if self.K is None else gain_factor * self.K
-        return ControlLaw(K=K, k=self.k + offset_shift)
-
-    def on_half_grid(self, grid: TimeGrid, n: int):
-        """(K, k) on grid.half_nodes, linear at midpoints.
-
-        An open-loop law gets K = 0 on n states, so u = K x + k always.
-        """
-        k = half_grid_table(self.k, grid)
-        if self.K is None:
-            return np.zeros(k.shape + (n,)), k
-        return half_grid_table(self.K, grid), k
+        return ControlLaw(K=gain_factor * self.K, k=self.k + offset_shift)
 
 
 def as_control_law(law, grid: TimeGrid, n: int, m: int) -> ControlLaw:
     """Normalize a law given as RiccatiSolution, (K, k) pair, or open-loop
-    control trajectory of shape (M+1, m)."""
-    if isinstance(law, ControlLaw):
-        return law
+    control trajectory of shape (M+1, m); raises ValueError unless K is
+    (M+1, m, n) and k is (M+1, m)."""
     if isinstance(law, RiccatiSolution):
-        return ControlLaw(law.K_gain.values, law.k_offset.values)
-    if isinstance(law, tuple) and len(law) == 2:
+        law = ControlLaw(law.K_gain.values, law.k_offset.values)
+    elif isinstance(law, tuple) and len(law) == 2:
         K, k = law
         K = K.values if isinstance(K, MatrixTrajectory) else np.asarray(K, float)
         k = k.values if isinstance(k, MatrixTrajectory) else np.asarray(k, float)
-        return ControlLaw(K, k)
-    u = np.asarray(law, dtype=float)
-    if u.ndim == 1:
-        u = u.reshape(-1, 1)
-    if u.shape != (grid.steps + 1, m):
-        raise ValueError(f"open-loop control must have shape {(grid.steps + 1, m)}")
-    return ControlLaw(K=None, k=u)
+        law = ControlLaw(K, k)
+    elif not isinstance(law, ControlLaw):
+        u = np.asarray(law, dtype=float)
+        if u.ndim == 1:
+            u = u.reshape(-1, 1)
+        law = ControlLaw(K=np.zeros(u.shape + (n,)), k=u)
+    shape = (grid.steps + 1, m)
+    if np.shape(law.K) != shape + (n,) or np.shape(law.k) != shape:
+        raise ValueError(f"law needs K of shape {shape + (n,)} and k of "
+                         f"shape {shape} on this grid")
+    return law
 
 
 def closed_loop(p: LqgProblem, law, grid: TimeGrid):
@@ -122,7 +111,8 @@ def closed_loop(p: LqgProblem, law, grid: TimeGrid):
     Returns (K, k, F, f) with u = K x + k and dx/dt = F x + f, that is
     F = A + B K and f = B k + b.
     """
-    K, k = as_control_law(law, grid, p.n, p.m).on_half_grid(grid, p.n)
+    law = as_control_law(law, grid, p.n, p.m)
+    K, k = half_grid_table(law.K, grid), half_grid_table(law.k, grid)
     F = half_grid_table(p.A, grid) + p.B @ K
     f = k @ p.B.T + half_grid_table(p.b, grid)
     return K, k, F, f
@@ -299,7 +289,7 @@ def _run_paths(p: LqgProblem, law: ControlLaw, paths: range, seed: int,
                              for c in (p.A, p.b, p.sigma))
     b_col = b_tab[:, :, None]
     noisy = bool(np.any(sig_tab))
-    K, k = (a[::2] for a in law.on_half_grid(grid, n))
+    K, k = law.K, law.k
     # running cost x'(W x / 2 + w) + c
     W, w, c = running_cost(p, K, k)
     W_half, w_col = 0.5 * W, w[:, :, None]

@@ -66,7 +66,10 @@ class TimeGrid:
 
 @dataclass
 class MatrixTrajectory:
-    """Node-sampled matrix- or vector-valued function of time."""
+    """Node-sampled matrix- or vector-valued function of time.
+
+    Read linearly between nodes, both when called and by half_grid_table.
+    """
 
     grid: TimeGrid
     values: np.ndarray  # shape (steps+1, ...) one entry per node
@@ -87,7 +90,7 @@ class MatrixTrajectory:
 
     def half_values(self) -> np.ndarray:
         """Values on the half-grid (linear at midpoints, exact at nodes)."""
-        return half_grid_table(self.values, self.grid)
+        return half_grid_table(self, self.grid)
 
 
 def interpolate(traj: MatrixTrajectory, t: float) -> np.ndarray:
@@ -104,25 +107,6 @@ def interpolate(traj: MatrixTrajectory, t: float) -> np.ndarray:
     return (1.0 - frac) * traj.values[i] + frac * traj.values[i + 1]
 
 
-class HalfGridFunction:
-    """Callable t -> half_values[j] for t the j-th entry of grid.half_nodes.
-
-    The table stays available as `half_values`, so solvers that step on
-    the same grid read it directly instead of calling back per time.
-    """
-
-    def __init__(self, grid: TimeGrid, half_values: np.ndarray):
-        self.grid = grid
-        self.half_values = np.asarray(half_values, dtype=float)
-        self._t0, self._half_h = grid.t_start, grid.h / 2.0
-
-    def __call__(self, t: float) -> np.ndarray:
-        idx = int(round((t - self._t0) / self._half_h))
-        if idx < 0 or idx >= len(self.half_values):
-            raise OutOfRange(f"t={t} outside grid")
-        return self.half_values[idx]
-
-
 class ConstantFunction:
     """Callable t -> value, the same array at every time."""
 
@@ -136,17 +120,20 @@ class ConstantFunction:
 def half_grid_table(fn, grid: TimeGrid) -> np.ndarray:
     """Values on grid.half_nodes, every RK4 evaluation time.
 
-    fn is a callable of time, stacked over the half-nodes (a
-    HalfGridFunction on the same grid hands over its table, a
-    ConstantFunction is repeated into a fresh array), or an array of
-    node values, kept at the nodes and linear at the midpoints.
+    fn is an array of node values or a MatrixTrajectory on the same grid,
+    both kept at the nodes and linear at the midpoints; a ConstantFunction,
+    repeated into a fresh array; or any other callable of time, stacked
+    over the half-nodes.  A MatrixTrajectory on another grid raises
+    ValueError.
     """
-    if isinstance(fn, HalfGridFunction) and fn.grid == grid:
-        return fn.half_values
-    if isinstance(fn, ConstantFunction):
+    if isinstance(fn, MatrixTrajectory):
+        if fn.grid != grid:
+            raise ValueError("trajectory is sampled on another grid")
+        fn = fn.values
+    elif isinstance(fn, ConstantFunction):
         value = np.asarray(fn.value, dtype=float)
         return np.repeat(value[None], 2 * grid.steps + 1, axis=0)
-    if callable(fn):
+    elif callable(fn):
         return np.stack([np.asarray(fn(t), dtype=float)
                          for t in grid.half_nodes])
     v = np.asarray(fn, dtype=float)

@@ -256,10 +256,8 @@ class _Deviation:
         self.p = spec.major if slot is None else spec.minors[self.type_index]
         # the group's gains (M+1, dim, m, G, 1) and offsets (M+1, m, G, 1);
         # u = sum_j gain[:, j] ext[j] + offset sums as ControlLaw.u does
-        dim, m = n * (1 + K) + (0 if slot is None else n), spec.m
-        self.gain = np.stack(
-            [np.zeros((M + 1, m, dim)) if law.K is None else law.K
-             for _, law in laws], axis=-1).transpose(0, 2, 1, 3)[..., None]
+        self.gain = np.stack([law.K for _, law in laws],
+                             axis=-1).transpose(0, 2, 1, 3)[..., None]
         self.offset = np.stack([law.k for _, law in laws], axis=-1)[..., None]
         # the types that keep a non-deviating minor bound the population
         # in the blow-up test
@@ -636,10 +634,9 @@ def deterministic_population_run(spec: MajorMinorSpec, eq: MfgEquilibrium,
         grid = eq.grid
     elif grid != eq.grid:
         raise OutOfRange("simulation grid must match the equilibrium grid")
-    for t in (grid.t_start, grid.t_end):
-        if np.any(spec.major.sigma(t) != 0.0) or any(
-                np.any(th.sigma(t) != 0.0) for th in spec.minors):
-            raise OutOfRange("deterministic run requires zero diffusion")
+    if any(np.any(half_grid_table(agent.sigma, grid))
+           for agent in [spec.major] + spec.minors):
+        raise OutOfRange("deterministic run requires zero diffusion")
     n, K = spec.n, spec.K
     counts = apportion(spec.pi, N)
     assignment = assignment_from_counts(counts)
@@ -657,8 +654,9 @@ def deterministic_population_run(spec: MajorMinorSpec, eq: MfgEquilibrium,
             raise OutOfRange(f"agent {agent!r} not in the population")
         slot = 0 if agent == "major" else 1 + int(agent)
         dim = n * (1 + K) if slot == 0 else n * (2 + K)
-        laws[slot] = as_control_law(law, grid, dim, spec.m).on_half_grid(
-            grid, dim)
+        law = as_control_law(law, grid, dim, spec.m)
+        laws[slot] = (half_grid_table(law.K, grid),
+                      half_grid_table(law.k, grid))
     b0 = half_grid_table(maj.b, grid)
     bk = [half_grid_table(th.b, grid) for th in minors]
 

@@ -17,7 +17,7 @@ from rsmfg.mfg import (
     solve_consistency,
 )
 from rsmfg.model import LqgProblem, MajorMinorSpec, MinorTypeParams
-from rsmfg.numerics import TimeGrid, half_grid_table
+from rsmfg.numerics import MatrixTrajectory, TimeGrid, half_grid_table
 from rsmfg.riccati import solve
 
 GRID = TimeGrid(t_end=1.0, steps=400)
@@ -201,6 +201,19 @@ class TestConsistency:
 
 
 class TestEquilibriumLaws:
+    def test_final_sweep_laws_equal_feedback_law(self):
+        eq = solve_consistency(vector_game(), GRID)
+        major, minors = equilibrium_laws(eq)
+        pairs = [(major, riccati.feedback_law(eq.major_problem, eq.Pi0,
+                                              eq.s0))]
+        pairs += [(law, riccati.feedback_law(pk, Pik, sk))
+                  for law, pk, Pik, sk in zip(minors, eq.minor_problems,
+                                              eq.Pik, eq.sk)]
+        assert len(pairs) == 1 + eq.spec.K
+        for (K, k), (K_ref, k_ref) in pairs:
+            assert np.array_equal(K.values, K_ref.values)
+            assert np.array_equal(k.values, k_ref.values)
+
     def test_shapes_and_gains(self):
         eq = solve_consistency(toy_game(), GRID)
         (K0, k0), [(K1, k1)] = equilibrium_laws(eq)
@@ -212,6 +225,15 @@ class TestEquilibriumLaws:
                            atol=1e-13)
         assert np.allclose(K0.values[:, 0, :], -eq.Pi0.values[:, 0, :],
                            atol=1e-13)
+
+
+def test_extended_coefficients_are_node_tables():
+    eq = solve_consistency(vector_game(), GRID)
+    for p in [eq.major_problem] + eq.minor_problems:
+        for name in ("A", "b", "sigma"):
+            value = getattr(p, name)
+            assert isinstance(value, MatrixTrajectory), name
+            assert value.grid == eq.grid, name
 
 
 class TestMeanFieldTrajectory:

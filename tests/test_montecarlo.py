@@ -368,8 +368,22 @@ class TestControlLaw:
         c2 = as_control_law((sol.K_gain, sol.k_offset), GRID, 1, 1)
         assert np.array_equal(c1.K, c2.K)
         assert np.array_equal(c1.k, c2.k)
-        c3 = as_control_law(np.zeros(GRID.steps + 1), GRID, 1, 1)
-        assert c3.K is None
+        c3 = as_control_law(np.zeros(GRID.steps + 1), GRID, 3, 1)
+        assert c3.K.shape == (GRID.steps + 1, 1, 3)
+        assert not np.any(c3.K)
+
+    def test_law_on_another_grid_raises(self):
+        p = tanh_problem()
+        sol = solve(p, GRID)
+        other = TimeGrid(t_end=1.0, steps=GRID.steps // 2)
+        for law in (sol, ControlLaw(sol.K_gain.values, sol.k_offset.values),
+                    np.zeros(GRID.steps + 1)):
+            with pytest.raises(ValueError):
+                as_control_law(law, other, 1, 1)
+        with pytest.raises(ValueError):
+            as_control_law(sol, GRID, 2, 1)
+        with pytest.raises(ValueError):
+            simulate(p, sol, 10, seed=1, grid=other)
 
     def test_scaled(self):
         law = ControlLaw(np.ones((3, 1, 1)), np.zeros((3, 1)))

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rsmfg import numerics
 from rsmfg.errors import NonFiniteState, OutOfRange
 from rsmfg.numerics import (
     ConstantFunction,
-    HalfGridFunction,
     MatrixTrajectory,
     TimeGrid,
     _block_length,
@@ -274,23 +274,35 @@ class TestInterpolate:
 
 class TestHalfGrid:
     def test_sampler_hits_nodes_and_midpoints(self):
+        # a trajectory's table keeps the nodes and is linear between them
         g = TimeGrid(t_end=1.0, steps=4)
-        vals = g.nodes.reshape(-1, 1) ** 1  # linear in t
-        sample = HalfGridFunction(g, half_grid_table(vals, g))
-        for t in g.half_nodes:
-            assert abs(sample(t)[0] - t) < 1e-12
+        traj = MatrixTrajectory(g, (g.nodes ** 2).reshape(-1, 1, 1))
+        table = half_grid_table(traj, g)
+        assert table.shape == (9, 1, 1)
+        assert np.array_equal(table[0::2], traj.values)
+        assert np.array_equal(table[1::2],
+                              0.5 * (traj.values[:-1] + traj.values[1:]))
+        assert np.array_equal(table, half_grid_table(traj.values, g))
 
     def test_sampler_out_of_range(self):
         g = TimeGrid(t_end=1.0, steps=4)
-        sample = HalfGridFunction(g, half_grid_table(np.zeros((5, 1)), g))
+        traj = MatrixTrajectory(g, np.zeros((5, 1)))
         with pytest.raises(OutOfRange):
-            sample(1.5)
+            traj(1.5)
+        for other in (TimeGrid(t_end=1.0, steps=8),
+                      TimeGrid(t_end=2.0, steps=4)):
+            with pytest.raises(ValueError):
+                half_grid_table(traj, other)
 
-    def test_table_reads_sampler_directly(self):
+    def test_table_reads_sampler_directly(self, monkeypatch):
         g = TimeGrid(t_end=1.0, steps=4)
-        sample = HalfGridFunction(g, half_grid_table(g.nodes.reshape(-1, 1),
-                                                     g))
-        assert half_grid_table(sample, g) is sample.half_values
+        traj = MatrixTrajectory(g, g.nodes.reshape(-1, 1).copy())
+
+        def no_call(traj, t):
+            raise AssertionError("interpolate called")
+
+        monkeypatch.setattr(numerics, "interpolate", no_call)
+        assert np.array_equal(half_grid_table(traj, g)[:, 0], g.half_nodes)
         table = half_grid_table(lambda t: np.array([t, 2.0 * t]), g)
         assert np.array_equal(table[:, 1], 2.0 * g.half_nodes)
 

@@ -17,7 +17,7 @@ from rsmfg.mfg import (
 )
 from rsmfg.model import LqgProblem, MajorMinorSpec, MajorParams, MinorTypeParams
 from rsmfg.montecarlo import ControlLaw, simulate
-from rsmfg.numerics import TimeGrid
+from rsmfg.numerics import MatrixTrajectory, TimeGrid
 from rsmfg.population import (
     apportion,
     assignment_from_counts,
@@ -400,6 +400,23 @@ class TestFiniteCost:
         sol = solve(p, grid)
         oracle = deterministic_log_cost(p, sol, grid)
         assert abs(finite_cost(run, 0).log_value - oracle) < 1e-6
+
+    @pytest.mark.parametrize("agent", ["major", "minor"])
+    def test_deterministic_run_rejects_interior_diffusion(self, agent):
+        # sigma vanishes at both ends of the horizon but not inside
+        grid = TimeGrid(1.0, 20)
+        inside = np.full((21, 1, 1), 0.3)
+        inside[[0, -1]] = 0.0
+        g = decoupled_game()
+        g.major.sigma = np.array([[0.0]])
+        g.minors[0].sigma = np.array([[0.0]])
+        target = g.major if agent == "major" else g.minors[0]
+        target.sigma = MatrixTrajectory(grid, inside)
+        spec = MajorMinorSpec(major=g.major, minors=g.minors, pi=g.pi,
+                              T=1.0, n=1, m=1, r=1)
+        eq = solve_consistency(spec, grid)
+        with pytest.raises(OutOfRange, match="zero diffusion"):
+            deterministic_population_run(spec, eq, N=2)
 
     @pytest.mark.parametrize("agent", [None, "major", 0],
                              ids=["equilibrium", "major", "minor"])

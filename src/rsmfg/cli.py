@@ -71,8 +71,20 @@ from .riccati import solve
 MODES = ("solve-single", "verify-single", "solve-mfg",
          "simulate-population", "nash-gap", "reproduce-paper")
 STOCHASTIC_MODES = ("verify-single", "simulate-population", "nash-gap")
-SECTIONS = ("model", "grid", "montecarlo", "fixedpoint", "population",
-            "output")
+# the fields the parser reads from each section and each model document;
+# any other field is a ParseError, whatever the mode
+SECTIONS = {"grid": ("steps",), "montecarlo": ("n_paths", "seed"),
+            "fixedpoint": ("tol", "relaxation", "eta_hat_sign", "max_iter"),
+            "population": ("N", "N_schedule", "n_reps", "agent"),
+            "output": ("directory",)}
+MODEL_FIELDS = {
+    "single": ("type", "T", "raw_exponent", "A", "B", "b", "sigma", "Q",
+               "S", "R", "eta", "zeta", "Q_hat", "delta", "x0"),
+    "major_minor": ("type", "T", "raw_exponent", "n", "m", "r", "pi",
+                    "major", "minors")}
+AGENT_FIELDS = ("A", "F", "B", "b", "sigma", "Q", "S", "R", "Q_hat", "H",
+                "eta", "delta", "x0")
+MINOR_FIELDS = AGENT_FIELDS + ("G", "H_hat")
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -114,6 +126,16 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _known(doc, fields, where: str) -> dict:
+    """doc, a JSON object whose every field is among fields."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ParseError(f"{where}: unknown field '{unknown[0]}'")
+    return doc
+
+
 def _array(value, where: str) -> np.ndarray:
     """A config value as a finite float array; ParseError names the field."""
     try:
@@ -145,6 +167,7 @@ def _getter(doc: dict, where: str):
 def _coefficient(value, grid: TimeGrid, where: str):
     """A constant array, or {"nodes": [...]} sampled on the grid nodes."""
     if isinstance(value, dict):
+        _known(value, ("nodes",), where)
         arr = _array(_require(value, "nodes", where), where + ".nodes")
         if arr.ndim == 0 or arr.shape[0] != grid.steps + 1:
             raise ParseError(
@@ -163,6 +186,7 @@ def _agent_delta(doc: dict, raw_exponent: bool, where: str) -> float:
 
 
 def _parse_single(doc: dict, grid: TimeGrid) -> LqgProblem:
+    _known(doc, MODEL_FIELDS["single"], "model")
     raw_exp = doc.get("raw_exponent", False)
     get = _getter(doc, "model")
     x0 = get("x0").reshape(-1)
@@ -191,6 +215,8 @@ def _parse_single(doc: dict, grid: TimeGrid) -> LqgProblem:
 def _agent(cls, doc: dict, where: str, grid: TimeGrid, n: int, m: int,
            raw_exp: bool):
     """The major's or one minor type's parameters; absent weights are 0."""
+    _known(doc, MINOR_FIELDS if cls is MinorTypeParams else AGENT_FIELDS,
+           where)
     get = _getter(doc, where)
     params = dict(
         A=get("A"), F=get("F"), B=get("B"),
@@ -210,6 +236,7 @@ def _agent(cls, doc: dict, where: str, grid: TimeGrid, n: int, m: int,
 
 
 def _parse_game(doc: dict, grid: TimeGrid) -> MajorMinorSpec:
+    _known(doc, MODEL_FIELDS["major_minor"], "model")
     raw_exp = doc.get("raw_exponent", False)
     n, m, r = (_at_least(_require(doc, key, "model"), 1, f"model.{key}")
                for key in ("n", "m", "r"))
@@ -257,15 +284,9 @@ def _at_least(value, minimum: int, where: str) -> int:
 
 
 def parse_config(raw: dict, mode: str) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ParseError("config must be a JSON object")
-    unknown = sorted(set(raw) - set(SECTIONS))
-    if unknown:
-        raise ParseError(f"unknown top-level key '{unknown[0]}'")
-    docs = {name: raw.get(name, {}) for name in SECTIONS[1:]}
-    for name, doc in docs.items():
-        if not isinstance(doc, dict):
-            raise ParseError(f"'{name}' must be a JSON object")
+    _known(raw, ("model",) + tuple(SECTIONS), "config")
+    docs = {name: _known(raw.get(name, {}), fields, name)
+            for name, fields in SECTIONS.items()}
     if not isinstance(docs["output"].get("directory", ""), str):
         raise ParseError("output.directory must be a string")
     steps = _at_least(docs["grid"].get("steps", 2000), 2, "grid.steps")
@@ -476,8 +497,8 @@ def _run_verify_single(cfg: ExperimentConfig, bundle: ResultBundle):
     sol = _run_solve_single(cfg, bundle)
     p, grid = cfg.model, cfg.grid
     if is_deterministic(p, grid):
-        # one noise-free path per check, integrated by RK4 in-process;
-        # the quotient runs first, as in the sampled branch
+        # noise-free checks need no sampling and run in-process; the
+        # quotient runs first, as in the sampled branch
         quot = check_martingale_quotient(p, sol, n_paths, seed + 2)
         reports = [check(p, sol, n_paths, seed + j) for j, check in
                    enumerate((check_normalization, check_optimal_cost))]

@@ -134,8 +134,6 @@ class IterationLog:
     """Per-sweep sup-norm errors of the coefficient update."""
 
     errors: list
-    tolerance: float
-    converged: bool
 
     @property
     def iterations(self) -> int:
@@ -298,7 +296,6 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
     else:
         raise NotConverged(len(errors), errors[-1])
 
-    log = IterationLog(errors=errors, tolerance=tol, converged=True)
     return MfgEquilibrium(
         spec=spec, grid=grid, Pi0=Pi0, s0=s0, Pik=Piks, sk=sks,
         A_bar=MatrixTrajectory(grid, GA_bar[:, :, n:]),
@@ -306,7 +303,7 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         m_bar=MatrixTrajectory(grid, m_bar),
         major_problem=p0, minor_problems=pks,
         major_ext=major_ext, minor_exts=minor_exts,
-        iterations=log, _laws=((K0, k0), minor_laws),
+        iterations=IterationLog(errors), _laws=((K0, k0), minor_laws),
     )
 
 

@@ -11,8 +11,8 @@ path_blocks: ceil(count / DEFAULT_BLOCK) contiguous blocks of equal size,
 the first ones one path larger where the count does not divide.  It holds
 a block's states as columns and reads per-node tables built once per
 call: the law's gains, the drift and diffusion coefficients, the running
-cost under the law as a quadratic in the state (running_cost), and the
-integrands of the quotient and derivative estimators
+cost under the law as a quadratic in the state (riccati.running_cost),
+and the integrands of the quotient and derivative estimators
 (gradient_integrand).  A step forms the control and otherwise only
 multiplies state rows by table entries.  Every per-path product is the
 fixed-order multiply-add numerics._mm, and path j's noise is the Philox
@@ -28,11 +28,12 @@ order.  Any split of [0, n_paths) into ranges, simulated in any order or
 process and concatenated in path order, therefore gives the check's
 report bit for bit; cli runs the checks' blocks in worker processes so.
 
-Coefficients are tabulated once on the half-grid, and closed_loop turns
-an affine law into tables of its gains and of the closed-loop drift.
+Coefficients are tabulated once on the half-grid, and riccati._closed_loop
+turns an affine law into tables of its gains and of the closed-loop drift.
 Noise-free problems degenerate to a single deterministic path; the check_*
-routines then evaluate the identity by RK4 on those tables instead of
-sampling and report a zero standard error.
+routines then evaluate the identity without sampling, the costs by
+riccati.law_cost and the quotient by RK4 on those tables, and report a
+zero standard error.
 """
 
 from __future__ import annotations
@@ -51,11 +52,10 @@ from .numerics import (
     _dot,
     _mm,
     half_grid_table,
-    integrate_ode,
     propagate_linear,
     state_transition,
 )
-from .riccati import RiccatiSolution
+from .riccati import RiccatiSolution, _closed_loop, law_cost, running_cost
 
 DEFAULT_BLOCK = 4096
 
@@ -103,35 +103,6 @@ def as_control_law(law, grid: TimeGrid, n: int, m: int) -> ControlLaw:
         raise ValueError(f"law needs K of shape {shape + (n,)} and k of "
                          f"shape {shape} on this grid")
     return law
-
-
-def closed_loop(p: LqgProblem, law, grid: TimeGrid):
-    """An affine law and its closed-loop drift on grid.half_nodes.
-
-    Returns (K, k, F, f) with u = K x + k and dx/dt = F x + f, that is
-    F = A + B K and f = B k + b.
-    """
-    law = as_control_law(law, grid, p.n, p.m)
-    K, k = half_grid_table(law.K, grid), half_grid_table(law.k, grid)
-    F = half_grid_table(p.A, grid) + p.B @ K
-    f = k @ p.B.T + half_grid_table(p.b, grid)
-    return K, k, F, f
-
-
-def running_cost(p: LqgProblem, K, k):
-    """The running cost under u = K x + k as 0.5 x'W x + w'x + c.
-
-    W = Q + S K + K'S' + K'R K, w = S k + K'(R k - zeta) - eta and
-    c = 0.5 k'R k - zeta'k, with R's symmetric part in w.  K and k may
-    carry a leading time axis.
-    """
-    SK = p.S @ K
-    KT = np.swapaxes(K, -1, -2)
-    W = p.Q + SK + np.swapaxes(SK, -1, -2) + KT @ p.R @ K
-    Rk = k @ (0.5 * (p.R + p.R.T))
-    w = k @ p.S.T + ((Rk - p.zeta)[..., None, :] @ K)[..., 0, :] - p.eta
-    c = 0.5 * np.sum(Rk * k, axis=-1) - k @ p.zeta
-    return W, w, c
 
 
 def gradient_integrand(p: LqgProblem, K, k, ups):
@@ -385,29 +356,6 @@ def estimate_cost(ens: PathEnsemble) -> LogMeanExpEstimate:
     return log_mean_exp(ens.log_weights)
 
 
-def deterministic_log_cost(p: LqgProblem, law, grid: TimeGrid) -> float:
-    """delta*Lambda_T of the single noise-free path, by RK4 quadrature.
-
-    The closed-loop state and the running cost integral are integrated
-    jointly as one augmented ODE, so the result carries 4th-order error
-    rather than the Euler scheme's 1st-order error.
-    """
-    n = p.n
-    K, k, F, f = closed_loop(p, law, grid)
-    W, w, c = running_cost(p, K, k)
-
-    def field(j, y):
-        x = y[:n]
-        dl = x @ (0.5 * W[j] @ x + w[j]) + c[j]
-        return np.concatenate([F[j] @ x + f[j], [dl]])
-
-    y0 = np.concatenate([p.x0, [0.0]])
-    traj = integrate_ode(field, y0, grid, "forward", indexed=True)
-    x_T = traj.values[-1][:n]
-    lam = traj.values[-1][n] + 0.5 * x_T @ p.Q_hat @ x_T
-    return p.delta * lam
-
-
 def _optimal_paths(p: LqgProblem, sol: RiccatiSolution, n_paths: int,
                    seed: int, grid: TimeGrid, ups_values=None):
     """Per-path arrays of paths 0, ..., n_paths-1 under the law of sol."""
@@ -432,7 +380,7 @@ def check_normalization(p: LqgProblem, sol: RiccatiSolution, n_paths: int,
     if grid is None:
         grid = sol.grid
     if is_deterministic(p, grid):
-        w = deterministic_log_cost(p, sol, grid) - sol.C_star
+        w = law_cost(p, sol.K_gain, sol.k_offset, grid) - sol.C_star
         est = math.exp(w)
         return ZScoreReport(_zscore(est, 1.0, 0.0), est, 1.0, 0.0)
     return normalization_report(
@@ -452,7 +400,7 @@ def check_optimal_cost(p: LqgProblem, sol: RiccatiSolution, n_paths: int,
     if grid is None:
         grid = sol.grid
     if is_deterministic(p, grid):
-        log_j = deterministic_log_cost(p, sol, grid)
+        log_j = law_cost(p, sol.K_gain, sol.k_offset, grid)
         return ZScoreReport(_zscore(log_j, sol.C_star, 0.0),
                             log_j, sol.C_star, 0.0)
     return optimal_cost_report(
@@ -544,7 +492,7 @@ def check_martingale_quotient(p: LqgProblem, sol: RiccatiSolution,
         # linear ODE, integrated by RK4 for quadrature accuracy instead of
         # the Euler scheme's first-order error
         n = p.n
-        K, k, F, f = closed_loop(p, sol, grid)
+        K, k, F, f = _closed_loop(p, sol.K_gain, sol.k_offset, grid)
         G_x, g = gradient_integrand(p, K, k, ups.half_values())
         F_xG = np.zeros((len(F), 2 * n, 2 * n))
         F_xG[:, :n, :n] = F
@@ -589,7 +537,8 @@ def sampled_convexity(p: LqgProblem, u1: np.ndarray, u2: np.ndarray,
 
 def mean_closed_loop(p: LqgProblem, law, grid: TimeGrid) -> MatrixTrajectory:
     """RK4 solution of the noise-free closed-loop mean dynamics."""
-    _, _, F, f = closed_loop(p, law, grid)
+    law = as_control_law(law, grid, p.n, p.m)
+    _, _, F, f = _closed_loop(p, law.K, law.k, grid)
     return propagate_linear(F, f, p.x0, grid)
 
 

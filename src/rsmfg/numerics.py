@@ -8,9 +8,9 @@ even entries).  _step_maps builds the affine RK4 step maps of a linear
 ODE for all steps at once, and _scan applies them in blocks of steps:
 batched products within every block, a sequential pass over the block
 starts only, and one batched fill of every node.  propagate_linear and
-the Riccati solve both go through _scan; integrate_ode serves the
-quadratic cost integrals.  The path
-and population engines hold states as columns and multiply through _mm,
+the Riccati solve both go through _scan; integrate_ode, RK4 on a general
+vector field, serves only as the tests' reference for them.  The path and
+population engines hold states as columns and multiply through _mm,
 coefficient matrix on the left, whose rounding does not depend on how
 many columns are stacked.
 """

@@ -54,8 +54,8 @@ from .numerics import (
     _dot,
     _mm,
     half_grid_table,
-    integrate_ode,
 )
+from .riccati import log_cost
 
 # Bound on the noise arrays alive at once (see the module docstring).
 NOISE_BUDGET_BYTES = 256_000_000
@@ -622,93 +622,78 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
     return runs
 
 
-def deterministic_population_run(spec: MajorMinorSpec, eq: MfgEquilibrium,
-                                 N: int, override=None,
-                                 grid: TimeGrid = None) -> FinitePopulationRun:
-    """Noise-free finite-population run by RK4 quadrature.
+def noise_free_cost(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
+                    N: int, law=None) -> float:
+    """The agent's delta*Lambda_T in the noise-free population of size N.
 
-    Valid only when every diffusion coefficient vanishes; gives
-    4th-order-accurate per-agent cost exponents for oracle comparisons.
+    Without noise, the minors of type l that keep the equilibrium law
+    follow one path xbar_l.  The agent's state is z = (x0, xbar_1..xbar_K)
+    for the major and z = (x_j, x0, xbar_1..xbar_K) for minor slot j of
+    type k, whose type's average is xhat_k = ((N_k - 1) xbar_k + x_j) /
+    N_k.  z follows a linear ODE, and riccati.log_cost gives the cost.
+    law, on the agent's extended state as in simulate_population's
+    override, replaces the agent's equilibrium law.  Raises OutOfRange
+    for nonzero diffusion, an agent outside the population, or an N that
+    leaves a minor type without agents.
     """
-    if grid is None:
-        grid = eq.grid
-    elif grid != eq.grid:
-        raise OutOfRange("simulation grid must match the equilibrium grid")
-    if any(np.any(half_grid_table(agent.sigma, grid))
-           for agent in [spec.major] + spec.minors):
-        raise OutOfRange("deterministic run requires zero diffusion")
+    grid = eq.grid
+    if any(np.any(half_grid_table(a.sigma, grid))
+           for a in [spec.major] + spec.minors):
+        raise OutOfRange("noise-free cost requires zero diffusion")
     n, K = spec.n, spec.K
     counts = apportion(spec.pi, N)
-    assignment = assignment_from_counts(counts)
-    slices = np.split(np.arange(N), np.cumsum(counts)[:-1])
-    maj, minors = spec.major, spec.minors
-    # every agent's law, major first, as half-grid tables (K, k) with
-    # u = K ext + k
+    if not counts.all():
+        raise OutOfRange(f"minor type {int(np.argmin(counts))} has no "
+                         f"agents at N={N}")
+    if agent != "major" and not 0 <= int(agent) < N:
+        raise OutOfRange(f"agent {agent!r} not in the population")
     (K0, k0), minor_laws = equilibrium_laws(eq)
-    type_laws = [(Kk.half_values(), kk.half_values()) for Kk, kk in minor_laws]
-    laws = [(K0.half_values(), k0.half_values())] + [type_laws[k]
-                                                     for k in assignment]
-    if override is not None:
-        agent, law = override
-        if agent != "major" and not 0 <= int(agent) < N:
-            raise OutOfRange(f"agent {agent!r} not in the population")
-        slot = 0 if agent == "major" else 1 + int(agent)
-        dim = n * (1 + K) if slot == 0 else n * (2 + K)
-        law = as_control_law(law, grid, dim, spec.m)
-        laws[slot] = (half_grid_table(law.K, grid),
-                      half_grid_table(law.k, grid))
-    b0 = half_grid_table(maj.b, grid)
-    bk = [half_grid_table(th.b, grid) for th in minors]
-
-    def field(j, y):
-        x0 = y[:n]
-        xm = y[n:n * (1 + N)].reshape(N, n)
-        xN = xm.mean(axis=0)
-        xhat_stack = np.concatenate([xm[sl].mean(axis=0) for sl in slices])
-        ext0 = np.concatenate([x0, xhat_stack])
-        gain, offset = laws[0]
-        u0 = gain[j] @ ext0 + offset[j]
-        dy = np.empty_like(y)
-        dy[:n] = maj.A @ x0 + maj.F @ xN + maj.B @ u0 + b0[j]
-        r0 = x0 - (maj.H @ xN + maj.eta)
-        dy[n * (1 + N)] = _quad(r0[:, None], maj.Q, maj.S, maj.R,
-                                u0[:, None])[0]
-        for a in range(N):
-            k = assignment[a]
-            th = minors[k]
-            ext = np.concatenate([xm[a], x0, xhat_stack])
-            gain, offset = laws[1 + a]
-            u = gain[j] @ ext + offset[j]
-            dy[n * (1 + a):n * (2 + a)] = (th.A @ xm[a] + th.F @ xN
-                                           + th.G @ x0 + th.B @ u + bk[k][j])
-            r = xm[a] - (th.H @ x0 + th.H_hat @ xN + th.eta)
-            dy[n * (1 + N) + 1 + a] = _quad(r[:, None], th.Q, th.S, th.R,
-                                            u[:, None])[0]
-        return dy
-
-    y0 = np.concatenate([maj.x0]
-                        + [minors[assignment[a]].x0 for a in range(N)]
-                        + [np.zeros(1 + N)])
-    traj = integrate_ode(field, y0, grid, "forward", indexed=True)
-    states = traj.values[:, :n * (1 + N)].reshape(grid.steps + 1, 1 + N, n)
-    lam = traj.values[-1, n * (1 + N):].copy()
-    # terminal tracking costs at t=T
-    x0_T, xm_T = states[-1, 0], states[-1, 1:]
-    xN_T = xm_T.mean(axis=0)
-    r0 = x0_T - (maj.H @ xN_T + maj.eta)
-    lam[0] += 0.5 * r0 @ maj.Q_hat @ r0
-    for j in range(N):
-        th = minors[assignment[j]]
-        r = xm_T[j] - (th.H @ x0_T + th.H_hat @ xN_T + th.eta)
-        lam[1 + j] += 0.5 * r @ th.Q_hat @ r
-    deltas = np.concatenate([[maj.delta],
-                             [minors[assignment[j]].delta for j in range(N)]])
-    return FinitePopulationRun(
-        spec=spec, N=N, assignment=assignment, seed=0, grid=grid,
-        exponents=(deltas * lam)[None, :],
-        fluct_sup=np.zeros(1), fluct_T=np.zeros(1),
-        paths=states, empirical_avg=states[:, 1:].mean(axis=1),
-    )
+    # x0's first row in z; the agent is agents[dev] below
+    o, dev = (0, 0) if agent == "major" else (n, -1)
+    # (parameters, first row in z, law) of the major, of each type's
+    # shared path and of a minor agent
+    agents = [(spec.major, o, K0, k0)] + [
+        (th, o + n * (1 + l)) + law_l
+        for l, (th, law_l) in enumerate(zip(spec.minors, minor_laws))]
+    rows = np.eye(o + n * (1 + K))
+    xhat = [rows[r:r + n] for _, r, _, _ in agents[1:]]
+    if agent != "major":
+        k = int(assignment_from_counts(counts)[int(agent)])
+        agents.append((spec.minors[k], 0) + minor_laws[k])
+        xhat[k] = ((counts[k] - 1) * xhat[k] + rows[:n]) / counts[k]
+    if law is not None:
+        law = as_control_law(law, grid, len(rows), spec.m)
+        agents[dev] = agents[dev][:2] + (law.K, law.k)
+    x0_rows = rows[o:o + n]
+    xN = sum(c / N * xh for c, xh in zip(counts, xhat))
+    ext0 = np.vstack([x0_rows] + xhat)
+    F = np.empty((2 * grid.steps + 1,) + rows.shape)
+    f = np.empty(F.shape[:2])
+    z0 = np.empty(len(rows))
+    laws = []
+    for a, r, Kt, kt in agents:
+        own = rows[r:r + n]
+        drift, ext = a.A @ own + a.F @ xN, ext0
+        if a is not spec.major:
+            drift, ext = drift + a.G @ x0_rows, np.vstack([own, ext0])
+        # u = gain z + offset
+        gain = half_grid_table(Kt, grid) @ ext
+        offset = half_grid_table(kt, grid)
+        F[:, r:r + n] = drift + a.B @ gain
+        f[:, r:r + n] = half_grid_table(a.b, grid) + offset @ a.B.T
+        z0[r:r + n] = a.x0
+        laws.append((gain, offset))
+    a = agents[dev][0]
+    resid = rows[:n] - (a.H @ xN if agent == "major"
+                        else a.H @ x0_rows + a.H_hat @ xN)
+    # (tracking residual, control) = L (z, 1)
+    L = np.zeros((len(F), n + spec.m, len(rows) + 1))
+    L[:, :n, :-1], L[:, :n, -1] = resid, -a.eta
+    L[:, n:, :-1], L[:, n:, -1] = laws[dev]
+    weight = np.block([[a.Q, a.S], [a.S.T, a.R]])
+    return log_cost(F, f, np.swapaxes(L, 1, 2) @ weight @ L,
+                    L[0, :n].T @ a.Q_hat @ L[0, :n], z0, grid, a.delta,
+                    np.zeros_like(F))
 
 
 def finite_cost(run: FinitePopulationRun, agent) -> LogMeanExpEstimate:
@@ -757,8 +742,7 @@ def default_deviation_family(eq: MfgEquilibrium, agent, type_index: int = 0,
 
 def nash_gap(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
              deviation_family=None, N: int = 5, n_reps: int = 1000,
-             seed: int = 0, grid: TimeGrid = None,
-             equilibrium_run: FinitePopulationRun = None) -> NashGapReport:
+             seed: int = 0, grid: TimeGrid = None) -> NashGapReport:
     """Best-deviation probe of the agent's equilibrium cost at size N.
 
     The equilibrium law and every deviation are advanced together by one
@@ -767,9 +751,7 @@ def nash_gap(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
     separate simulate_population run with the same seed.  The default
     family perturbs the law of the agent's own type at this N.  The gap
     is max(0, equilibrium log-cost minus the best deviation's log-cost)
-    with a paired standard error.  A previously simulated equilibrium
-    ensemble with matching (N, n_reps, seed, grid) may be passed; it is
-    reported as the equilibrium estimate.
+    with a paired standard error.
     """
     if grid is None:
         grid = eq.grid
@@ -779,19 +761,11 @@ def nash_gap(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
         type_index = 0 if agent == "major" else int(
             assignment_from_counts(apportion(spec.pi, N))[int(agent)])
         deviation_family = default_deviation_family(eq, agent, type_index)
-    if equilibrium_run is not None:
-        if (equilibrium_run.N != N or equilibrium_run.seed != seed
-                or equilibrium_run.n_reps != n_reps):
-            raise OutOfRange(
-                "equilibrium_run does not match (N, n_reps, seed)")
-        if equilibrium_run.grid != grid:
-            raise OutOfRange("equilibrium_run was simulated on another grid")
     overrides = [(agent, law) for _, law in deviation_family]
     runs = simulate_population_laws(spec, eq, N, [None] + overrides,
                                     n_reps=n_reps, seed=seed, grid=grid)
-    eq_run = runs[0] if equilibrium_run is None else equilibrium_run
     col = 0 if agent == "major" else 1 + int(agent)
-    w_eq = eq_run.exponents[:, col]
+    w_eq = runs[0].exponents[:, col]
     results = [(label, run.exponents[:, col])
                for (label, _), run in zip(deviation_family, runs[1:])]
     estimates = [(label, log_mean_exp(w)) for label, w in results]
@@ -801,7 +775,7 @@ def nash_gap(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
     return NashGapReport(
         agent=agent, N=N, equilibrium=log_mean_exp(w_eq),
         deviations=estimates, best_label=best_label,
-        gap=max(0.0, diff), gap_std_error=se, equilibrium_run=eq_run,
+        gap=max(0.0, diff), gap_std_error=se, equilibrium_run=runs[0],
     )
 
 

@@ -7,8 +7,10 @@ FiniteEscape rather than propagated as garbage.  Pi at each node is a
 Moebius map of Pi at the start of its block of steps through the
 product of the block's RK4 step maps of the linear Hamiltonian system
 (numerics._scan); an escape shows, at any scale, as a singular X.  The
-linear offset equation goes through the linear propagator.  C_star is
-the log of the optimal exponential cost.
+linear offset equation goes through the linear propagator.  log_cost
+evaluates the log exponential cost of any linear closed loop with the
+same scan, on the state augmented by a constant 1; C_star is law_cost
+at the optimal law.
 """
 
 from __future__ import annotations
@@ -70,26 +72,33 @@ def _half_tables(p: LqgProblem, grid: TimeGrid):
 
 
 def solve_riccati(p: LqgProblem, grid: TimeGrid) -> MatrixTrajectory:
-    """Backward solve of the risk-sensitive Riccati equation, Pi(T)=Q_hat.
-
-    -Pi' = Pi A_s + A_s^T Pi + Pi W Pi + Q_s, with A_s = A - B R^-1 S^T,
-    W = delta sigma sigma^T - B R^-1 B^T and Q_s = Q - S R^-1 S^T, has
-    Pi = Y X^-1 for [X; Y]' = H [X; Y], H = [[A_s, W], [-Q_s, -A_s^T]].
-    A product P of H's RK4 step maps carries a node's Pi to [X; Y] = P
-    [I; Pi] at a later node in the backward sweep, and Pi there is
-    sym(Y X^-1); numerics._scan applies this to every node, with rho =
-    max|A_s| + sqrt(max|W| max|Q_s|) in the infinity norm, which the
-    scaling of the weights by c and of delta by 1/c leaves unchanged.
-    det X is the product of the per-step determinants, so the first node
-    with det X <= 0 or a non-finite Pi is the per-step recurrence's
-    first singular step; it raises FiniteEscape(t).
-    """
+    """Backward solve of the risk-sensitive Riccati equation, Pi(T)=Q_hat:
+    _backward_riccati with A_s = A - B R^-1 S^T, W = delta sigma sigma^T
+    - B R^-1 B^T and Q_s = Q - S R^-1 S^T."""
     Rinv = np.linalg.inv(p.R)
-    B, S, n = p.B, p.S, p.n
+    B, S = p.B, p.S
     A_half, sig2 = _half_tables(p, grid)
     A_s = A_half - B @ Rinv @ S.T
     W = p.delta * sig2 - B @ Rinv @ B.T
     Q_s = np.broadcast_to(p.Q - S @ Rinv @ S.T, A_s.shape)
+    return _backward_riccati(A_s, W, Q_s, p.Q_hat, grid)
+
+
+def _backward_riccati(A_s, W, Q_s, Q_hat, grid: TimeGrid) -> MatrixTrajectory:
+    """Node values of -Pi' = Pi A_s + A_s^T Pi + Pi W Pi + Q_s, Pi(T)=Q_hat.
+
+    A_s, W and Q_s are (2M+1, n, n) tables on grid.half_nodes.  The
+    equation has Pi = Y X^-1 for [X; Y]' = H [X; Y], H = [[A_s, W],
+    [-Q_s, -A_s^T]].  A product P of H's RK4 step maps carries a node's
+    Pi to [X; Y] = P [I; Pi] at a later node in the backward sweep, and
+    Pi there is sym(Y X^-1); numerics._scan applies this to every node,
+    with rho = max|A_s| + sqrt(max|W| max|Q_s|) in the infinity norm,
+    which the scaling of the weights by c and of delta by 1/c leaves
+    unchanged.  det X is the product of the per-step determinants, so the
+    first node with det X <= 0 or a non-finite Pi is the per-step
+    recurrence's first singular step; it raises FiniteEscape(t).
+    """
+    n = A_s.shape[-1]
     H = np.block([[A_s, W], [-Q_s, -np.swapaxes(A_s, 1, 2)]])
     rho = _max_row_sum(A_s) + np.sqrt(_max_row_sum(W) * _max_row_sum(Q_s))
     Phi, _ = _step_maps(H, grid, "backward")
@@ -105,7 +114,7 @@ def solve_riccati(p: LqgProblem, grid: TimeGrid) -> MatrixTrajectory:
             Xt, np.swapaxes(XY[..., n:, :], -1, -2)))
         return Pi, ok & np.isfinite(Pi).all(axis=(-2, -1))
 
-    values, bad = _scan(Phi, _symmetrize(p.Q_hat), node, rho, grid,
+    values, bad = _scan(Phi, _symmetrize(Q_hat), node, rho, grid,
                         "backward")
     if bad is not None:
         raise FiniteEscape(grid.nodes[bad])
@@ -151,23 +160,66 @@ def feedback_law(p: LqgProblem, Pi: MatrixTrajectory, s: MatrixTrajectory):
             MatrixTrajectory(s.grid, offsets))
 
 
-def c_star(p: LqgProblem, Pi: MatrixTrajectory, s: MatrixTrajectory,
-           grid: TimeGrid) -> float:
-    """Log of the optimal exponential cost, by trapezoidal quadrature."""
-    Rinv = np.linalg.inv(p.R)
-    s_t, Pi_t = s.values, Pi.values
-    sig = half_grid_table(p.sigma, grid)[::2]
-    v = s_t @ p.B - p.zeta
-    sig_s = np.einsum("tij,ti->tj", sig, s_t)
-    integrand = (0.5 * p.delta) * (
-        2.0 * np.einsum("ti,ti->t", s_t, half_grid_table(p.b, grid)[::2])
-        - np.einsum("ti,ij,tj->t", v, Rinv, v)
-        + np.einsum("tij,tjk,tik->t", Pi_t, sig, sig)
-    ) + (0.5 * p.delta ** 2) * np.einsum("tj,tj->t", sig_s, sig_s)
-    integral = float(np.trapezoid(integrand, grid.nodes))
-    x0 = p.x0
-    return integral + 0.5 * p.delta * float(x0 @ Pi_t[0] @ x0) \
-        + p.delta * float(s_t[0] @ x0)
+def running_cost(p: LqgProblem, K, k):
+    """The running cost under u = K x + k as 0.5 x'W x + w'x + c.
+
+    W = Q + S K + K'S' + K'R K, w = S k + K'(R k - zeta) - eta and
+    c = 0.5 k'R k - zeta'k, with R's symmetric part in w.  K and k may
+    carry a leading time axis.
+    """
+    SK = p.S @ K
+    KT = np.swapaxes(K, -1, -2)
+    W = p.Q + SK + np.swapaxes(SK, -1, -2) + KT @ p.R @ K
+    Rk = k @ (0.5 * (p.R + p.R.T))
+    w = k @ p.S.T + ((Rk - p.zeta)[..., None, :] @ K)[..., 0, :] - p.eta
+    c = 0.5 * np.sum(Rk * k, axis=-1) - k @ p.zeta
+    return W, w, c
+
+
+def _closed_loop(p: LqgProblem, K, k, grid: TimeGrid):
+    """(K, k, F, f) on grid.half_nodes for u = K x + k given at the nodes.
+
+    dx/dt = F x + f is the closed-loop drift: F = A + B K, f = B k + b.
+    """
+    K, k = half_grid_table(K, grid), half_grid_table(k, grid)
+    A_half, _ = _half_tables(p, grid)
+    return K, k, A_half + p.B @ K, k @ p.B.T + half_grid_table(p.b, grid)
+
+
+def log_cost(F, f, running, terminal, x0, grid: TimeGrid, delta: float,
+             sig2) -> float:
+    """log E exp(delta Lambda_T) of dx = (F x + f) dt + sigma dw from x0.
+
+    F, f and sig2 = sigma sigma^T are tables on grid.half_nodes.  On z =
+    (x, 1), Lambda_T is the integral of 0.5 z'running z plus 0.5 z'terminal
+    z at T, running and terminal holding [[W, w], [w', 2c]].  The
+    cost-to-go is 0.5 z'P z plus 0.5 int tr(sigma sigma^T P_xx) dt
+    (Jacobson 1973), with P from _backward_riccati on z, A_s = [[F, f],
+    [0, 0]] and W = delta diag(sigma sigma^T, 0), and the trace integral
+    by the trapezoid rule over the nodes.  An infinite cost raises
+    FiniteEscape.
+    """
+    n = len(x0)
+    A_s = np.pad(np.concatenate([F, f[:, :, None]], axis=2),
+                 ((0, 0), (0, 1), (0, 0)))
+    W = np.pad(delta * sig2, ((0, 0), (0, 1), (0, 1)))
+    P = _backward_riccati(A_s, W, _symmetrize(running), terminal,
+                          grid).values
+    z0 = np.append(x0, 1.0)
+    trace = np.einsum("tij,tji->t", sig2[::2], P[:, :n, :n])
+    return delta * (0.5 * float(z0 @ P[0] @ z0)
+                    + 0.5 * float(np.trapezoid(trace, grid.nodes)))
+
+
+def law_cost(p: LqgProblem, K, k, grid: TimeGrid) -> float:
+    """log J(u) of the affine law u = K x + k; K and k are node arrays or
+    MatrixTrajectory's on grid."""
+    K, k, F, f = _closed_loop(p, K, k, grid)
+    W, w, c = running_cost(p, K, k)
+    running = np.block([[W, w[:, :, None]],
+                        [w[:, None], 2.0 * c[:, None, None]]])
+    return log_cost(F, f, running, np.pad(p.Q_hat, (0, 1)), p.x0, grid,
+                    p.delta, _half_tables(p, grid)[1])
 
 
 def solve(p: LqgProblem, grid: TimeGrid) -> RiccatiSolution:
@@ -175,6 +227,6 @@ def solve(p: LqgProblem, grid: TimeGrid) -> RiccatiSolution:
     Pi = solve_riccati(p, grid)
     s = solve_offset(p, Pi, grid)
     K_gain, k_offset = feedback_law(p, Pi, s)
-    C = c_star(p, Pi, s, grid)
     return RiccatiSolution(problem=p, grid=grid, Pi=Pi, s=s,
-                           K_gain=K_gain, k_offset=k_offset, C_star=C)
+                           K_gain=K_gain, k_offset=k_offset,
+                           C_star=law_cost(p, K_gain, k_offset, grid))

@@ -237,14 +237,14 @@ def test_criterion_6_epsilon_nash_trend(capsys):
     schedule = (5, 20, 80)
     reps = 20_000
     # the major's passes give each N's equilibrium ensemble, which the
-    # slot-0 calls and the fluctuation slope reuse
-    base = {}
+    # fluctuation slope reuses
     trend_ok, gap_txt = True, []
     for agent in ("major", 0):
         reports = [nash_gap(spec, eq, agent, N=N, n_reps=reps, seed=600 + N,
-                            grid=grid, equilibrium_run=base.get(N))
+                            grid=grid)
                    for N in schedule]
-        base = {r.N: r.equilibrium_run for r in reports}
+        if agent == "major":
+            base = {r.N: r.equilibrium_run for r in reports}
         for lo, hi in zip(reports, reports[1:]):
             pooled = math.hypot(lo.gap_std_error, hi.gap_std_error)
             trend_ok = trend_ok and hi.gap <= lo.gap + 3.0 * pooled

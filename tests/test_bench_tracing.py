@@ -7,6 +7,7 @@ checked here against the package as it is.
 """
 
 import ast
+import importlib
 import importlib.util
 import inspect
 from pathlib import Path
@@ -17,9 +18,13 @@ CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 
 
 def _child():
+    """bench/child.py, with every module it names imported, so that the
+    names resolve whichever test modules ran before."""
     spec = importlib.util.spec_from_file_location("bench_child", CHILD)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    for name in module.MODULES:
+        importlib.import_module(f"rsmfg.{name}")
     return module
 
 

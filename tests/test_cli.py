@@ -632,6 +632,19 @@ _PAPER = {"grid": {"steps": 50}}
     ("solve-mfg", _with(_GAME, "model", raw_exponent="no")),
     ("nash-gap", _with(_GAME, "population", N_schedule=[2, 2], n_reps=4)),
     ("solve-mfg", _with(_GAME, "output", directory=5)),
+    ("reproduce-paper", _with(_PAPER, "grid", step=7)),
+    ("reproduce-paper", _with(_PAPER, "fixedpoint", max_iters=1)),
+    ("verify-single", _with(_VERIFY, "montecarlo", npaths=100)),
+    ("solve-mfg", _with(_GAME, "population", NN=5)),
+    ("solve-mfg", _with(_GAME, "output", dir="out")),
+    ("solve-single", {"model": scalar_model(s=[[5.0]])}),
+    ("solve-single", {"model": scalar_model(etaa=[3.0])}),
+    ("verify-single", _with(_VERIFY, "model",
+                            sigma={"nodes": [[[1.0]]] * 51, "kind": 1})),
+    ("solve-mfg", _with(_GAME, "model", N=5)),
+    ("solve-mfg", _with(_GAME, "model", major=dict(
+        _GAME["model"]["major"], Sigma=[[0.5]]))),
+    ("solve-mfg", _with_minor_field(_GAME, "etaa", [0.0])),
 ], ids=["steps-1", "top-level-list", "n_paths-0", "n_paths-1", "N-0",
         "N_schedule-0", "n_reps-1", "N_schedule-scalar", "agent-outside",
         "threads-text", "minor-without-A", "model-not-object", "A-text",
@@ -641,13 +654,32 @@ _PAPER = {"grid": {"steps": 50}}
         "eta_hat_sign-half", "seed-text", "seed-negative", "seed-1e30",
         "section-typo", "max_iter-float", "seed-bool", "steps-text",
         "N_schedule-float", "raw_exponent-text", "N_schedule-repeated",
-        "directory-number"])
+        "directory-number", "grid-unknown", "fixedpoint-unknown",
+        "montecarlo-unknown", "population-unknown", "output-unknown",
+        "single-model-unknown", "single-model-misspelled", "nodes-unknown",
+        "game-model-unknown", "major-unknown", "minor-unknown"])
 def test_malformed_config_exits_2(tmp_path, capsys, mode, doc):
     path = write_config(tmp_path, doc)
     assert main([mode, "--config", path]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode,doc,field", [
+    ("reproduce-paper", {"fixedpoint": {"max_iters": 1},
+                         "grid": {"steps": 50}}, "fixedpoint: unknown field "
+     "'max_iters'"),
+    ("solve-single", {"model": scalar_model(etaa=[3.0])},
+     "model: unknown field 'etaa'"),
+    ("solve-mfg", _with_minor_field(_GAME, "etaa", [0.0]),
+     "minors[0]: unknown field 'etaa'"),
+], ids=["section", "model", "minor"])
+def test_unknown_field_is_named(tmp_path, capsys, mode, doc, field):
+    # before, these ran with exit 0: every sweep of a 1-sweep limit, or
+    # eta = 0 in place of the misspelled etaa
+    assert main([mode, "--config", write_config(tmp_path, doc)]) == EXIT_PARSE
+    assert field in capsys.readouterr().err
 
 
 # config fuzzing: one field of a small valid config removed or replaced

@@ -130,7 +130,6 @@ class TestConsistency:
     def test_flocking_convergence(self):
         eq = solve_consistency(flocking_game(), TimeGrid(1.0, 500))
         log = eq.iterations
-        assert log.converged
         assert log.errors[-1] < 1e-10
         # strictly decreasing from the second sweep on
         tail = log.errors[1:]

@@ -14,7 +14,6 @@ from rsmfg.montecarlo import (
     check_normalization,
     check_optimal_cost,
     check_weak_error,
-    deterministic_log_cost,
     estimate_cost,
     _noise_block,
     estimate_gateaux,
@@ -23,8 +22,8 @@ from rsmfg.montecarlo import (
     sampled_convexity,
     simulate,
 )
-from rsmfg.numerics import TimeGrid, state_transition
-from rsmfg.riccati import solve
+from rsmfg.numerics import TimeGrid, integrate_ode, state_transition
+from rsmfg.riccati import _closed_loop, law_cost, running_cost, solve
 
 GRID = TimeGrid(t_end=1.0, steps=500)
 
@@ -50,6 +49,31 @@ def mild_2d(delta=0.3, sigma_scale=0.3):
         x0=np.array([1.0, -0.5]),
         T=1.0,
     )
+
+
+def rk4_log_cost(p, law, grid):
+    """delta*Lambda_T of the single noise-free path, by RK4 quadrature.
+
+    The closed-loop state and the running cost integral are integrated
+    jointly as one nonlinear ODE, forward on numerics.integrate_ode: the
+    reference for riccati.law_cost, which takes the same cost from a
+    backward Riccati scan.
+    """
+    n = p.n
+    law = as_control_law(law, grid, p.n, p.m)
+    K, k, F, f = _closed_loop(p, law.K, law.k, grid)
+    W, w, c = running_cost(p, K, k)
+
+    def field(j, y):
+        x = y[:n]
+        dl = x @ (0.5 * W[j] @ x + w[j]) + c[j]
+        return np.concatenate([F[j] @ x + f[j], [dl]])
+
+    y0 = np.concatenate([p.x0, [0.0]])
+    traj = integrate_ode(field, y0, grid, "forward", indexed=True)
+    x_T = traj.values[-1][:n]
+    lam = traj.values[-1][n] + 0.5 * x_T @ p.Q_hat @ x_T
+    return p.delta * lam
 
 
 def assert_path_ranges_match(p, grid, n_paths, splits, seed=5):
@@ -89,7 +113,7 @@ class TestSimulate:
                            eta=0.2, zeta=0.1, Q_hat=0.5, delta=0.5)
         u = np.full((GRID.steps + 1, 1), 0.3)
         ens = simulate(p, u, 1, seed=0, grid=GRID)
-        oracle = deterministic_log_cost(p, u, GRID)
+        oracle = rk4_log_cost(p, u, GRID)
         assert abs(ens.log_weights[0] - oracle) < 1e-6
 
     def test_euler_first_order_convergence(self):
@@ -102,7 +126,7 @@ class TestSimulate:
             s = solve(p, g)
             ens = simulate(p, s, 1, seed=0, grid=g)
             errs.append(abs(ens.log_weights[0]
-                            - deterministic_log_cost(p, s, g)))
+                            - rk4_log_cost(p, s, g)))
         assert errs[1] < errs[0] / 5.0
 
     def test_brownian_variance(self):
@@ -276,6 +300,41 @@ class TestOptimalCost:
         d = np.exp(w1 - L) - np.exp(w2 - L)
         se = d.std(ddof=1) / math.sqrt(d.size)
         assert d.mean() > 3.0 * se
+
+
+class TestLawCost:
+    @pytest.mark.parametrize("problem", [tanh_problem, mild_2d],
+                             ids=["tanh", "2d"])
+    @pytest.mark.parametrize("gain", [1.0, 1.2])
+    def test_matches_forward_rk4_without_noise(self, problem, gain):
+        # with sigma = 0 the cost is the single path's, which the forward
+        # RK4 reference integrates directly
+        p = problem(sigma=0.0) if problem is tanh_problem \
+            else problem(sigma_scale=0.0)
+        sol = solve(p, GRID)
+        K, k = gain * sol.K_gain.values, sol.k_offset.values
+        assert abs(law_cost(p, K, k, GRID)
+                   - rk4_log_cost(p, ControlLaw(K, k), GRID)) < 1e-10
+
+    @pytest.mark.parametrize("problem", [tanh_problem, mild_2d],
+                             ids=["tanh", "2d"])
+    def test_optimal_law_minimizes_quadratically(self, problem):
+        # every perturbation of the paper's feedback law costs more than
+        # C_star, by an excess that grows as the square of its size
+        p = problem()
+        sol = solve(p, GRID)
+        K, k = sol.K_gain.values, sol.k_offset.values
+
+        def excess(gain=1.0, shift=0.0):
+            return law_cost(p, gain * K, k + shift, GRID) - sol.C_star
+
+        pairs = [(excess(gain=1.0 + 10 * e), excess(gain=1.0 + e))
+                 for e in (-0.01, 0.01)]
+        pairs += [(excess(shift=10 * e), excess(shift=e))
+                  for e in (-0.01, 0.01)]
+        for big, small in pairs:
+            assert big > 0.0 and small > 0.0
+            assert 90.0 <= big / small <= 110.0
 
 
 class TestGateaux:

@@ -22,10 +22,10 @@ from rsmfg.population import (
     apportion,
     assignment_from_counts,
     default_deviation_family,
-    deterministic_population_run,
     finite_cost,
     fluctuation_statistics,
     nash_gap,
+    noise_free_cost,
     paired_log_diff,
     simulate_population,
     simulate_population_laws,
@@ -380,9 +380,9 @@ class TestFiniteCost:
         assert finite_cost(run, 0).log_value == 0.0
 
     def test_deterministic_oracle(self):
-        # zero diffusion and no coupling: the minor's RK4 population cost
-        # must match the single-agent quadrature oracle
-        from rsmfg.montecarlo import deterministic_log_cost
+        # zero diffusion and no coupling: the minor's noise-free population
+        # cost must match the single-agent forward RK4 reference
+        from test_montecarlo import rk4_log_cost
 
         g = decoupled_game()
         g.major.sigma = np.array([[0.0]])
@@ -393,13 +393,12 @@ class TestFiniteCost:
                               T=1.0, n=1, m=1, r=1)
         grid = TimeGrid(1.0, 500)
         eq = solve_consistency(spec, grid)
-        run = deterministic_population_run(spec, eq, N=1)
         p = LqgProblem(A=-0.6, B=1.0, b=-0.05, sigma=0.0, Q=2.0, S=0.0,
                        R=1.0, eta=0.0, zeta=0.0, Q_hat=0.3, delta=0.5,
                        x0=0.5, T=1.0)
         sol = solve(p, grid)
-        oracle = deterministic_log_cost(p, sol, grid)
-        assert abs(finite_cost(run, 0).log_value - oracle) < 1e-6
+        oracle = rk4_log_cost(p, sol, grid)
+        assert abs(noise_free_cost(spec, eq, 0, 1) - oracle) < 1e-6
 
     @pytest.mark.parametrize("agent", ["major", "minor"])
     def test_deterministic_run_rejects_interior_diffusion(self, agent):
@@ -416,13 +415,13 @@ class TestFiniteCost:
                               T=1.0, n=1, m=1, r=1)
         eq = solve_consistency(spec, grid)
         with pytest.raises(OutOfRange, match="zero diffusion"):
-            deterministic_population_run(spec, eq, N=2)
+            noise_free_cost(spec, eq, "major" if agent == "major" else 0, 2)
 
     @pytest.mark.parametrize("agent", [None, "major", 0],
                              ids=["equilibrium", "major", "minor"])
     def test_euler_converges_to_rk4(self, agent):
-        # the RK4 oracle integrates every agent in full; under a gain x0.9
-        # deviation the deviator's column is compared
+        # the noise-free cost is the continuous-time limit of the Euler
+        # engine; under a gain x0.9 deviation the deviator's is compared
         spec = noiseless_game()
         errs = []
         for steps in (200, 2000):
@@ -433,12 +432,33 @@ class TestFiniteCost:
                                                 offset_shifts=())[0][1])
             em = simulate_population(spec, eq, N=3, override=override,
                                      n_reps=1, seed=0)
-            rk = deterministic_population_run(spec, eq, N=3,
-                                              override=override)
             col = 0 if agent is None else agent
-            errs.append(abs(finite_cost(em, col).log_value
-                            - finite_cost(rk, col).log_value))
+            exact = noise_free_cost(spec, eq, col, 3,
+                                    None if override is None else override[1])
+            errs.append(abs(finite_cost(em, col).log_value - exact))
         assert errs[1] < errs[0] / 5.0
+
+    def test_noise_free_cost_shared_by_a_type(self):
+        # every slot of a type has the same cost; the values are those of
+        # an RK4 run that integrated all 1+N agents in full (to 1e-12)
+        g = vector_game()
+        g.major.sigma = np.zeros((2, 1))
+        for th in g.minors:
+            th.sigma = np.zeros((2, 1))
+        spec = MajorMinorSpec(major=g.major, minors=g.minors, pi=g.pi,
+                              T=1.0, n=2, m=1, r=1)
+        eq = solve_consistency(spec, GRID)
+        costs = [noise_free_cost(spec, eq, j, 7) for j in range(7)]
+        assert costs[:4] == [costs[0]] * 4
+        assert costs[4:] == [costs[4]] * 3
+        assert abs(costs[0] - 0.0113567785888067) < 1e-12
+        assert abs(costs[4] - 0.01423986431062102) < 1e-12
+        assert abs(noise_free_cost(spec, eq, "major", 7)
+                   - 0.11136595731173952) < 1e-11
+        with pytest.raises(OutOfRange, match="no agents"):
+            noise_free_cost(spec, eq, 0, 1)
+        with pytest.raises(OutOfRange, match="not in the population"):
+            noise_free_cost(spec, eq, 7, 7)
 
     def test_major_cost_near_infinite_population(self, flocking_eq):
         spec, eq = flocking_eq
@@ -508,14 +528,6 @@ class TestNashGap:
         ref = nash_gap(spec, eq, 3, default_deviation_family(eq, 3, 1),
                        N=5, n_reps=20, seed=1)
         assert rep.deviations == ref.deviations
-
-    def test_equilibrium_run_on_another_grid_rejected(self, flocking_eq):
-        spec, eq = flocking_eq
-        coarse = solve_consistency(spec, TimeGrid(1.0, 100))
-        run = simulate_population(spec, coarse, N=3, n_reps=10, seed=2)
-        with pytest.raises(OutOfRange):
-            nash_gap(spec, eq, "major", N=3, n_reps=10, seed=2,
-                     equilibrium_run=run)
 
     def test_infinite_population_sanity(self, flocking_eq):
         # on the limiting extended problem no deviation from the family

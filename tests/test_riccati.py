@@ -11,7 +11,6 @@ from rsmfg.errors import FiniteEscape
 from rsmfg.model import LqgProblem, scalar_problem
 from rsmfg.numerics import TimeGrid, _block_length, _step_maps, half_grid_table
 from rsmfg.riccati import (
-    c_star,
     feedback_law,
     solve,
     solve_offset,

@@ -673,10 +673,12 @@ def _run_nash_gap(cfg: ExperimentConfig, bundle: ResultBundle):
                                stats.mean_terminal)]
     bundle.tables["fluctuations"] = _csv_table(
         ("N", "mean_sup", "mean_terminal"), rows)
+    # an empty value: a mean is not positive, so there is no log-log fit
     bundle.tables["slopes"] = _csv_table(
         ("statistic", "value"),
-        [("slope_sup", repr(stats.slope_sup)),
-         ("slope_terminal", repr(stats.slope_terminal))])
+        [(name, "" if slope is None else repr(slope))
+         for name, slope in (("slope_sup", stats.slope_sup),
+                             ("slope_terminal", stats.slope_terminal))])
 
 
 _DISPATCH = {

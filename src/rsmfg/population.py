@@ -8,8 +8,11 @@ from counter-based Philox streams keyed by (master seed, agent slot), so
 results are independent of replication batching and a single decoupled
 minor reproduces the single-agent simulator path for path.  Within each
 type the minors are held in ascending key order, and the empirical
-averages are plain sums in that order, so relabeling agents together
-with their noise streams leaves them bitwise unchanged.
+averages are plain sums in that order at any chunk size (one reduction
+over the agent axis, an accumulation for a chunk of one replication,
+along whose contiguous agent axis numpy would sum pairwise), so
+relabeling agents together with their noise streams leaves them bitwise
+unchanged.
 
 One pass advances the equilibrium law over all 1+N agents and any
 number of deviation laws beside it, on the same noise (common random
@@ -25,7 +28,14 @@ cost; its other cost columns are NaN (not computed).
 States are held component-major: a type's minors are one array (n,
 agent, replication), and every product is numerics._mm with the
 coefficient matrix on the left, its inner loop running over all agents
-and replications.  Replications are chunked so that the noise arrays
+and replications.  The stacked node tables (_NodeTables), built once per
+call, hold every coefficient that multiplies one state at one point of
+the Euler step as one table: [K0; Kr_k] on (x0, xhat), [Kx_k; A_k] on a
+type's minors, [H0; Hhat_k; F0; F_k] on xN, [H_k; G_bar; A0] on x0 at
+t_i and [G_k] on x0 after the major's step.  A step thus makes one
+product per operand, for the equilibrium and for the deviations' shifts
+alike; each row is summed as its own product would be, so the stacking
+changes no result.  Replications are chunked so that the noise arrays
 alive at once (the kicks sigma dW of all 1+N agents and the normals
 they are made from, scaled in place when n = r = 1) fit in
 NOISE_BUDGET_BYTES; a chunk's noise is freed before the next is drawn.
@@ -136,23 +146,39 @@ def _qform(r, Q, u):
     return _dot(_mm(Q.T, r), u)
 
 
-def _quad(r, Q, S, R, u):
-    """0.5 r'Qr + r'Su + 0.5 u'Ru for column states r (n, ...), u (m, ...)."""
-    return 0.5 * _qform(r, Q, r) + _qform(r, S, u) + 0.5 * _qform(u, R, u)
+def _quad(r, QS, R, u):
+    """0.5 r'Qr + r'Su + 0.5 u'Ru for column states r (n, ...), u (m, ...).
+
+    QS stacks [Q'; S'], so Q'r and S'r are one product with r.
+    """
+    p = _mm(QS, r)
+    n = len(r)
+    return 0.5 * _dot(p[:n], r) + _dot(p[n:], u) + 0.5 * _qform(u, R, u)
 
 
-def _add_quad(acc, w, r, Q, S, R, u, tmp):
-    """acc += w * _quad(r, Q, S, R, u); 1x1 weights work in place in tmp."""
-    if Q.shape != (1, 1) or R.shape != (1, 1):
-        acc += w * _quad(r, Q, S, R, u)
+def _add_quad(acc, w, r, a, QS, u, tmp):
+    """acc += w * _quad(r, QS, a.R, u); 1x1 weights work in place in tmp."""
+    if a.Q.shape != (1, 1) or a.R.shape != (1, 1):
+        acc += w * _quad(r, QS, a.R, u)
         return
     rr, uu = r[0], u[0]
-    for a, b, coef in ((rr, rr, 0.5 * Q[0, 0]), (rr, uu, S[0, 0]),
-                       (uu, uu, 0.5 * R[0, 0])):
+    for x, y, coef in ((rr, rr, 0.5 * a.Q[0, 0]), (rr, uu, a.S[0, 0]),
+                       (uu, uu, 0.5 * a.R[0, 0])):
         if coef != 0.0:
-            np.multiply(a, b, out=tmp)
+            np.multiply(x, y, out=tmp)
             tmp *= w * coef
             acc += tmp
+
+
+def _type_sum(x):
+    """Sum of x (n, agents, c) over the agents, in index order.
+
+    numpy sums along a contiguous axis pairwise, which the agent axis is
+    when c = 1; accumulate adds in index order at any layout.
+    """
+    if x.shape[2] == 1:
+        return np.add.accumulate(x, axis=1)[:, -1]
+    return np.add.reduce(x, axis=1)
 
 
 def _noise_kicks(gens, c, M, sig, sqrt_h):
@@ -193,41 +219,64 @@ def simulate_population(spec: MajorMinorSpec, eq: MfgEquilibrium, N: int,
 
 
 class _NodeTables(NamedTuple):
-    """The equilibrium laws and the dynamics' offsets at the grid nodes.
+    """The step's coefficients at the grid nodes, stacked by operand.
 
-    Minor gains are split into the own-state block Kx and the block Kr on
-    (x0, xhat) shared by every agent of the type.
+    Each on_* table stacks every coefficient that multiplies one state at
+    one point of the Euler step, so a step makes one _mm per operand; a
+    row of a stacked product is summed as the row's own product would be,
+    so the results do not depend on the stacking.  Minor gains are split
+    into the own-state block Kx and the block Kr on (x0, xhat) shared by
+    every agent of the type.  Offsets are columns, which broadcast over
+    the agents and replications.
     """
 
-    K0: np.ndarray        # (M+1, m, n(1+K)) major gain on (x0, xhat)
-    k0: np.ndarray        # (M+1, m)
-    Kx: list              # per type (M+1, m, n)
-    Kr: list              # per type (M+1, m, n(1+K))
-    kk: list              # per type (M+1, m)
-    b0: np.ndarray        # (M+1, n)
+    on_ext0: np.ndarray   # (M+1, m(1+K), n(1+K)) [K0; Kr_1..Kr_K]
+    offsets: np.ndarray   # (M+1, m(1+K), 1) [k0; kk_1..kk_K]
+    on_own: list          # per type (M+1, m+n, n) [Kx_k; A_k]
+    on_xN: np.ndarray     # (n(2+2K), n) [H0; Hhat_1..Hhat_K; F0; F_1..F_K]
+    on_x0: np.ndarray     # (M+1, n(1+2K), n) [H_1..H_K; G_bar; A0] at t_i
+    on_x0_next: np.ndarray  # (nK, n) [G_1..G_K] on x0 after its step
+    QS: list              # [Q'; S'] of the major, then of each type
+    eta: list             # (n, 1) of the major, then of each type
+    b0: np.ndarray        # (M+1, n, 1)
     sig0: np.ndarray      # (M+1, n, r)
-    bk: list
+    bk: list              # per type (M+1, n, 1)
     sigk: list
     A_bar: np.ndarray     # mean-field recursion, (M+1, nK, nK)
-    G_bar: np.ndarray
-    m_bar: np.ndarray
+    m_bar: np.ndarray     # (M+1, nK, 1)
 
 
 def _node_tables(spec: MajorMinorSpec, eq: MfgEquilibrium,
                  grid: TimeGrid) -> _NodeTables:
-    n = spec.n
+    n, maj, minors = spec.n, spec.major, spec.minors
     (K0, k0), minor_laws = equilibrium_laws(eq)
-    nodes = [half_grid_table(c, grid)[::2]
-             for c in (spec.major.b, spec.major.sigma)]
-    bk = [half_grid_table(th.b, grid)[::2] for th in spec.minors]
-    sigk = [half_grid_table(th.sigma, grid)[::2] for th in spec.minors]
+    b0, sig0 = (half_grid_table(c, grid)[::2] for c in (maj.b, maj.sigma))
+    bk = [half_grid_table(th.b, grid)[::2, :, None] for th in minors]
+    sigk = [half_grid_table(th.sigma, grid)[::2] for th in minors]
+    G_bar = eq.G_bar.values
+    steps = len(G_bar)
     return _NodeTables(
-        K0=K0.values, k0=k0.values,
-        Kx=[Kk.values[:, :, :n] for Kk, _ in minor_laws],
-        Kr=[Kk.values[:, :, n:] for Kk, _ in minor_laws],
-        kk=[kk.values for _, kk in minor_laws],
-        b0=nodes[0], sig0=nodes[1], bk=bk, sigk=sigk,
-        A_bar=eq.A_bar.values, G_bar=eq.G_bar.values, m_bar=eq.m_bar.values,
+        on_ext0=np.concatenate([K0.values] + [Kk.values[:, :, n:]
+                                              for Kk, _ in minor_laws],
+                               axis=1),
+        offsets=np.concatenate([k0.values] + [kk.values
+                                              for _, kk in minor_laws],
+                               axis=1)[:, :, None],
+        on_own=[np.concatenate([Kk.values[:, :, :n],
+                                np.broadcast_to(th.A, (steps,) + th.A.shape)],
+                               axis=1)
+                for (Kk, _), th in zip(minor_laws, minors)],
+        on_xN=np.vstack([maj.H] + [th.H_hat for th in minors] + [maj.F]
+                        + [th.F for th in minors]),
+        on_x0=np.concatenate(
+            [np.broadcast_to(np.vstack([th.H for th in minors]),
+                             (steps, n * spec.K, n)), G_bar,
+             np.broadcast_to(maj.A, (steps, n, n))], axis=1),
+        on_x0_next=np.vstack([th.G for th in minors]),
+        QS=[np.vstack([a.Q.T, a.S.T]) for a in [maj] + minors],
+        eta=[a.eta[:, None] for a in [maj] + minors],
+        b0=b0[:, :, None], sig0=sig0, bk=bk, sigk=sigk,
+        A_bar=eq.A_bar.values, m_bar=eq.m_bar.values[:, :, None],
     )
 
 
@@ -241,8 +290,10 @@ class _Deviation:
     noise-free linear recursion for the shifts, driven by the deviator's
     own shift.  The deviator's state y is stepped in full, in the
     equilibrium engine's operation order and on its own kicks, and only
-    its cost is accumulated.  Arrays are (component, law, replication);
-    the *_f views flatten all but the component.
+    its cost is accumulated.  Arrays are (component, law, replication),
+    allocated per chunk with their *_f views flattening all but the
+    component; the shifts are one array [D0; D_1..D_K], whose products
+    use the equilibrium's stacked tables.
     """
 
     def __init__(self, spec, tab, counts, agent, laws, slot, M, h):
@@ -254,15 +305,29 @@ class _Deviation:
         self.pos = None if slot is None else slot[1]
         self.col = 0 if slot is None else 1 + agent
         self.p = spec.major if slot is None else spec.minors[self.type_index]
+        self.QS = tab.QS[0 if slot is None else 1 + self.type_index]
+        self.eta = tab.eta[0 if slot is None else 1 + self.type_index]
+        # each type's weight N_k/N in the population average
+        self.type_weights = [counts[k] / counts.sum() for k in range(K)]
+        # the deviator's coefficients on its average xN_dev: its tracking
+        # target's and its drift's
+        self.on_xN = np.vstack([self.p.H if slot is None else self.p.H_hat,
+                                self.p.F])
         # the group's gains (M+1, dim, m, G, 1) and offsets (M+1, m, G, 1);
         # u = sum_j gain[:, j] ext[j] + offset sums as ControlLaw.u does
         self.gain = np.stack([law.K for _, law in laws],
                              axis=-1).transpose(0, 2, 1, 3)[..., None]
         self.offset = np.stack([law.k for _, law in laws], axis=-1)[..., None]
-        # the types that keep a non-deviating minor bound the population
-        # in the blow-up test
-        self.watched = [k for k in range(K)
-                        if counts[k] > (k == self.type_index)]
+        # the rows of [x0; each type] whose shifted extremes bound the
+        # population in the blow-up test: the major's unless it deviates,
+        # and each type that keeps a non-deviating minor
+        rows = [] if slot is None else list(range(n))
+        for k in range(K):
+            if counts[k] > (k == self.type_index):
+                rows += range(n * (1 + k), n * (2 + k))
+        self.rows = (slice(rows[0], rows[-1] + 1)
+                     if rows == list(range(rows[0], rows[-1] + 1))
+                     else np.array(rows))
         self.y_rec = np.empty((M + 1, G, n))
         self.shift_rec = np.empty((M + 1, G, n * (1 + K)))
         self.avg_rec = np.empty((M + 1, G, n))
@@ -274,116 +339,124 @@ class _Deviation:
             self.fluct_sup = np.empty((G, n_reps))
             self.fluct_T = np.empty((G, n_reps))
         self.first = first
-        self.y = np.broadcast_to(self.p.x0.reshape(n, 1, 1), (n, G, c)).copy()
-        self.D0 = np.zeros((n, G, c))
-        self.D = np.zeros((n * K, G, c))
+        # what the law reads: y, then (x0 + D0 unless the major deviates)
+        # and the type averages xhat + Dhat
+        self.ext = np.empty((self.gain.shape[1], G, c))
+        self.y = self.ext[:n]
+        self.y[...] = self.p.x0.reshape(n, 1, 1)
+        self.shifts = np.zeros((n * (1 + K), G, c))
+        self.D0, self.D = self.shifts[:n], self.shifts[n:]
+        # the shifts with the deviator's own one moved into its type's
+        # average, as the law and the average read them
+        self.Dext0 = np.empty_like(self.shifts)
         self.Dbar = np.zeros((n * K, G, c))
+        self.y_f, self.D0_f, self.Dext0_f, self.Dbar_f = (
+            _flat(a) for a in (self.y, self.D0, self.Dext0, self.Dbar))
+        self.D_f = [_flat(self.D[k * n:(k + 1) * n]) for k in range(K)]
+        self.x0_dev_f = (None if self.type_index is None
+                         else _flat(self.ext[n:2 * n]))
         self.lam = np.zeros(G * c)
-        self.sup = np.zeros((G, c))
+        self.sup = np.zeros((n * K, G, c))
 
-    def node(self, i, x0, xhat, xN, xbar, xms, weight, last):
+    def node(self, i, ext0, xN, xbar, xms, weight, last):
         """Controls, the deviator's cost and the statistics at node i,
-        from the equilibrium's states there (xms: each type's minors)."""
+        from the equilibrium's states there (ext0: the major's state and
+        the type averages; xms: each type's minors)."""
         tab, counts, p, y = self.tab, self.counts, self.p, self.y
-        n, K, k_dev = self.spec.n, self.spec.K, self.type_index
-        Dhat = self.D.copy()
+        n, m, K, k_dev = self.spec.n, self.spec.m, self.spec.K, self.type_index
+        Dext0 = self.Dext0
+        np.copyto(Dext0, self.shifts)
+        Dhat = Dext0[n:]
         if k_dev is not None:
             # the deviator's own shift moves its type's average
             own = Dhat[k_dev * n:(k_dev + 1) * n]
             own += (y - xms[k_dev][:, self.pos, None] - own) / counts[k_dev]
-        N = counts.sum()
-        DxN = sum(counts[k] / N * Dhat[k * n:(k + 1) * n] for k in range(K))
-        Dext0 = np.concatenate([self.D0, Dhat])
-        ext0 = np.concatenate([x0, xhat])[:, None] + Dext0
-        if self.type_index is None:
-            ext0[:n] = y
-            ext = ext0
-        else:
-            ext = np.concatenate([y, ext0])
+        DxN = sum(w * Dhat[k * n:(k + 1) * n]
+                  for k, w in enumerate(self.type_weights))
+        # the major's state is y itself when it deviates
+        r0 = n if k_dev is None else 0
+        np.add(ext0[r0:, None], Dext0[r0:], out=self.ext[n:])
         xN_dev = xN[:, None] + DxN
-        gain = self.gain[i]
-        u = gain[0] * ext[0]
-        for j in range(1, len(ext)):
-            u += gain[j] * ext[j]
+        u = _dot(self.gain[i], self.ext)
         u += self.offset[i]
-        self.xN_dev, self.DxN, self.u = xN_dev, DxN, u
-        Dext0_f = _flat(Dext0)
-        if self.type_index is not None:
-            self.Du0 = _mm(tab.K0[i], Dext0_f)
-        self.Du = [_mm(tab.Kx[k][i], _flat(self.D[k * n:(k + 1) * n]))
-                   + _mm(tab.Kr[k][i], Dext0_f) for k in range(K)]
+        self.DxN, self.u = DxN, u
+        # [K0; Kr_k] on the shifts of (x0, xhat), [Kx_k; A_k] on each
+        # type's own shift
+        on_ext0 = _mm(tab.on_ext0[i], self.Dext0_f)
+        on_own = [_mm(tab.on_own[k][i], self.D_f[k]) for k in range(K)]
+        self.Du0 = on_ext0[:m]
+        self.Du = [on_own[k][:m] + on_ext0[m * (1 + k):m * (2 + k)]
+                   for k in range(K)]
+        self.AD = [on_own[k][m:] for k in range(K)]
+        self.on_xN_dev = _mm(self.on_xN, _flat(xN_dev))
 
-        if self.type_index is None:
-            psi = _mm(p.H, _flat(xN_dev)) + p.eta[:, None]
+        if k_dev is None:
+            psi = self.on_xN_dev[:n] + self.eta
         else:
-            psi = (_mm(p.H, _flat(ext0[:n])) + _mm(p.H_hat, _flat(xN_dev))
-                   + p.eta[:, None])
-        r_f = _flat(y) - psi
-        u_f = _flat(u)
-        self.lam += weight * _quad(r_f, p.Q, p.S, p.R, u_f)
+            psi = _mm(p.H, self.x0_dev_f) + self.on_xN_dev[:n] + self.eta
+        r_f = self.y_f - psi
+        self.lam += weight * _quad(r_f, self.QS, p.R, _flat(u))
         if last:
             self.lam += 0.5 * _qform(r_f, p.Q_hat, r_f)
 
-        d = np.max(np.abs((xhat[:, None] + Dhat)
-                          - (xbar[:, None] + self.Dbar)), axis=0)
-        np.maximum(self.sup, d, out=self.sup)
+        # the sup over time is taken per component and replication, its
+        # max over components at the end of the chunk
+        diff = np.abs(self.ext[-n * K:] - (xbar[:, None] + self.Dbar))
+        np.maximum(self.sup, diff, out=self.sup)
         if last:
-            self.d_T = d
+            self.d_T = diff.max(axis=0)
         if self.first:
             self.y_rec[i] = y[:, :, 0].T
-            self.shift_rec[i, :, :n] = self.D0[:, :, 0].T
-            self.shift_rec[i, :, n:] = self.D[:, :, 0].T
+            self.shift_rec[i] = self.shifts[:, :, 0].T
             self.avg_rec[i] = xN_dev[:, :, 0].T
 
     def step(self, i, x0, kick0, kicks, hi, lo):
         """Advance to node i+1; the extremes for the blow-up test.
 
-        x0 is the equilibrium major state already at node i+1, hi and lo
-        each type's per-component extremes over its minors there.
+        x0 is the equilibrium major state already at node i+1; hi and lo
+        stack x0 and each type's per-component extremes over its minors
+        there.
         """
         spec, tab, h = self.spec, self.tab, self.h
-        n, maj = spec.n, spec.major
-        y, y_f, u_f = self.y, _flat(self.y), _flat(self.u)
-        D0_f, DxN_f, xN_f = _flat(self.D0), _flat(self.DxN), _flat(self.xN_dev)
-        Dbar_f = _flat(self.Dbar)
-        Dbar_f += (_mm(tab.A_bar[i], Dbar_f) + _mm(tab.G_bar[i], D0_f)) * h
+        n, K, maj = spec.n, spec.K, spec.major
+        y, y_f, u_f, D0_f = self.y, self.y_f, _flat(self.u), self.D0_f
+        # [G_bar; A0] on D0 at t_i, [F0; F_1..F_K] on DxN (a deviating
+        # major reads neither A0 D0 nor F0 DxN)
+        on_D0 = _mm(tab.on_x0[i][n * K:], D0_f)
+        on_DxN = _mm(tab.on_xN[n * (1 + K):], _flat(self.DxN))
+        self.Dbar_f += (_mm(tab.A_bar[i], self.Dbar_f) + on_D0[:n * K]) * h
         if self.type_index is None:
-            drift = (_mm(maj.A, y_f) + _mm(maj.F, xN_f)
-                     + tab.b0[i][:, None])
+            drift = _mm(maj.A, y_f) + self.on_xN_dev[n:] + tab.b0[i]
             y_f += (drift + _mm(maj.B, u_f)) * h
             y += kick0[:, None]
-            self.D0 = y - x0[:, None]
-            extremes = [np.max(y), -np.min(y)]
+            np.subtract(y, x0[:, None], out=self.D0)
         else:
-            D0_f += (_mm(maj.A, D0_f) + _mm(maj.F, DxN_f)
-                     + _mm(maj.B, self.Du0)) * h
-            x0_dev = x0[:, None] + self.D0
+            D0_f += (on_D0[n * K:] + on_DxN[:n] + _mm(maj.B, self.Du0)) * h
+            # the next node's x0 + D0, which the law reads there
+            np.add(x0[:, None], self.D0, out=self.ext[n:2 * n])
             th = self.p
-            coup = (_mm(th.F, xN_f) + _mm(th.G, _flat(x0_dev))
-                    + tab.bk[self.type_index][i][:, None])
+            coup = (self.on_xN_dev[n:] + _mm(th.G, self.x0_dev_f)
+                    + tab.bk[self.type_index][i])
             d1 = _mm(th.A, y_f)
             d1 += _mm(th.B, u_f)
             d1 += coup
             d1 *= h
             y_f += d1
             y += kicks[self.type_index][:, self.pos][:, None]
-            extremes = [np.max(x0_dev), -np.min(x0_dev), np.max(y),
-                        -np.min(y)]
-        D0_f = _flat(self.D0)
+        # [G_1..G_K] on D0 after its step
+        on_D0 = _mm(tab.on_x0_next, D0_f)
         for k, th in enumerate(spec.minors):
-            Dk = self.D[k * n:(k + 1) * n]
-            Dk_f = _flat(Dk)
-            Dk_f += ((_mm(th.A, Dk_f) + _mm(th.B, self.Du[k]))
-                     + (_mm(th.F, DxN_f) + _mm(th.G, D0_f))) * h
-            if k in self.watched:
-                extremes += [np.max(hi[k][:, None] + Dk),
-                             -np.min(lo[k][:, None] + Dk)]
-        return extremes
+            self.D_f[k] += ((self.AD[k] + _mm(th.B, self.Du[k]))
+                            + (on_DxN[n * (1 + k):n * (2 + k)]
+                               + on_D0[n * k:n * (k + 1)])) * h
+        rows, shifts = self.rows, self.shifts[self.rows]
+        return [y.max(), -y.min(), (hi[rows][:, None] + shifts).max(),
+                -(lo[rows][:, None] + shifts).min()]
 
     def finish(self, start, stop):
         G = len(self.index)
         self.exponents[:, start:stop] = self.p.delta * self.lam.reshape(G, -1)
-        self.fluct_sup[:, start:stop] = self.sup
+        self.fluct_sup[:, start:stop] = self.sup.max(axis=0)
         self.fluct_T[:, start:stop] = self.d_T
 
     def runs(self, eq_run, slots):
@@ -504,64 +577,78 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
         # a type's minors are one array (component, agent in key order,
         # replication); the *_f views flatten all but the component, so
         # each product T x runs over every agent and replication.  ext0
-        # stacks the major's state and the per-type averages.
+        # stacks the major's state and the per-type averages; hi and lo
+        # stack the major's state and each type's extremes over its minors.
         ext0 = np.empty((n * (1 + K), c))
         ext0[:n] = maj.x0[:, None]
         x0, xhat = ext0[:n], ext0[n:]
         xms = [np.broadcast_to(th.x0.reshape(n, 1, 1), (n, Nk, c)).copy()
                for th, Nk in zip(minors, counts)]
-        ums = [np.empty((m, counts[k], c)) for k in range(K)]
-        work = [np.empty((n, counts[k], c)) for k in range(K)]
-        work2 = [np.empty((n, counts[k] * c)) for k in range(K)]
-        xms_f, ums_f, work_f = ([a.reshape(len(a), -1) for a in arrs]
-                                for arrs in (xms, ums, work))
+        xms_f = [_flat(a) for a in xms]
+        # [Kx_k; A_k] x: the minors' controls, then the A x of their drift
+        own = [np.empty((m + n, counts[k] * c)) for k in range(K)]
+        ums_f = [a[:m] for a in own]
+        ums = [a.reshape(m, counts[k], c) for k, a in enumerate(ums_f)]
+        work_f = [a[m:] for a in own]
+        work = [a.reshape(n, counts[k], c) for k, a in enumerate(work_f)]
+        # resid: the tracking residuals, then B u in the step; tmp: one
+        # term of a 1x1 cost
+        resid = [np.empty((n, counts[k] * c)) for k in range(K)]
+        tmp = [np.empty(counts[k] * c) for k in range(K)]
         xbar = np.empty((n * K, c))
         xbar[...] = np.concatenate([th.x0 for th in minors])[:, None]
+        hi, lo = np.empty((2, n * (1 + K), c))
         lam0 = np.zeros(c)
         lams = [np.zeros(counts[k] * c) for k in range(K)]
-        sup = np.zeros(c)
+        sup = np.zeros((n * K, c))
         for dev in devs:
             dev.start(c, n_reps, start == 0)
 
         for i in range(M + 1):
             xN = None
             for k in range(K):
-                # per-type sums in key order, whatever the chunk size
-                sk = xms[k][:, 0].copy()
-                for j in range(1, counts[k]):
-                    sk += xms[k][:, j]
+                sk = _type_sum(xms[k])
                 xhat[k * n:(k + 1) * n] = sk / counts[k]
                 xN = sk if xN is None else xN + sk
             xN = xN / N
 
             weight = h if 0 < i < M else 0.5 * h
             for dev in devs:
-                dev.node(i, x0, xhat, xN, xbar, xms, weight, i == M)
+                dev.node(i, ext0, xN, xbar, xms, weight, i == M)
 
-            u0 = _mm(tab.K0[i], ext0) + tab.k0[i][:, None]
+            # [k0; kk_k] + [K0; Kr_k] ext0: u0 and each type's shared term
+            on_ext0 = _mm(tab.on_ext0[i], ext0)
+            on_ext0 += tab.offsets[i]
+            u0 = on_ext0[:m]
             for k in range(K):
-                base = _mm(tab.Kr[k][i], ext0) + tab.kk[k][i][:, None]
-                _mm(tab.Kx[k][i], xms_f[k], out=ums_f[k])
-                ums[k] += base[:, None]
+                _mm(tab.on_own[k][i], xms_f[k], out=own[k])
+                ums[k] += on_ext0[m * (1 + k):m * (2 + k), None]
+            # [H0; Hhat_k; F0; F_k] xN and [H_k; G_bar; A0] x0
+            on_xN = _mm(tab.on_xN, xN)
+            on_x0 = _mm(tab.on_x0[i], x0)
 
-            r0 = x0 - (_mm(maj.H, xN) + maj.eta[:, None])
-            lam0 += weight * _quad(r0, maj.Q, maj.S, maj.R, u0)
+            r0 = x0 - (on_xN[:n] + tab.eta[0])
+            lam0 += weight * _quad(r0, tab.QS[0], maj.R, u0)
             if i == M:
                 lam0 += 0.5 * _qform(r0, maj.Q_hat, r0)
             for k in range(K):
                 th = minors[k]
-                psi = _mm(th.H, x0) + _mm(th.H_hat, xN) + th.eta[:, None]
-                np.subtract(xms[k], psi[:, None], out=work[k])
-                rr = work_f[k]
-                _add_quad(lams[k], weight, rr, th.Q, th.S, th.R,
-                          ums_f[k], work2[k][0])
+                psi = (on_x0[n * k:n * (k + 1)]
+                       + on_xN[n * (1 + k):n * (2 + k)] + tab.eta[1 + k])
+                rr = resid[k]
+                np.subtract(xms[k], psi[:, None],
+                            out=rr.reshape(n, counts[k], c))
+                _add_quad(lams[k], weight, rr, th, tab.QS[1 + k],
+                          ums_f[k], tmp[k])
                 if i == M:
                     lams[k] += 0.5 * _qform(rr, th.Q_hat, rr)
 
-            d = np.max(np.abs(xhat - xbar), axis=0)
-            np.maximum(sup, d, out=sup)
+            # sup_t |xhat - xbar| per component and replication; its max
+            # over components is taken at the end of the chunk
+            diff = np.abs(xhat - xbar)
+            np.maximum(sup, diff, out=sup)
             if i == M:
-                diff_T = d
+                diff_T = diff.max(axis=0)
             if start == 0:
                 paths[i, 0] = x0[:, 0]
                 for k in range(K):
@@ -569,34 +656,36 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
                 empirical_avg[i] = xN[:, 0]
 
             if i < M:
-                xbar += (_mm(tab.A_bar[i], xbar) + _mm(tab.G_bar[i], x0)
-                         + tab.m_bar[i][:, None]) * h
-                drift0 = _mm(maj.A, x0) + _mm(maj.F, xN) + tab.b0[i][:, None]
+                xbar += (_mm(tab.A_bar[i], xbar) + on_x0[n * K:2 * n * K]
+                         + tab.m_bar[i]) * h
+                drift0 = (on_x0[2 * n * K:] + on_xN[n * (1 + K):n * (2 + K)]
+                          + tab.b0[i])
                 x0 += (drift0 + _mm(maj.B, u0)) * h
                 x0 += kick0[i]
-                extremes = [np.max(x0), -np.min(x0)]
-                hi, lo = [], []
+                hi[:n] = x0
+                lo[:n] = x0
+                # [G_k] on the major's state already advanced
+                on_x0_next = _mm(tab.on_x0_next, x0)
                 for k in range(K):
-                    # ((A x + B u) + (coupling + b)) h, then sigma dW; the
-                    # coupling reads the major's state already advanced
+                    # ((A x + B u) + (coupling + b)) h, then sigma dW
                     th = minors[k]
-                    coup = (_mm(th.F, xN) + _mm(th.G, x0)
-                            + tab.bk[k][i][:, None])
-                    d1, d2 = work_f[k], work2[k]
-                    _mm(th.A, xms_f[k], out=d1)
-                    d1 += _mm(th.B, ums_f[k], out=d2)
+                    coup = (on_xN[n * (2 + K + k):n * (3 + K + k)]
+                            + on_x0_next[n * k:n * (k + 1)] + tab.bk[k][i])
+                    d1 = work_f[k]
+                    d1 += _mm(th.B, ums_f[k], out=resid[k])
                     work[k] += coup[:, None]
                     d1 *= h
                     xms_f[k] += d1
                     xms[k] += kicks[k][i]
-                    hi.append(np.max(xms[k], axis=1))
-                    lo.append(np.min(xms[k], axis=1))
-                    extremes += [np.max(hi[k]), -np.min(lo[k])]
+                    rows = slice(n * (1 + k), n * (2 + k))
+                    xms[k].max(axis=1, out=hi[rows])
+                    xms[k].min(axis=1, out=lo[rows])
+                extremes = [hi.max(), -lo.min()]
                 for dev in devs:
                     extremes += dev.step(i, x0, kick0[i],
                                          [kick[i] for kick in kicks], hi, lo)
-                mx = np.max(extremes)
-                if not np.isfinite(mx) or mx > BLOWUP_BOUND:
+                # a NaN fails the comparison as well
+                if not all(e <= BLOWUP_BOUND for e in extremes):
                     raise NonFiniteState(grid.nodes[i + 1])
         # free this chunk's noise before the next one is drawn
         del kick0, kicks
@@ -605,7 +694,7 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
         for k in range(K):
             exponents[start:stop, 1 + slots[k]] = (
                 minors[k].delta * lams[k].reshape(counts[k], c)).T
-        fluct_sup[start:stop] = sup
+        fluct_sup[start:stop] = sup.max(axis=0)
         fluct_T[start:stop] = diff_T
         for dev in devs:
             dev.finish(start, stop)
@@ -786,8 +875,18 @@ class FluctuationStats:
     N_schedule: list
     mean_sup: np.ndarray       # E sup_t |xhat_t - xbar_t|_inf per N
     mean_terminal: np.ndarray  # E |xhat_T - xbar_T|_inf per N
-    slope_sup: float           # log-log fit slope vs N
-    slope_terminal: float
+    slope_sup: float | None    # log-log fit slope vs N; None: no fit
+    slope_terminal: float | None
+
+
+def _log_log_slope(N_schedule, means):
+    """Slope of the least-squares fit of log(mean) on log N, or None when
+    a mean is not positive (as in a noise-free population), since its
+    log is then undefined."""
+    if not np.all(means > 0.0):
+        return None
+    logN = np.log(np.asarray(N_schedule, dtype=float))
+    return float(np.polyfit(logN, np.log(means), 1)[0])
 
 
 def summarize_fluctuations(runs) -> FluctuationStats:
@@ -798,12 +897,10 @@ def summarize_fluctuations(runs) -> FluctuationStats:
     N_schedule = [run.N for run in runs]
     mean_sup = np.array([float(np.mean(run.fluct_sup)) for run in runs])
     mean_T = np.array([float(np.mean(run.fluct_T)) for run in runs])
-    logN = np.log(np.asarray(N_schedule, dtype=float))
-    slope_sup = float(np.polyfit(logN, np.log(mean_sup), 1)[0])
-    slope_T = float(np.polyfit(logN, np.log(mean_T), 1)[0])
     return FluctuationStats(
         N_schedule=N_schedule, mean_sup=mean_sup, mean_terminal=mean_T,
-        slope_sup=slope_sup, slope_terminal=slope_T,
+        slope_sup=_log_log_slope(N_schedule, mean_sup),
+        slope_terminal=_log_log_slope(N_schedule, mean_T),
     )
 
 

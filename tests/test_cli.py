@@ -350,6 +350,23 @@ class TestPopulationModes:
         assert len(rows) == 1 + 2 * 7
         assert (tmp_path / "out" / "slopes.csv").exists()
 
+    def test_noise_free_nash_gap_writes_no_nan(self, tmp_path):
+        # without noise every fluctuation mean is 0, so no log-log slope
+        # exists: its field is empty rather than nan
+        doc = bundled_config("paper_example.json")
+        doc["model"]["major"]["sigma"] = [[0.0]]
+        doc["model"]["minors"][0]["sigma"] = [[0.0]]
+        doc["grid"] = {"steps": 50}
+        doc["population"]["n_reps"] = 20
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["nash-gap", "--config", path, "--out", str(out)]) \
+            == EXIT_OK
+        for f in out.iterdir():
+            assert "nan" not in f.read_text().lower(), f.name
+        assert (out / "slopes.csv").read_text().splitlines()[1:] == [
+            "slope_sup,", "slope_terminal,"]
+
 
     @pytest.mark.parametrize("mode,population", [
         ("nash-gap", {"N_schedule": [1, 5], "n_reps": 4}),

@@ -254,6 +254,22 @@ class TestSimulatePopulation:
         assert np.array_equal(r1.exponents, r2.exponents)
         assert np.array_equal(r1.fluct_sup, r2.fluct_sup)
 
+    def test_type_sums_in_key_order_at_chunk_one(self):
+        # with one replication per chunk the agent axis is contiguous,
+        # along which numpy sums pairwise from 8 terms on; types of 12 and
+        # 8 minors must still be summed in key order, as at other sizes
+        spec = vector_game()
+        eq = solve_consistency(spec, TimeGrid(1.0, 40))
+        assert list(apportion(spec.pi, 20)) == [12, 8]
+        laws = [None, (0, default_deviation_family(eq, 0)[0][1])]
+        one, seven = (simulate_population_laws(spec, eq, 20, laws, n_reps=7,
+                                               seed=4, chunk=c)
+                      for c in (1, 7))
+        for a, b in zip(one, seven):
+            assert np.array_equal(a.exponents, b.exponents, equal_nan=True)
+            assert np.array_equal(a.fluct_sup, b.fluct_sup)
+            assert np.array_equal(a.paths, b.paths)
+
     def test_exchangeability(self, flocking_eq):
         # relabeling same-type agents together with their noise streams
         # leaves the empirical average and the major path bitwise intact

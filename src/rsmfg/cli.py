@@ -44,19 +44,14 @@ from .model import (
     validate_single,
 )
 from .montecarlo import (
-    ControlLaw,
     _run_paths,
     as_control_law,
     check_martingale_quotient,
-    check_normalization,
-    check_optimal_cost,
-    estimate_cost,
     is_deterministic,
     normalization_report,
     optimal_cost_report,
     path_blocks,
     quotient_report,
-    simulate,
 )
 from .numerics import MatrixTrajectory, TimeGrid, state_transition
 from .population import (
@@ -74,7 +69,7 @@ STOCHASTIC_MODES = ("verify-single", "simulate-population", "nash-gap")
 # the fields the parser reads from each section and each model document;
 # any other field is a ParseError, whatever the mode
 SECTIONS = {"grid": ("steps",), "montecarlo": ("n_paths", "seed"),
-            "fixedpoint": ("tol", "relaxation", "eta_hat_sign", "max_iter"),
+            "fixedpoint": ("tol", "relaxation", "max_iter"),
             "population": ("N", "N_schedule", "n_reps", "agent"),
             "output": ("directory",)}
 MODEL_FIELDS = {
@@ -300,14 +295,11 @@ def parse_config(raw: dict, mode: str) -> ExperimentConfig:
     # relaxation 1 would keep the initial guess and call it converged
     fp = {key: _number(docs["fixedpoint"].get(key, default),
                        f"fixedpoint.{key}")
-          for key, default in (("tol", 1e-10), ("relaxation", 0.0),
-                               ("eta_hat_sign", -1.0))}
+          for key, default in (("tol", 1e-10), ("relaxation", 0.0))}
     fp["max_iter"] = _at_least(docs["fixedpoint"].get("max_iter", 50), 1,
                                "fixedpoint.max_iter")
-    if not (fp["tol"] > 0.0 and fp["relaxation"] < 1.0
-            and fp["eta_hat_sign"] in (-1.0, 1.0)):
-        raise ParseError("fixedpoint needs tol > 0, relaxation < 1 and "
-                         "eta_hat_sign 1 or -1")
+    if not (fp["tol"] > 0.0 and fp["relaxation"] < 1.0):
+        raise ParseError("fixedpoint needs tol > 0 and relaxation < 1")
 
     model_doc = raw.get("model")
     if model_doc is None:
@@ -497,11 +489,10 @@ def _run_verify_single(cfg: ExperimentConfig, bundle: ResultBundle):
     sol = _run_solve_single(cfg, bundle)
     p, grid = cfg.model, cfg.grid
     if is_deterministic(p, grid):
-        # noise-free checks need no sampling and run in-process; the
-        # quotient runs first, as in the sampled branch
+        # without noise the cost checks compare C_star with itself, so
+        # only the quotient is checked, in-process and without sampling
         quot = check_martingale_quotient(p, sol, n_paths, seed + 2)
-        reports = [check(p, sol, n_paths, seed + j) for j, check in
-                   enumerate((check_normalization, check_optimal_cost))]
+        reports = []
     else:
         reports, quot = _sampled_checks(p, sol, grid, n_paths, seed)
     rows = [(name, "", repr(rep.value), repr(rep.target),

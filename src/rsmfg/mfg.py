@@ -81,20 +81,14 @@ def assemble_major(spec: MajorMinorSpec) -> ExtendedSystem:
 
     x0 = np.concatenate([maj.x0] + [th.x0 for th in spec.minors])
     return ExtendedSystem(dim=dim, A_tilde=A_tilde, B_own=B_own,
-                          B_major=None, B_mean=B_mean,
-                          Q_bb=Q_bb, S_bb=S_bb, G_bb=G_bb,
+                          B_mean=B_mean, Q_bb=Q_bb, S_bb=S_bb, G_bb=G_bb,
+                          q_hat=-T0.T @ (maj.Q_hat @ maj.eta),
                           eta_bar=eta_bar, n_bar=n_bar, R=maj.R,
                           delta=maj.delta, x0=x0)
 
 
-def assemble_minor(spec: MajorMinorSpec, k: int,
-                   eta_hat_sign: float = -1.0) -> ExtendedSystem:
-    """Extended system of a type-k minor agent on the state (x, x0, xbar).
-
-    eta_hat_sign sets the sign of the mean-field tracking block in the
-    linear cost term eta_bar; -1 matches the congruence transform used for
-    every quadratic block, +1 is exposed as a configuration switch.
-    """
+def assemble_minor(spec: MajorMinorSpec, k: int) -> ExtendedSystem:
+    """Extended system of a type-k minor agent on the state (x, x0, xbar)."""
     n, K = spec.n, spec.K
     th = spec.minors[k]
     major_ext = assemble_major(spec)
@@ -107,24 +101,21 @@ def assemble_minor(spec: MajorMinorSpec, k: int,
                        axis=1),
     ])
     B_own = np.vstack([th.B, np.zeros((major_ext.dim, spec.m))])
-    B_major = np.vstack([np.zeros((n, spec.m)), major_ext.B_own])
     B_mean = np.vstack([np.zeros((n, major_ext.B_mean.shape[1])),
                         major_ext.B_mean])
 
     H_hat_pi = _pi_blocks(th.H_hat, spec.pi)
     Tk = np.concatenate([np.eye(n), -th.H, -H_hat_pi], axis=1)
-    Tk_eta = np.concatenate([np.eye(n), -th.H, eta_hat_sign * H_hat_pi],
-                            axis=1)
     Q_bb = Tk.T @ th.Q @ Tk
     G_bb = Tk.T @ th.Q_hat @ Tk
     S_bb = Tk.T @ th.S
-    eta_bar = Tk_eta.T @ (th.Q @ th.eta)
+    eta_bar = Tk.T @ (th.Q @ th.eta)
     n_bar = th.S.T @ th.eta
 
     x0 = np.concatenate([th.x0, major_ext.x0])
     return ExtendedSystem(dim=dim, A_tilde=A_tilde, B_own=B_own,
-                          B_major=B_major, B_mean=B_mean,
-                          Q_bb=Q_bb, S_bb=S_bb, G_bb=G_bb,
+                          B_mean=B_mean, Q_bb=Q_bb, S_bb=S_bb, G_bb=G_bb,
+                          q_hat=-Tk.T @ (th.Q_hat @ th.eta),
                           eta_bar=eta_bar, n_bar=n_bar, R=th.R,
                           delta=th.delta, x0=x0)
 
@@ -174,9 +165,8 @@ def _extended_problem(sys: ExtendedSystem, A_nodes, M_nodes, sigma,
         B=sys.B_own,
         b=MatrixTrajectory(grid, M_nodes),
         sigma=sigma,
-        Q=sys.Q_bb, S=sys.S_bb, R=sys.R,
-        eta=sys.eta_bar, zeta=sys.n_bar, Q_hat=sys.G_bb,
-        delta=sys.delta, x0=sys.x0, T=T,
+        Q=sys.Q_bb, S=sys.S_bb, R=sys.R, eta=sys.eta_bar, zeta=sys.n_bar,
+        Q_hat=sys.G_bb, q_hat=sys.q_hat, delta=sys.delta, x0=sys.x0, T=T,
     )
 
 
@@ -198,8 +188,7 @@ def _average_laws(minor_laws, n: int):
 
 def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
                       tol: float = 1e-10, max_iter: int = 50,
-                      relaxation: float = 0.0, eta_hat_sign: float = -1.0,
-                      callback=None) -> MfgEquilibrium:
+                      relaxation: float = 0.0, callback=None) -> MfgEquilibrium:
     """Fixed-point sweep over (A_bar, G_bar, m_bar).
 
     Each sweep solves the major extended Riccati/offset first (the minor
@@ -214,7 +203,7 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
     n, r, K = spec.n, spec.r, spec.K
     M = grid.steps
     major_ext = assemble_major(spec)
-    minor_exts = [assemble_minor(spec, k, eta_hat_sign) for k in range(K)]
+    minor_exts = [assemble_minor(spec, k) for k in range(K)]
     d0 = major_ext.dim
     # the mean-field rows n: of the major system: structural drift
     # [G_tilde | A_tilde] and control input B_breve

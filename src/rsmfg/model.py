@@ -12,7 +12,6 @@ condition.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +22,6 @@ from .numerics import ConstantFunction
 # Symmetric-part eigenvalues down to this level still count as PSD:
 # congruence transforms in floating point shed tiny negative eigenvalues.
 PSD_TOL = -1e-10
-
-RISK_NEUTRAL_DELTA = 1e-8
 
 
 def _as_matrix(value, rows, cols, name):
@@ -92,7 +89,8 @@ class LqgProblem:
 
     Dynamics dx = (A(t)x + Bu + b(t))dt + sigma(t)dw on [0, T], cost
     J(u) = E[exp(delta * Lambda_T)] with the quadratic accumulated cost
-    Lambda_T built from Q, S, R, eta, zeta and terminal weight Q_hat.
+    Lambda_T built from Q, S, R, eta, zeta and the terminal cost
+    0.5 x'Q_hat x + q_hat'x; a scalar q_hat fills every component.
     """
 
     A: object            # time -> (n,n), constant array allowed
@@ -108,6 +106,7 @@ class LqgProblem:
     delta: float
     x0: np.ndarray       # (n,)
     T: float
+    q_hat: object = 0.0  # (n,)
     n: int = field(init=False)
     m: int = field(init=False)
     r: int = field(init=False)
@@ -139,33 +138,36 @@ class LqgProblem:
         self.eta = _as_vector(self.eta, n, "eta")
         self.zeta = _as_vector(self.zeta, m, "zeta")
         self.Q_hat = _as_matrix(self.Q_hat, n, n, "Q_hat")
+        q_hat = np.asarray(self.q_hat, dtype=float)
+        self.q_hat = _as_vector(np.full(n, float(q_hat)) if q_hat.ndim == 0
+                                else q_hat, n, "q_hat")
         self.delta = float(self.delta)
         self.T = float(self.T)
 
 
+def _check_agent(a, suffix: str = ""):
+    """delta in (0,∞), R > 0, Q_hat >= 0 and Q - S R^-1 S^T >= 0.
+
+    Messages name each weight with the suffix, as in R_0 or delta_1.
+    """
+    if not (0.0 < a.delta < np.inf):
+        raise AssumptionViolated(f"delta{suffix} in (0,∞)")
+    check_pd(a.R, f"R{suffix}")
+    check_psd(a.Q_hat, f"Q_hat{suffix}")
+    check_psd(a.Q - a.S @ np.linalg.inv(a.R) @ a.S.T,
+              f"Q{suffix} - S{suffix} R{suffix}^-1 S{suffix}^T")
+
+
 def validate_single(p: LqgProblem) -> LqgProblem:
     """Check the single-agent standing assumptions; raise on failure."""
-    if not (0.0 < p.delta < np.inf):
-        raise AssumptionViolated("delta in (0,∞)")
+    _check_agent(p)
     if not p.T > 0.0:
         raise AssumptionViolated("T positive")
-    check_pd(p.R, "R")
-    check_psd(p.Q_hat, "Q_hat")
-    Rinv = np.linalg.inv(p.R)
-    check_psd(p.Q - p.S @ Rinv @ p.S.T, "Q - S R^-1 S^T")
     for t in (0.0, 0.5 * p.T, p.T):
         for name, fn in (("A", p.A), ("b", p.b), ("sigma", p.sigma)):
             if not np.all(np.isfinite(fn(t))):
                 raise AssumptionViolated(f"{name}(t) finite on [0,T]")
     return p
-
-
-def risk_neutral_counterpart(p: LqgProblem,
-                             epsilon: float = RISK_NEUTRAL_DELTA) -> LqgProblem:
-    """Same problem with the risk loading replaced by a small epsilon."""
-    if p.delta == epsilon:
-        return p
-    return dataclasses.replace(p, delta=epsilon)
 
 
 def _normalized(agent, suffix: str, n: int, m: int, r: int):
@@ -267,22 +269,9 @@ def validate_game(g: MajorMinorSpec) -> MajorMinorSpec:
         raise AssumptionViolated("pi sums to 1")
     if not g.T > 0.0:
         raise AssumptionViolated("T positive")
-
-    maj = g.major
-    if not (0.0 < maj.delta < np.inf):
-        raise AssumptionViolated("delta_0 in (0,∞)")
-    check_pd(maj.R, "R_0")
-    check_psd(maj.Q_hat, "Q_hat_0")
-    check_psd(maj.Q - maj.S @ np.linalg.inv(maj.R) @ maj.S.T,
-              "Q_0 - S_0 R_0^-1 S_0^T")
-
+    _check_agent(g.major, "_0")
     for k, th in enumerate(g.minors):
-        if not (0.0 < th.delta < np.inf):
-            raise AssumptionViolated("delta in (0,∞)")
-        check_pd(th.R, f"R_{k + 1}")
-        check_psd(th.Q_hat, f"Q_hat_{k + 1}")
-        check_psd(th.Q - th.S @ np.linalg.inv(th.R) @ th.S.T,
-                  f"Q_{k + 1} - S R^-1 S^T")
+        _check_agent(th, f"_{k + 1}")
     return g
 
 
@@ -292,8 +281,10 @@ class ExtendedSystem:
 
     For the major agent the extended state is (x0, xbar) with dimension
     n(1+K); for a minor agent it is (x, x0, xbar) with dimension n(2+K).
-    The quadratic cost blocks are congruence transforms of the original
-    tracking costs and therefore symmetric PSD by construction.
+    The quadratic cost blocks are congruence transforms T'(.)T of the
+    original tracking costs, with T z the agent's tracking residual before
+    eta, and therefore symmetric PSD by construction; eta_bar = T'Q eta and
+    q_hat = -T'Q_hat eta are the cross terms of the same costs.
     """
 
     dim: int
@@ -301,12 +292,12 @@ class ExtendedSystem:
                                # the nodes, then writes in the iterate
                                # (major) or the major's loop (minor)
     B_own: np.ndarray          # own control input, (dim, m)
-    B_major: np.ndarray        # major's control input (minor only) or None
     B_mean: np.ndarray         # mean-field control input; its mean-
                                # field rows are the refresh's B_breve
     Q_bb: np.ndarray           # running state weight
     S_bb: np.ndarray           # running cross weight, (dim, m)
     G_bb: np.ndarray           # terminal state weight
+    q_hat: np.ndarray          # terminal linear state term
     eta_bar: np.ndarray        # running linear state term
     n_bar: np.ndarray          # running linear control term
     R: np.ndarray

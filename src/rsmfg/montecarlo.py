@@ -30,10 +30,11 @@ report bit for bit; cli runs the checks' blocks in worker processes so.
 
 Coefficients are tabulated once on the half-grid, and riccati._closed_loop
 turns an affine law into tables of its gains and of the closed-loop drift.
-Noise-free problems degenerate to a single deterministic path; the check_*
-routines then evaluate the identity without sampling, the costs by
-riccati.law_cost and the quotient by RK4 on those tables, and report a
-zero standard error.
+Noise-free problems degenerate to a single deterministic path.  The
+quotient check then integrates that path by RK4 on those tables and
+reports a zero standard error.  The normalization and optimal-cost checks
+raise OutOfRange: without noise both compare riccati.law_cost of the
+optimal law with C_star, which is that same number, so they cannot fail.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState
+from .errors import NonFiniteState, OutOfRange
 from .model import LqgProblem
 from .numerics import (
     BLOWUP_BOUND,
@@ -55,7 +56,7 @@ from .numerics import (
     propagate_linear,
     state_transition,
 )
-from .riccati import RiccatiSolution, _closed_loop, law_cost, running_cost
+from .riccati import RiccatiSolution, _closed_loop, running_cost
 
 DEFAULT_BLOCK = 4096
 
@@ -197,6 +198,12 @@ def is_deterministic(p: LqgProblem, grid: TimeGrid) -> bool:
     return not np.any(half_grid_table(p.sigma, grid)[::2])
 
 
+def _require_noise(p: LqgProblem, grid: TimeGrid, check: str):
+    if is_deterministic(p, grid):
+        raise OutOfRange(f"the {check} check needs nonzero diffusion: "
+                         "without noise it compares C_star with itself")
+
+
 def _noise_block(seed, first_path, count, steps, r):
     """Standard normals of paths first_path, ..., first_path+count-1.
 
@@ -325,7 +332,7 @@ def _run_paths(p: LqgProblem, law: ControlLaw, paths: range, seed: int,
                 if not np.isfinite(mx) or mx > BLOWUP_BOUND:
                     raise NonFiniteState(grid.nodes[i + 1])
 
-        lam += 0.5 * _dot(x, _mm(p.Q_hat, x))
+        lam += 0.5 * _dot(x, _mm(p.Q_hat, x)) + p.q_hat @ x
         out["log_weights"][start:stop] = p.delta * lam
         out["x_T"][start:stop] = x.T
         if stream_G:
@@ -379,10 +386,7 @@ def check_normalization(p: LqgProblem, sol: RiccatiSolution, n_paths: int,
     """Verify E[exp(delta*Lambda_T(u*) - C_star)] = 1."""
     if grid is None:
         grid = sol.grid
-    if is_deterministic(p, grid):
-        w = law_cost(p, sol.K_gain, sol.k_offset, grid) - sol.C_star
-        est = math.exp(w)
-        return ZScoreReport(_zscore(est, 1.0, 0.0), est, 1.0, 0.0)
+    _require_noise(p, grid, "normalization")
     return normalization_report(
         sol, _optimal_paths(p, sol, n_paths, seed, grid))
 
@@ -399,10 +403,7 @@ def check_optimal_cost(p: LqgProblem, sol: RiccatiSolution, n_paths: int,
     """Verify log J(u*) = C_star."""
     if grid is None:
         grid = sol.grid
-    if is_deterministic(p, grid):
-        log_j = law_cost(p, sol.K_gain, sol.k_offset, grid)
-        return ZScoreReport(_zscore(log_j, sol.C_star, 0.0),
-                            log_j, sol.C_star, 0.0)
+    _require_noise(p, grid, "optimal-cost")
     return optimal_cost_report(
         sol, _optimal_paths(p, sol, n_paths, seed, grid))
 
@@ -429,9 +430,9 @@ def estimate_gateaux(p: LqgProblem, law, omega: np.ndarray, n_paths: int,
     res = _run_paths(p, cl, range(n_paths), seed, grid,
                      ups_values=ups.values, omega=omega, v=v, block=block)
     x_T = res["x_T"]
-    # terminal term: <Ups(T) W1, Q_hat x_T>
+    # terminal term: <Ups(T) W1, Q_hat x_T + q_hat>
     w_tilde = ups.values[-1] @ W1
-    q = (x_T @ p.Q_hat.T) @ w_tilde + res["qmid"] \
+    q = (x_T @ p.Q_hat.T + p.q_hat) @ w_tilde + res["qmid"] \
         + res["G_T"] @ W1 - res["cross"]
     w = res["log_weights"]
     L = float(np.max(w))
@@ -460,7 +461,8 @@ def quotient_report(p: LqgProblem, sol: RiccatiSolution,
     ups is the state transition of p.A on the grid of the paths, the
     one whose values streamed G_T.
     """
-    V = (samples["x_T"] @ p.Q_hat.T) @ ups.values[-1] + samples["G_T"]
+    V = ((samples["x_T"] @ p.Q_hat.T + p.q_hat) @ ups.values[-1]
+         + samples["G_T"])
     w = samples["log_weights"]
     L = float(np.max(w))
     a = np.exp(w - L)
@@ -480,7 +482,7 @@ def check_martingale_quotient(p: LqgProblem, sol: RiccatiSolution,
                               grid: TimeGrid = None) -> QuotientReport:
     """Verify Pi(0)x0 + s(0) equals the weighted quotient at t=0.
 
-    The quotient is E[e^{dL}(Ups(T)^T Q_hat x_T + int_0^T Ups(s)^T
+    The quotient is E[e^{dL}(Ups(T)^T (Q_hat x_T + q_hat) + int_0^T Ups(s)^T
     (Q x_s + S u*_s - eta) ds)] / E[e^{dL}] under u*, estimated by
     self-normalized importance weighting.
     """
@@ -501,7 +503,7 @@ def check_martingale_quotient(p: LqgProblem, sol: RiccatiSolution,
         traj = propagate_linear(F_xG, f_xG,
                                 np.concatenate([p.x0, np.zeros(n)]), grid)
         x_T, G_T = traj.values[-1][:n], traj.values[-1][n:]
-        quotient = ups.values[-1].T @ (p.Q_hat @ x_T) + G_T
+        quotient = ups.values[-1].T @ (p.Q_hat @ x_T + p.q_hat) + G_T
         return _quotient_report(p, sol, quotient, np.zeros(n))
     return quotient_report(p, sol, ups, _optimal_paths(
         p, sol, n_paths, seed, grid, ups_values=ups.values))

@@ -17,7 +17,7 @@ many columns are stacked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -54,14 +54,6 @@ class TimeGrid:
     def half_nodes(self) -> np.ndarray:
         """All RK4 evaluation times: nodes plus interval midpoints."""
         return np.linspace(self.t_start, self.t_end, 2 * self.steps + 1)
-
-    def node_index(self, t: float) -> int:
-        """Nearest node index; raises if t is not (close to) a node."""
-        pos = (t - self.t_start) / self.h
-        i = int(round(pos))
-        if abs(pos - i) > 1e-8:
-            raise ValueError(f"t={t} is not a grid node")
-        return i
 
 
 @dataclass

@@ -123,7 +123,7 @@ def _backward_riccati(A_s, W, Q_s, Q_hat, grid: TimeGrid) -> MatrixTrajectory:
 
 def solve_offset(p: LqgProblem, Pi: MatrixTrajectory,
                  grid: TimeGrid) -> MatrixTrajectory:
-    """Backward solve of the linear offset equation, s(T)=0.
+    """Backward solve of the linear offset equation, s(T)=q_hat.
 
     The field is -(M s + f) with M = A^T - Pi B R^-1 B^T - S R^-1 B^T
     + delta Pi sigma sigma^T and f = Pi (b + B R^-1 zeta) + S R^-1 zeta
@@ -143,8 +143,7 @@ def solve_offset(p: LqgProblem, Pi: MatrixTrajectory,
                          half_grid_table(p.b, grid) + BRinv @ p.zeta)
                + SRinv @ p.zeta - p.eta)
     try:
-        return propagate_linear(-M, -forcing, np.zeros(p.n), grid,
-                                "backward")
+        return propagate_linear(-M, -forcing, p.q_hat, grid, "backward")
     except NonFiniteState as e:
         raise FiniteEscape(e.t) from e
 
@@ -218,8 +217,9 @@ def law_cost(p: LqgProblem, K, k, grid: TimeGrid) -> float:
     W, w, c = running_cost(p, K, k)
     running = np.block([[W, w[:, :, None]],
                         [w[:, None], 2.0 * c[:, None, None]]])
-    return log_cost(F, f, running, np.pad(p.Q_hat, (0, 1)), p.x0, grid,
-                    p.delta, _half_tables(p, grid)[1])
+    terminal = np.block([[p.Q_hat, p.q_hat[:, None]], [p.q_hat, 0.0]])
+    return log_cost(F, f, running, terminal, p.x0, grid, p.delta,
+                    _half_tables(p, grid)[1])
 
 
 def solve(p: LqgProblem, grid: TimeGrid) -> RiccatiSolution:

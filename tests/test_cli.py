@@ -212,7 +212,7 @@ class TestMfgModes:
         doc["model"]["minors"][0]["eta"] = [0.3]
         doc["grid"] = {"steps": 50}
         doc["fixedpoint"] = {"tol": 1e-10, "max_iter": 100,
-                             "relaxation": 0.5, "eta_hat_sign": 1}
+                             "relaxation": 0.5}
         path = write_config(tmp_path, doc)
         for mode in ("reproduce-paper", "solve-mfg"):
             assert main([mode, "--config", path,
@@ -569,7 +569,8 @@ def test_path_block_error_keeps_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_noise_free_verify_starts_no_worker(tmp_path, monkeypatch):
-    # sigma = 0: each check integrates its one path by RK4 in-process
+    # sigma = 0: the quotient, the one check written, integrates its one
+    # path by RK4 in-process
     def no_pool(fn, jobs, sizes):
         raise AssertionError("fork_map called")
 
@@ -583,7 +584,8 @@ def test_noise_free_verify_starts_no_worker(tmp_path, monkeypatch):
     assert main(["verify-single", "--config", path, "--out", str(out)]) \
         == EXIT_OK
     rows = list(csv.DictReader(io.StringIO((out / "checks.csv").read_text())))
-    assert [row["std_error"] for row in rows] == ["0.0"] * 3
+    assert [(row["check"], row["std_error"]) for row in rows] \
+        == [("martingale_quotient", "0.0")]
 
 
 def _with(doc, section, **fields):
@@ -631,12 +633,10 @@ _PAPER = {"grid": {"steps": 50}}
     ("reproduce-paper", _with(_PAPER, "fixedpoint", tol="abc")),
     ("reproduce-paper", _with(_PAPER, "fixedpoint", max_iter="a")),
     ("reproduce-paper", _with(_PAPER, "fixedpoint", relaxation=[1, 2])),
-    ("reproduce-paper", _with(_PAPER, "fixedpoint", eta_hat_sign="q")),
     ("reproduce-paper", _with(_PAPER, "fixedpoint", max_iter=0)),
     ("reproduce-paper", _with(_PAPER, "fixedpoint", relaxation=1.0)),
     ("reproduce-paper", _with(_PAPER, "fixedpoint", tol=-1)),
     ("reproduce-paper", _with(_PAPER, "fixedpoint", tol=float("nan"))),
-    ("reproduce-paper", _with(_PAPER, "fixedpoint", eta_hat_sign=0.5)),
     ("verify-single", _with(_VERIFY, "montecarlo", seed="x")),
     ("verify-single", _with(_VERIFY, "montecarlo", seed=-1)),
     ("verify-single", _with(_VERIFY, "montecarlo", seed=1e30)),
@@ -666,9 +666,9 @@ _PAPER = {"grid": {"steps": 50}}
         "N_schedule-0", "n_reps-1", "N_schedule-scalar", "agent-outside",
         "threads-text", "minor-without-A", "model-not-object", "A-text",
         "A-ragged", "sigma-nodes-text", "Q-text", "minor-R-ragged",
-        "tol-text", "max_iter-text", "relaxation-list", "eta_hat_sign-text",
-        "max_iter-0", "relaxation-1", "tol-negative", "tol-nan",
-        "eta_hat_sign-half", "seed-text", "seed-negative", "seed-1e30",
+        "tol-text", "max_iter-text", "relaxation-list", "max_iter-0",
+        "relaxation-1", "tol-negative", "tol-nan", "seed-text",
+        "seed-negative", "seed-1e30",
         "section-typo", "max_iter-float", "seed-bool", "steps-text",
         "N_schedule-float", "raw_exponent-text", "N_schedule-repeated",
         "directory-number", "grid-unknown", "fixedpoint-unknown",
@@ -691,10 +691,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, mode, doc):
      "model: unknown field 'etaa'"),
     ("solve-mfg", _with_minor_field(_GAME, "etaa", [0.0]),
      "minors[0]: unknown field 'etaa'"),
-], ids=["section", "model", "minor"])
+    ("reproduce-paper", _with(_PAPER, "fixedpoint", eta_hat_sign=-1),
+     "fixedpoint: unknown field 'eta_hat_sign'"),
+], ids=["section", "model", "minor", "eta_hat_sign"])
 def test_unknown_field_is_named(tmp_path, capsys, mode, doc, field):
     # before, these ran with exit 0: every sweep of a 1-sweep limit, or
-    # eta = 0 in place of the misspelled etaa
+    # eta = 0 in place of the misspelled etaa; eta_hat_sign, once a
+    # switch of the minors' linear cost term, is no longer read
     assert main([mode, "--config", write_config(tmp_path, doc)]) == EXIT_PARSE
     assert field in capsys.readouterr().err
 
@@ -717,8 +720,7 @@ def _fuzz_bases():
     for agent in [model["major"]] + model["minors"]:
         agent.update(b=[0.1], S=[[0.0]], Q_hat=[[0.5]], eta=[0.2])
     game = dict(small, model=model,
-                fixedpoint={"tol": 1e-10, "max_iter": 50, "relaxation": 0.0,
-                            "eta_hat_sign": -1},
+                fixedpoint={"tol": 1e-10, "max_iter": 50, "relaxation": 0.0},
                 population={"N": 3, "N_schedule": [2, 4], "n_reps": 4,
                             "agent": 0})
     return {"solve-single": single, "verify-single": single,

@@ -46,7 +46,6 @@ class TestAssembly:
                                            [0.0, 1.0, 1.0],
                                            [0.0, 1.0, 2.0]])
         assert np.array_equal(es.B_own, [[1.0], [0.0], [0.0]])
-        assert np.array_equal(es.B_major, [[0.0], [1.0], [0.0]])
         assert np.array_equal(es.x0, [1.0, 1.0, 1.0])
         pk = solve_consistency(toy_game(), GRID).minor_problems[0]
         assert np.array_equal(pk.sigma(0.0), [[0.3, 0.0],
@@ -70,16 +69,6 @@ class TestAssembly:
         # each type's extended drift offset leads with its own b_k
         pks = solve_consistency(g2, GRID).minor_problems
         assert [pk.b(0.0)[0] for pk in pks] == [0.0, 0.5]
-
-    def test_eta_hat_sign_switch(self):
-        g = toy_game()
-        g.minors[0].eta = np.array([0.4])
-        minus = assemble_minor(g, 0, eta_hat_sign=-1.0)
-        plus = assemble_minor(g, 0, eta_hat_sign=+1.0)
-        # only the mean-field rows of the linear term flip sign
-        assert np.array_equal(minus.eta_bar[:2], plus.eta_bar[:2])
-        assert np.array_equal(minus.eta_bar[2:], -plus.eta_bar[2:])
-        assert minus.eta_bar[2] == -0.4
 
 
 class TestConsistency:
@@ -141,11 +130,11 @@ class TestConsistency:
         # without interaction the own-state block must reproduce the
         # standalone solve, and the sweep must settle immediately
         assert eq.iterations.iterations == 2
-        # the tracking target enters the linear term through the state
-        # weight: eta_single = Q * eta_target
+        # the tracking target enters the linear terms through the state
+        # weights: eta_single = Q * eta_target, q_hat = -Q_hat * eta_target
         p = LqgProblem(A=-0.6, B=1.0, b=-0.05, sigma=0.3, Q=2.0, S=0.0,
                        R=1.0, eta=2.0 * -0.1, zeta=0.0, Q_hat=0.3, delta=0.5,
-                       x0=0.5, T=1.0)
+                       x0=0.5, T=1.0, q_hat=-0.3 * -0.1)
         sol = solve(p, GRID)
         assert np.max(np.abs(eq.Pik[0].values[:, 0, 0]
                              - sol.Pi.values[:, 0, 0])) < 1e-10
@@ -159,8 +148,8 @@ class TestConsistency:
         eq = solve_consistency(g, GRID)
         assert np.array_equal(eq.Pi0.values[-1], eq.major_ext.G_bb)
         assert np.array_equal(eq.Pik[0].values[-1], eq.minor_exts[0].G_bb)
-        assert np.all(eq.s0.values[-1] == 0.0)
-        assert np.all(eq.sk[0].values[-1] == 0.0)
+        assert np.array_equal(eq.s0.values[-1], eq.major_ext.q_hat)
+        assert np.array_equal(eq.sk[0].values[-1], eq.minor_exts[0].q_hat)
 
     def test_not_converged(self):
         with pytest.raises(NotConverged) as exc:

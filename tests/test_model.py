@@ -13,7 +13,6 @@ from rsmfg.model import (
     MajorMinorSpec,
     MajorParams,
     MinorTypeParams,
-    risk_neutral_counterpart,
     scalar_problem,
     validate_game,
     validate_single,
@@ -102,24 +101,6 @@ class TestLqgProblem:
             )
 
 
-class TestRiskNeutral:
-    def test_only_delta_changes(self):
-        p = scalar_problem(delta=0.5)
-        q = risk_neutral_counterpart(p)
-        assert q.delta == 1e-8
-        assert np.array_equal(q.B, p.B)
-        assert np.array_equal(q.Q, p.Q)
-        assert np.array_equal(q.x0, p.x0)
-        assert q.A(0.4)[0, 0] == p.A(0.4)[0, 0]
-
-    def test_idempotent(self):
-        p = scalar_problem(delta=0.5)
-        q1 = risk_neutral_counterpart(p)
-        q2 = risk_neutral_counterpart(q1)
-        assert q2.delta == q1.delta
-        assert q2 is q1
-
-
 class TestValidateGame:
     def test_toy_model_valid(self):
         g = toy_game()
@@ -142,7 +123,7 @@ class TestValidateGame:
     def test_minor_delta_zero(self):
         g = toy_game()
         g.minors[0].delta = 0.0
-        with pytest.raises(AssumptionViolated, match="delta"):
+        with pytest.raises(AssumptionViolated, match="delta_1 in"):
             validate_game(g)
 
     def test_major_r(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rsmfg.errors import OutOfRange
 from rsmfg.model import LqgProblem, scalar_problem
 from rsmfg.montecarlo import (
     ControlLaw,
@@ -51,6 +52,13 @@ def mild_2d(delta=0.3, sigma_scale=0.3):
     )
 
 
+def mild_2d_q_hat(delta=0.3, sigma_scale=0.3):
+    """mild_2d with a terminal linear weight."""
+    p = mild_2d(delta, sigma_scale)
+    p.q_hat = np.array([0.1, -0.2])
+    return p
+
+
 def rk4_log_cost(p, law, grid):
     """delta*Lambda_T of the single noise-free path, by RK4 quadrature.
 
@@ -72,7 +80,7 @@ def rk4_log_cost(p, law, grid):
     y0 = np.concatenate([p.x0, [0.0]])
     traj = integrate_ode(field, y0, grid, "forward", indexed=True)
     x_T = traj.values[-1][:n]
-    lam = traj.values[-1][n] + 0.5 * x_T @ p.Q_hat @ x_T
+    lam = traj.values[-1][n] + 0.5 * x_T @ p.Q_hat @ x_T + p.q_hat @ x_T
     return p.delta * lam
 
 
@@ -256,11 +264,11 @@ class TestLogMeanExp:
 
 class TestNormalization:
     def test_deterministic(self):
+        # without noise the check would compare C_star with itself
         p = tanh_problem(sigma=0.0)
-        sol = solve(p, TimeGrid(t_end=1.0, steps=2000))
-        rep = check_normalization(p, sol, 1, seed=0)
-        assert abs(rep.value - 1.0) < 1e-6
-        assert rep.z == 0.0
+        sol = solve(p, TimeGrid(t_end=1.0, steps=200))
+        with pytest.raises(OutOfRange, match="nonzero diffusion"):
+            check_normalization(p, sol, 2, seed=0)
 
     def test_scalar_tanh(self):
         p = tanh_problem(delta=0.5)
@@ -278,9 +286,9 @@ class TestNormalization:
 class TestOptimalCost:
     def test_deterministic(self):
         p = tanh_problem(sigma=0.0)
-        sol = solve(p, TimeGrid(t_end=1.0, steps=2000))
-        rep = check_optimal_cost(p, sol, 1, seed=0)
-        assert abs(rep.value - sol.C_star) < 1e-6
+        sol = solve(p, TimeGrid(t_end=1.0, steps=200))
+        with pytest.raises(OutOfRange, match="nonzero diffusion"):
+            check_optimal_cost(p, sol, 2, seed=0)
 
     def test_scalar_tanh(self):
         p = tanh_problem(delta=0.5)
@@ -303,8 +311,8 @@ class TestOptimalCost:
 
 
 class TestLawCost:
-    @pytest.mark.parametrize("problem", [tanh_problem, mild_2d],
-                             ids=["tanh", "2d"])
+    @pytest.mark.parametrize("problem", [tanh_problem, mild_2d, mild_2d_q_hat],
+                             ids=["tanh", "2d", "2d-q_hat"])
     @pytest.mark.parametrize("gain", [1.0, 1.2])
     def test_matches_forward_rk4_without_noise(self, problem, gain):
         # with sigma = 0 the cost is the single path's, which the forward
@@ -316,8 +324,8 @@ class TestLawCost:
         assert abs(law_cost(p, K, k, GRID)
                    - rk4_log_cost(p, ControlLaw(K, k), GRID)) < 1e-10
 
-    @pytest.mark.parametrize("problem", [tanh_problem, mild_2d],
-                             ids=["tanh", "2d"])
+    @pytest.mark.parametrize("problem", [tanh_problem, mild_2d, mild_2d_q_hat],
+                             ids=["tanh", "2d", "2d-q_hat"])
     def test_optimal_law_minimizes_quadratically(self, problem):
         # every perturbation of the paper's feedback law costs more than
         # C_star, by an excess that grows as the square of its size
@@ -358,9 +366,17 @@ class TestGateaux:
             assert abs(est) <= 3.0 * se
 
     def test_deterministic_finite_difference(self):
+        assert self._relative_fd_error(q_hat=0.0) < 1e-4
+
+    def test_terminal_linear_weight_finite_difference(self):
+        assert self._relative_fd_error(q_hat=-0.3) < 1e-4
+
+    @staticmethod
+    def _relative_fd_error(q_hat):
         p = scalar_problem(A=-0.3, b=0.05, sigma=0.0, Q=1.0, R=1.0,
                            S=0.2, eta=0.1, zeta=0.05, Q_hat=0.4,
                            delta=0.5, x0=1.0)
+        p.q_hat = np.array([q_hat])
         grid = TimeGrid(t_end=1.0, steps=20_000)
         t = grid.nodes
         u = (0.3 - 0.2 * t).reshape(-1, 1)
@@ -372,7 +388,7 @@ class TestGateaux:
         j_minus = math.exp(simulate(p, u - eps * omega, 1, 0, grid)
                            .log_weights[0])
         fd = (j_plus - j_minus) / (2.0 * eps)
-        assert abs(est - fd) / abs(fd) < 1e-4
+        return abs(est - fd) / abs(fd)
 
 
 class TestMartingaleQuotient:
@@ -389,6 +405,18 @@ class TestMartingaleQuotient:
         sol = solve(p, GRID)
         rep = check_martingale_quotient(p, sol, 20_000, seed=51)
         assert np.all(np.abs(rep.z) <= 3.0)
+
+    def test_terminal_linear_weight(self):
+        # q_hat enters the paths' terminal cost, which both checks weight
+        # by, the quotient, and its target through s(T); noisy and not
+        p = mild_2d_q_hat()
+        sol = solve(p, GRID)
+        rep = check_martingale_quotient(p, sol, 20_000, seed=53)
+        assert np.all(np.abs(rep.z) <= 3.0)
+        assert abs(check_normalization(p, sol, 20_000, seed=54).z) <= 3.0
+        p = mild_2d_q_hat(sigma_scale=0.0)
+        rep = check_martingale_quotient(p, solve(p, GRID), 1, seed=0)
+        assert np.max(np.abs(rep.quotient - rep.target)) < 1e-5
 
     def test_all_zero_cost(self):
         p = tanh_problem()

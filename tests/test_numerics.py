@@ -37,12 +37,6 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(t_end=0.0, steps=10)
 
-    def test_node_index(self):
-        g = TimeGrid(t_end=1.0, steps=10)
-        assert g.node_index(0.3) == 3
-        with pytest.raises(ValueError):
-            g.node_index(0.35)
-
 
 class TestIntegrate:
     def test_zero_field_constant(self):

@@ -8,7 +8,7 @@ from conftest import decoupled_game, flocking_game, vector_game
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsmfg import population
+from rsmfg import population, riccati
 from rsmfg.errors import NonFiniteState, OutOfRange
 from rsmfg.mfg import (
     equilibrium_laws,
@@ -456,7 +456,9 @@ class TestFiniteCost:
 
     def test_noise_free_cost_shared_by_a_type(self):
         # every slot of a type has the same cost; the values are those of
-        # an RK4 run that integrated all 1+N agents in full (to 1e-12)
+        # scipy's DOP853 (rtol 1e-13) run over all 1+N agents in full, node
+        # interval by node interval, with the laws read linearly between
+        # nodes
         g = vector_game()
         g.major.sigma = np.zeros((2, 1))
         for th in g.minors:
@@ -467,14 +469,45 @@ class TestFiniteCost:
         costs = [noise_free_cost(spec, eq, j, 7) for j in range(7)]
         assert costs[:4] == [costs[0]] * 4
         assert costs[4:] == [costs[4]] * 3
-        assert abs(costs[0] - 0.0113567785888067) < 1e-12
-        assert abs(costs[4] - 0.01423986431062102) < 1e-12
+        assert abs(costs[0] - 0.01135658331488663) < 1e-12
+        assert abs(costs[4] - 0.014211309592200313) < 1e-12
         assert abs(noise_free_cost(spec, eq, "major", 7)
-                   - 0.11136595731173952) < 1e-11
+                   - 0.11116246711319494) < 1e-11
         with pytest.raises(OutOfRange, match="no agents"):
             noise_free_cost(spec, eq, 0, 1)
         with pytest.raises(OutOfRange, match="not in the population"):
             noise_free_cost(spec, eq, 7, 7)
+
+    def test_noise_free_cost_is_extended_law_cost(self):
+        # without noise every minor of a type follows the mean field, so
+        # an agent's population cost is its extended problem's law_cost
+        # plus the constant delta/2 (T eta'Q eta + eta'Q_hat eta), which
+        # the extended problem leaves out; S, eta, Q_hat and H_hat are
+        # nonzero for the major and both types
+        g = vector_game()
+        g.major.sigma = np.zeros((2, 1))
+        g.major.S = np.array([[0.2], [0.1]])
+        g.major.eta = np.array([0.3, -0.2])
+        for th, s in zip(g.minors, (0.1, 0.15)):
+            th.sigma = np.zeros((2, 1))
+            th.S = np.array([[s], [0.05]])
+            th.eta = np.array([0.1, -0.25])
+        spec = MajorMinorSpec(major=g.major, minors=g.minors, pi=[0.6, 0.4],
+                              T=1.0, n=2, m=1, r=1)
+        grid = TimeGrid(1.0, 500)
+        eq = solve_consistency(spec, grid)
+        (K0, k0), minor_laws = equilibrium_laws(eq)
+        types = assignment_from_counts(apportion(spec.pi, 10))
+        cases = [("major", spec.major, eq.major_problem, (K0, k0))] + [
+            (int(np.flatnonzero(types == k)[0]), th, pk, law)
+            for k, (th, pk, law) in enumerate(
+                zip(spec.minors, eq.minor_problems, minor_laws))]
+        for agent, a, p, law in cases:
+            constant = 0.5 * a.delta * (spec.T * a.eta @ a.Q @ a.eta
+                                        + a.eta @ a.Q_hat @ a.eta)
+            expected = riccati.law_cost(p, *law, grid) + constant
+            assert abs(noise_free_cost(spec, eq, agent, 10)
+                       - expected) < 1e-11
 
     def test_major_cost_near_infinite_population(self, flocking_eq):
         spec, eq = flocking_eq

@@ -2,9 +2,8 @@
 
 The 1+N agents share one Euler-Maruyama grid.  Each agent applies the
 infinite-population equilibrium law with the mean-field coordinates
-replaced by per-type empirical averages, except for an optionally
-overridden agent that plays an alternative law.  Per-agent noise comes
-from counter-based Philox streams keyed by (master seed, agent slot), so
+replaced by per-type empirical averages.  Per-agent noise comes from
+counter-based Philox streams keyed by (master seed, agent slot), so
 results are independent of replication batching and a single decoupled
 minor reproduces the single-agent simulator path for path.  Within each
 type the minors are held in ascending key order, and the empirical
@@ -21,9 +20,10 @@ deviations.  Under a deviation by one agent, the Euler step is affine
 in the states and every other agent of a type plays the same law, so
 each non-deviating minor of type k sits at its equilibrium state plus a
 shift D_k shared by the type, and the major at x0 + D0.  A deviation
-law therefore holds only the deviator's own state, stepped in full, the
-shifts, which follow a noise-free linear recursion, and the deviator's
-cost; its other cost columns are NaN (not computed).
+law therefore holds only three things: the deviator's own state,
+stepped in full, the major and type shifts its cost reads, which follow
+a noise-free linear recursion, and its cost.  Every other field of a
+deviation run is NaN (not computed).
 
 States are held component-major: a type's minors are one array (n,
 agent, replication), and every product is numerics._mm with the
@@ -44,7 +44,7 @@ NOISE_BUDGET_BYTES; a chunk's noise is freed before the next is drawn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -105,10 +105,10 @@ class FinitePopulationRun:
     """Ensemble outcome of one finite-population co-simulation.
 
     exponents[:, 0] holds the major agent's delta*Lambda_T per
-    replication; column 1+j holds minor slot j.  A deviation run of
-    simulate_population_laws computes the deviator's column only and
-    holds NaN in the others.  paths and empirical_avg record the first
-    replication only.
+    replication; column 1+j holds minor slot j.  paths and empirical_avg
+    record the first replication only.  A deviation run of
+    simulate_population_laws computes the deviator's exponent and path
+    columns only; every other field, the other columns included, is NaN.
     """
 
     spec: MajorMinorSpec
@@ -201,19 +201,16 @@ def _noise_kicks(gens, c, M, sig, sqrt_h):
 
 
 def simulate_population(spec: MajorMinorSpec, eq: MfgEquilibrium, N: int,
-                        override=None, n_reps: int = 1, seed: int = 0,
+                        n_reps: int = 1, seed: int = 0,
                         grid: TimeGrid = None, chunk: int = DEFAULT_CHUNK,
                         agent_keys=None) -> FinitePopulationRun:
-    """Euler-Maruyama co-simulation of the major agent and N minors.
+    """The equilibrium run: the major agent and N minors co-simulated by
+    Euler-Maruyama, each playing its equilibrium law.
 
-    override, if given, is (agent, law) with agent either "major" or a
-    minor slot index; the law acts on that agent's extended state
-    (x0, xhat) or (x, x0, xhat) with xhat the stacked per-type empirical
-    averages; the run then computes that agent's cost column only (the
-    others are NaN).  agent_keys customizes the per-slot noise stream keys
-    (defaults to 0..N-1 for minors; the major always uses key N).
+    agent_keys relabels the minors' noise streams as in
+    simulate_population_laws; deviations run there.
     """
-    return simulate_population_laws(spec, eq, N, [override], n_reps=n_reps,
+    return simulate_population_laws(spec, eq, N, [None], n_reps=n_reps,
                                     seed=seed, grid=grid, chunk=chunk,
                                     agent_keys=agent_keys)[0]
 
@@ -284,16 +281,16 @@ class _Deviation:
     """The deviation laws of one agent, advanced beside the equilibrium.
 
     On common noise, every minor of type k that keeps its law sits at
-    its equilibrium state plus a shift D_k shared by the type, the major
-    (unless it deviates) at x0 + D0 and the mean-field recursion at
-    xbar + Dbar.  Subtracting the equilibrium's Euler step leaves a
-    noise-free linear recursion for the shifts, driven by the deviator's
-    own shift.  The deviator's state y is stepped in full, in the
-    equilibrium engine's operation order and on its own kicks, and only
-    its cost is accumulated.  Arrays are (component, law, replication),
-    allocated per chunk with their *_f views flattening all but the
-    component; the shifts are one array [D0; D_1..D_K], whose products
-    use the equilibrium's stacked tables.
+    its equilibrium state plus a shift D_k shared by the type, and the
+    major (unless it deviates) at x0 + D0.  Subtracting the equilibrium's
+    Euler step leaves a noise-free linear recursion for the shifts,
+    driven by the deviator's own shift.  The deviator's state y is
+    stepped in full, in the equilibrium engine's operation order and on
+    its own kicks; besides y and the shifts, only its cost is
+    accumulated, and replication 0 of y recorded.  Arrays are
+    (component, law, replication), allocated per chunk with their *_f
+    views flattening all but the component; the shifts are one array
+    [D0; D_1..D_K], whose products use the equilibrium's stacked tables.
     """
 
     def __init__(self, spec, tab, counts, agent, laws, slot, M, h):
@@ -329,15 +326,11 @@ class _Deviation:
                      if rows == list(range(rows[0], rows[-1] + 1))
                      else np.array(rows))
         self.y_rec = np.empty((M + 1, G, n))
-        self.shift_rec = np.empty((M + 1, G, n * (1 + K)))
-        self.avg_rec = np.empty((M + 1, G, n))
 
     def start(self, c, n_reps, first):
         n, K, G = self.spec.n, self.spec.K, len(self.index)
         if first:
             self.exponents = np.empty((G, n_reps))
-            self.fluct_sup = np.empty((G, n_reps))
-            self.fluct_T = np.empty((G, n_reps))
         self.first = first
         # what the law reads: y, then (x0 + D0 unless the major deviates)
         # and the type averages xhat + Dhat
@@ -349,19 +342,17 @@ class _Deviation:
         # the shifts with the deviator's own one moved into its type's
         # average, as the law and the average read them
         self.Dext0 = np.empty_like(self.shifts)
-        self.Dbar = np.zeros((n * K, G, c))
-        self.y_f, self.D0_f, self.Dext0_f, self.Dbar_f = (
-            _flat(a) for a in (self.y, self.D0, self.Dext0, self.Dbar))
+        self.y_f, self.D0_f, self.Dext0_f = (
+            _flat(a) for a in (self.y, self.D0, self.Dext0))
         self.D_f = [_flat(self.D[k * n:(k + 1) * n]) for k in range(K)]
         self.x0_dev_f = (None if self.type_index is None
                          else _flat(self.ext[n:2 * n]))
         self.lam = np.zeros(G * c)
-        self.sup = np.zeros((n * K, G, c))
 
-    def node(self, i, ext0, xN, xbar, xms, weight, last):
-        """Controls, the deviator's cost and the statistics at node i,
-        from the equilibrium's states there (ext0: the major's state and
-        the type averages; xms: each type's minors)."""
+    def node(self, i, ext0, xN, xms, weight, last):
+        """Controls and the deviator's cost at node i, from the
+        equilibrium's states there (ext0: the major's state and the type
+        averages; xms: each type's minors)."""
         tab, counts, p, y = self.tab, self.counts, self.p, self.y
         n, m, K, k_dev = self.spec.n, self.spec.m, self.spec.K, self.type_index
         Dext0 = self.Dext0
@@ -398,17 +389,8 @@ class _Deviation:
         self.lam += weight * _quad(r_f, self.QS, p.R, _flat(u))
         if last:
             self.lam += 0.5 * _qform(r_f, p.Q_hat, r_f)
-
-        # the sup over time is taken per component and replication, its
-        # max over components at the end of the chunk
-        diff = np.abs(self.ext[-n * K:] - (xbar[:, None] + self.Dbar))
-        np.maximum(self.sup, diff, out=self.sup)
-        if last:
-            self.d_T = diff.max(axis=0)
         if self.first:
             self.y_rec[i] = y[:, :, 0].T
-            self.shift_rec[i] = self.shifts[:, :, 0].T
-            self.avg_rec[i] = xN_dev[:, :, 0].T
 
     def step(self, i, x0, kick0, kicks, hi, lo):
         """Advance to node i+1; the extremes for the blow-up test.
@@ -420,18 +402,17 @@ class _Deviation:
         spec, tab, h = self.spec, self.tab, self.h
         n, K, maj = spec.n, spec.K, spec.major
         y, y_f, u_f, D0_f = self.y, self.y_f, _flat(self.u), self.D0_f
-        # [G_bar; A0] on D0 at t_i, [F0; F_1..F_K] on DxN (a deviating
-        # major reads neither A0 D0 nor F0 DxN)
-        on_D0 = _mm(tab.on_x0[i][n * K:], D0_f)
+        # [F0; F_1..F_K] on DxN (a deviating major reads neither A0 D0
+        # nor F0 DxN)
         on_DxN = _mm(tab.on_xN[n * (1 + K):], _flat(self.DxN))
-        self.Dbar_f += (_mm(tab.A_bar[i], self.Dbar_f) + on_D0[:n * K]) * h
         if self.type_index is None:
             drift = _mm(maj.A, y_f) + self.on_xN_dev[n:] + tab.b0[i]
             y_f += (drift + _mm(maj.B, u_f)) * h
             y += kick0[:, None]
             np.subtract(y, x0[:, None], out=self.D0)
         else:
-            D0_f += (on_D0[n * K:] + on_DxN[:n] + _mm(maj.B, self.Du0)) * h
+            D0_f += (_mm(maj.A, D0_f) + on_DxN[:n]
+                     + _mm(maj.B, self.Du0)) * h
             # the next node's x0 + D0, which the law reads there
             np.add(x0[:, None], self.D0, out=self.ext[n:2 * n])
             th = self.p
@@ -456,28 +437,19 @@ class _Deviation:
     def finish(self, start, stop):
         G = len(self.index)
         self.exponents[:, start:stop] = self.p.delta * self.lam.reshape(G, -1)
-        self.fluct_sup[:, start:stop] = self.sup.max(axis=0)
-        self.fluct_T[:, start:stop] = self.d_T
 
-    def runs(self, eq_run, slots):
-        """One FinitePopulationRun per law: the deviator's cost column,
-        NaN elsewhere, and the equilibrium states shifted."""
-        n = self.spec.n
+    def runs(self, eq_run):
+        """One FinitePopulationRun per law: the deviator's exponent and
+        path columns, NaN in every other field."""
         out = []
         for g in range(len(self.index)):
-            exponents = np.full_like(eq_run.exponents, np.nan)
-            exponents[:, self.col] = self.exponents[g]
-            shift = self.shift_rec[:, g]
-            paths = eq_run.paths.copy()
-            paths[:, 0] += shift[:, :n]
-            for k, sk in enumerate(slots):
-                paths[:, 1 + sk] += shift[:, None, n * (1 + k):n * (2 + k)]
-            paths[:, self.col] = self.y_rec[:, g]
-            out.append(FinitePopulationRun(
-                spec=eq_run.spec, N=eq_run.N, assignment=eq_run.assignment,
-                seed=eq_run.seed, grid=eq_run.grid, exponents=exponents,
-                fluct_sup=self.fluct_sup[g], fluct_T=self.fluct_T[g],
-                paths=paths, empirical_avg=self.avg_rec[:, g].copy()))
+            run = replace(eq_run, **{
+                f: np.full_like(getattr(eq_run, f), np.nan)
+                for f in ("exponents", "fluct_sup", "fluct_T", "paths",
+                          "empirical_avg")})
+            run.exponents[:, self.col] = self.exponents[g]
+            run.paths[:, self.col] = self.y_rec[:, g]
+            out.append(run)
         return out
 
 
@@ -494,12 +466,16 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
     """One co-simulation per entry of overrides, all in one pass.
 
     Each entry is None (every agent plays its equilibrium law) or an
-    (agent, law) override as in simulate_population.  The equilibrium
-    law is advanced over all 1+N agents on each chunk of noise, drawn
-    once; each deviation law rides along on the same draws as a
-    _Deviation, so run l equals simulate_population(...,
-    override=overrides[l]) with the same seed.  A deviation run computes
-    the deviator's cost column only; the other columns are NaN.  Raises
+    (agent, law) override: agent is "major" or a minor slot index, and
+    the law acts on that agent's extended state (x0, xhat) or
+    (x, x0, xhat), with xhat the stacked per-type empirical averages.
+    The equilibrium law is advanced over all 1+N agents on each chunk of
+    noise, drawn once; each deviation law rides along on the same draws
+    as a _Deviation, so run l equals a call with overrides[l] alone and
+    the same seed.  A deviation run computes the deviator's exponent and
+    path columns only; every other field is NaN.  Minor slot j draws
+    from the noise stream keyed agent_keys[j], a permutation of 0..N-1
+    (the identity by default); the major draws from key N.  Raises
     OutOfRange when apportion(spec.pi, N) gives a minor type no agents,
     since the per-type averages are then undefined.
     """
@@ -519,8 +495,8 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
     assignment = assignment_from_counts(counts)
     if agent_keys is None:
         agent_keys = list(range(N))
-    if len(agent_keys) != N:
-        raise OutOfRange("agent_keys must have one entry per minor slot")
+    if sorted(agent_keys) != list(range(N)):
+        raise OutOfRange("agent_keys must be a permutation of 0..N-1")
     # minors of each type are held in ascending key order, so the plain
     # per-type sums do not depend on how the slots are labelled
     keys = np.asarray(agent_keys)
@@ -614,7 +590,7 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
 
             weight = h if 0 < i < M else 0.5 * h
             for dev in devs:
-                dev.node(i, ext0, xN, xbar, xms, weight, i == M)
+                dev.node(i, ext0, xN, xms, weight, i == M)
 
             # [k0; kk_k] + [K0; Kr_k] ext0: u0 and each type's shared term
             on_ext0 = _mm(tab.on_ext0[i], ext0)
@@ -706,7 +682,7 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
     )
     runs = [eq_run] * len(overrides)
     for dev in devs:
-        for l, run in zip(dev.index, dev.runs(eq_run, slots)):
+        for l, run in zip(dev.index, dev.runs(eq_run)):
             runs[l] = run
     return runs
 
@@ -720,10 +696,10 @@ def noise_free_cost(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
     for the major and z = (x_j, x0, xbar_1..xbar_K) for minor slot j of
     type k, whose type's average is xhat_k = ((N_k - 1) xbar_k + x_j) /
     N_k.  z follows a linear ODE, and riccati.log_cost gives the cost.
-    law, on the agent's extended state as in simulate_population's
-    override, replaces the agent's equilibrium law.  Raises OutOfRange
-    for nonzero diffusion, an agent outside the population, or an N that
-    leaves a minor type without agents.
+    law, on the agent's extended state as in simulate_population_laws,
+    replaces the agent's equilibrium law.  Raises OutOfRange for nonzero
+    diffusion, an agent outside the population, or an N that leaves a
+    minor type without agents.
     """
     grid = eq.grid
     if any(np.any(half_grid_table(a.sigma, grid))
@@ -836,8 +812,8 @@ def nash_gap(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
 
     The equilibrium law and every deviation are advanced together by one
     simulate_population_laws call, so all laws see identical draws
-    (common random numbers); each law's exponents equal those of a
-    separate simulate_population run with the same seed.  The default
+    (common random numbers); each law's exponents equal those of a call
+    with that law alone and the same seed.  The default
     family perturbs the law of the agent's own type at this N.  The gap
     is max(0, equilibrium log-cost minus the best deviation's log-cost)
     with a paired standard error.
@@ -881,9 +857,9 @@ class FluctuationStats:
 
 def _log_log_slope(N_schedule, means):
     """Slope of the least-squares fit of log(mean) on log N, or None when
-    a mean is not positive (as in a noise-free population), since its
-    log is then undefined."""
-    if not np.all(means > 0.0):
+    there are fewer than two distinct N, or when a mean is not positive
+    (as in a noise-free population), since its log is then undefined."""
+    if len(set(N_schedule)) < 2 or not np.all(means > 0.0):
         return None
     logN = np.log(np.asarray(N_schedule, dtype=float))
     return float(np.polyfit(logN, np.log(means), 1)[0])

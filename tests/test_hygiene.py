@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses what it imports."""
+"""Source hygiene: every module of the package uses what it imports, and
+every private helper is used."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,35 @@ def test_every_import_is_used(path):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports but never uses: {unused}"
+
+
+def _references(tree, skip):
+    """Names tree reads outside the node skip: as a name, an attribute or
+    an imported name."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_private_helper_is_used():
+    # a module-level _helper that nothing in the package reads outside its
+    # own definition is left over from a deletion
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in SRC.glob("*.py")}
+    orphans = [
+        f"{name}: {node.name}"
+        for name, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and not any(node.name in _references(t, node)
+                    for t in trees.values())]
+    assert not orphans, f"private helpers nothing uses: {orphans}"

@@ -59,9 +59,14 @@ def noiseless_game():
 
 
 def assert_deviator_column(run, col):
-    # a deviation run holds the deviator's cost only; NaN means not computed
+    # a deviation run holds the deviator's cost and path only; NaN means
+    # not computed
     assert np.all(np.isfinite(run.exponents[:, col]))
+    assert np.all(np.isfinite(run.paths[:, col]))
     assert np.all(np.isnan(np.delete(run.exponents, col, axis=1)))
+    assert np.all(np.isnan(np.delete(run.paths, col, axis=1)))
+    for field in (run.fluct_sup, run.fluct_T, run.empirical_avg):
+        assert np.all(np.isnan(field))
 
 
 def euler_reference(spec, eq, N, override, n_reps, seed):
@@ -178,8 +183,8 @@ class TestSimulatePopulation:
         K_pad[:, :, :1] = sol.K_gain.values
         law = ControlLaw(K_pad, sol.k_offset.values)
         ens = simulate(p, sol, 1, seed=7, grid=grid, store_paths=True)
-        run = simulate_population(spec, eq, N=1, override=(0, law),
-                                  n_reps=1, seed=7)
+        run = simulate_population_laws(spec, eq, 1, [(0, law)], n_reps=1,
+                                       seed=7)[0]
         assert np.array_equal(run.paths[:, 1, :], ens.states[0])
 
     def test_decoupled_2d_minor_bitwise(self):
@@ -209,8 +214,8 @@ class TestSimulatePopulation:
         K_pad[:, :, :2] = sol.K_gain.values
         law = ControlLaw(K_pad, sol.k_offset.values)
         ens = simulate(p, sol, 1, seed=7, grid=grid, store_paths=True)
-        run = simulate_population(spec, eq, N=1, override=(0, law),
-                                  n_reps=1, seed=7)
+        run = simulate_population_laws(spec, eq, 1, [(0, law)], n_reps=1,
+                                       seed=7)[0]
         assert np.array_equal(run.paths[:, 1, :], ens.states[0])
 
     def test_budget_chunks(self, monkeypatch):
@@ -242,9 +247,10 @@ class TestSimulatePopulation:
             for run, ref in zip(runs, whole):
                 assert np.array_equal(run.exponents, ref.exponents,
                                       equal_nan=True)
-                assert np.array_equal(run.fluct_sup, ref.fluct_sup)
-                assert np.array_equal(run.paths, ref.paths)
-        # the deviation run computes the deviator's cost column only
+                assert np.array_equal(run.fluct_sup, ref.fluct_sup,
+                                      equal_nan=True)
+                assert np.array_equal(run.paths, ref.paths, equal_nan=True)
+        # the deviation run computes the deviator's cost and path only
         assert_deviator_column(whole[1], 2)
 
     def test_chunk_independence(self, flocking_eq):
@@ -267,8 +273,8 @@ class TestSimulatePopulation:
                       for c in (1, 7))
         for a, b in zip(one, seven):
             assert np.array_equal(a.exponents, b.exponents, equal_nan=True)
-            assert np.array_equal(a.fluct_sup, b.fluct_sup)
-            assert np.array_equal(a.paths, b.paths)
+            assert np.array_equal(a.fluct_sup, b.fluct_sup, equal_nan=True)
+            assert np.array_equal(a.paths, b.paths, equal_nan=True)
 
     def test_exchangeability(self, flocking_eq):
         # relabeling same-type agents together with their noise streams
@@ -282,6 +288,16 @@ class TestSimulatePopulation:
         assert np.array_equal(np.sort(r1.exponents[:, 1:], axis=1),
                               np.sort(r2.exponents[:, 1:], axis=1))
 
+    @pytest.mark.parametrize("keys", [[0, 0, 1, 2], [0, 1, 2, 4]],
+                             ids=["repeated", "key-N"])
+    def test_agent_keys_must_relabel(self, flocking_eq, keys):
+        # a repeated key, or the major's key N, would give two agents one
+        # noise stream
+        spec, eq = flocking_eq
+        with pytest.raises(OutOfRange, match="agent_keys"):
+            simulate_population(spec, eq, N=4, n_reps=2, seed=11,
+                                agent_keys=keys)
+
     def test_vector_game_law_axis(self):
         # matrix-valued coefficients, two types, r != n: one call with a
         # law axis equals separate runs, at any chunk size, and relabeling
@@ -294,12 +310,13 @@ class TestSimulatePopulation:
         runs = simulate_population_laws(spec, eq, 5, overrides, n_reps=9,
                                         seed=3, chunk=4)
         for ov, run in zip(overrides, runs):
-            alone = simulate_population(spec, eq, 5, override=ov, n_reps=9,
-                                        seed=3)
+            alone = simulate_population_laws(spec, eq, 5, [ov], n_reps=9,
+                                             seed=3)[0]
             assert np.array_equal(run.exponents, alone.exponents,
                                   equal_nan=True)
-            assert np.array_equal(run.paths, alone.paths)
-            assert np.array_equal(run.fluct_sup, alone.fluct_sup)
+            assert np.array_equal(run.paths, alone.paths, equal_nan=True)
+            assert np.array_equal(run.fluct_sup, alone.fluct_sup,
+                                  equal_nan=True)
         assert not np.array_equal(runs[0].exponents, runs[1].exponents)
         assert_deviator_column(runs[1], 0)
         assert_deviator_column(runs[2], 4)
@@ -312,8 +329,9 @@ class TestSimulatePopulation:
     @pytest.mark.parametrize("game", ["vector", "flocking"])
     def test_reduced_engine_matches_full_population(self, game):
         # the deviation laws' type-shared shifts against every agent
-        # stepped in full; a chunk smaller than n_reps, and the deviators
-        # are the major, a type-0 and (vector game) a type-1 slot
+        # stepped in full, through the deviator's cost and path; a chunk
+        # smaller than n_reps, and the deviators are the major, a type-0
+        # and (vector game) a type-1 slot
         spec = vector_game() if game == "vector" else flocking_game()
         eq = solve_consistency(spec, TimeGrid(1.0, 50))
         N, types = 7, assignment_from_counts(apportion(spec.pi, 7))
@@ -330,12 +348,16 @@ class TestSimulatePopulation:
 
         for ov, run in zip(overrides, runs):
             w, paths, sup, avg = euler_reference(spec, eq, N, ov, 5, 4)
-            col = (slice(None) if ov is None
-                   else 0 if ov[0] == "major" else 1 + ov[0])
+            if ov is None:
+                assert close(run.exponents, w)
+                assert close(run.paths, paths)
+                assert close(run.fluct_sup, sup)
+                assert close(run.empirical_avg, avg)
+                continue
+            col = 0 if ov[0] == "major" else 1 + ov[0]
             assert close(run.exponents[:, col], w[:, col]), ov
-            assert close(run.paths, paths), ov
-            assert close(run.fluct_sup, sup), ov
-            assert close(run.empirical_avg, avg), ov
+            assert close(run.paths[:, col], paths[:, col]), ov
+            assert_deviator_column(run, col)
 
     @pytest.mark.parametrize("agent", ["major", 1])
     def test_deviation_blowup_raises(self, flocking_eq, agent):
@@ -446,8 +468,8 @@ class TestFiniteCost:
             override = None if agent is None else (
                 agent, default_deviation_family(eq, agent, gain_factors=(0.9,),
                                                 offset_shifts=())[0][1])
-            em = simulate_population(spec, eq, N=3, override=override,
-                                     n_reps=1, seed=0)
+            em = simulate_population_laws(spec, eq, 3, [override], n_reps=1,
+                                          seed=0)[0]
             col = 0 if agent is None else agent
             exact = noise_free_cost(spec, eq, col, 3,
                                     None if override is None else override[1])
@@ -563,8 +585,8 @@ class TestNashGap:
             assert rep.equilibrium == finite_cost(base, agent)
             for (label, law), (rep_label, est) in zip(family,
                                                       rep.deviations):
-                run = simulate_population(spec, eq, N=4, override=(agent, law),
-                                          n_reps=30, seed=21)
+                run = simulate_population_laws(spec, eq, 4, [(agent, law)],
+                                               n_reps=30, seed=21)[0]
                 assert rep_label == label
                 assert est == finite_cost(run, agent)
 
@@ -601,3 +623,10 @@ class TestFluctuations:
         assert -0.65 <= stats.slope_terminal <= -0.35
         assert -0.65 <= stats.slope_sup <= -0.35
         assert np.all(np.diff(stats.mean_terminal) < 0.0)
+
+    def test_single_N_has_no_slope(self, flocking_eq):
+        # one N leaves nothing to fit a decay rate to
+        spec, eq = flocking_eq
+        stats = fluctuation_statistics(spec, eq, (5,), n_reps=20, seed=17)
+        assert stats.mean_sup[0] > 0.0 and stats.mean_terminal[0] > 0.0
+        assert stats.slope_sup is None and stats.slope_terminal is None

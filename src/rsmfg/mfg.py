@@ -6,23 +6,26 @@ risk-sensitive problems on extended states: the major agent sees
 The mean-field drift coefficients Abar(t), Gbar(t), mbar(t) both feed
 those extended problems and are recomputed from their solutions, so the
 equilibrium is the fixed point of a sweep: solve the major's Riccati and
-offset, then each minor type's, then refresh the coefficients.  The
-sweep reads its drifts from the assembled systems, with the iterate in
-the major's mean-field rows and the major's closed loop in each minor's,
-and the refresh is the averaging identity [Gbar | Abar] = [G~ | A~] +
-B_breve Xi, mbar = b_breve + B_breve varsigma, with (Xi, varsigma) the
-minor laws averaged within each type.  Each inner solve delegates to the
-single-agent riccati module with the extended matrices substituted.
+offset, then each minor type's, then refresh the coefficients.
+assemble_major and assemble_minor return each extended problem as an
+LqgProblem with the structural drift A~ and zero b and sigma, its cost
+built by one congruence of the agent's tracking cost.  A sweep replaces
+their A, b and sigma by node tables, with the iterate in the major's
+mean-field rows and the major's closed loop in each minor's, and solves
+them with the single-agent riccati module.  The refresh is the averaging
+identity [Gbar | Abar] = [G~ | A~] + B_breve Xi, mbar = b_breve +
+B_breve varsigma, with (Xi, varsigma) the minor laws averaged within
+each type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotConverged
-from .model import ExtendedSystem, LqgProblem, MajorMinorSpec
+from .model import LqgProblem, MajorMinorSpec
 from .numerics import (
     MatrixTrajectory,
     TimeGrid,
@@ -61,63 +64,58 @@ def assemble_mean_field(minors, pi):
     return A_breve, G_breve, B_breve
 
 
-def assemble_major(spec: MajorMinorSpec) -> ExtendedSystem:
-    """Extended system of the major agent on the state (x0, xbar)."""
+def _tracking_problem(agent, Tz, A, B, x0, T, r) -> LqgProblem:
+    """The agent's problem on its extended state z, b and sigma zero.
+
+    Tz z is the agent's tracking residual before eta, so the quadratic
+    weights are the congruence transforms Tz'(.)Tz of the agent's own,
+    symmetric PSD by construction; Tz'Q eta, S'eta and -Tz'Q_hat eta are
+    the cross terms of the same costs.  r is the width of sigma.
+    """
+    dim = len(x0)
+    return LqgProblem(
+        A=A, B=B, b=np.zeros(dim), sigma=np.zeros((dim, r)),
+        Q=Tz.T @ agent.Q @ Tz, S=Tz.T @ agent.S, R=agent.R,
+        eta=Tz.T @ (agent.Q @ agent.eta), zeta=agent.S.T @ agent.eta,
+        Q_hat=Tz.T @ agent.Q_hat @ Tz,
+        q_hat=-Tz.T @ (agent.Q_hat @ agent.eta),
+        delta=agent.delta, x0=x0, T=T,
+    )
+
+
+def assemble_major(spec: MajorMinorSpec) -> LqgProblem:
+    """The major agent's problem on the extended state (x0, xbar).
+
+    A is the structural drift, B the major's input rows; b and sigma are
+    zero, and the sweep supplies them with the mean-field rows of A.
+    """
     n, K = spec.n, spec.K
     maj = spec.major
-    A_breve, G_breve, B_breve = assemble_mean_field(spec.minors, spec.pi)
-    F0_pi = _pi_blocks(maj.F, spec.pi)
-    dim = n * (1 + K)
-    A_tilde = np.block([[maj.A, F0_pi], [G_breve, A_breve]])
-    B_own = np.vstack([maj.B, np.zeros((n * K, spec.m))])
-    B_mean = np.vstack([np.zeros((n, B_breve.shape[1])), B_breve])
-
+    A_breve, G_breve, _ = assemble_mean_field(spec.minors, spec.pi)
+    A = np.block([[maj.A, _pi_blocks(maj.F, spec.pi)], [G_breve, A_breve]])
+    B = np.vstack([maj.B, np.zeros((n * K, spec.m))])
     T0 = np.concatenate([np.eye(n), -_pi_blocks(maj.H, spec.pi)], axis=1)
-    Q_bb = T0.T @ maj.Q @ T0
-    G_bb = T0.T @ maj.Q_hat @ T0
-    S_bb = T0.T @ maj.S
-    eta_bar = T0.T @ (maj.Q @ maj.eta)
-    n_bar = maj.S.T @ maj.eta
-
     x0 = np.concatenate([maj.x0] + [th.x0 for th in spec.minors])
-    return ExtendedSystem(dim=dim, A_tilde=A_tilde, B_own=B_own,
-                          B_mean=B_mean, Q_bb=Q_bb, S_bb=S_bb, G_bb=G_bb,
-                          q_hat=-T0.T @ (maj.Q_hat @ maj.eta),
-                          eta_bar=eta_bar, n_bar=n_bar, R=maj.R,
-                          delta=maj.delta, x0=x0)
+    return _tracking_problem(maj, T0, A, B, x0, spec.T, spec.r)
 
 
-def assemble_minor(spec: MajorMinorSpec, k: int) -> ExtendedSystem:
-    """Extended system of a type-k minor agent on the state (x, x0, xbar)."""
-    n, K = spec.n, spec.K
+def assemble_minor(spec: MajorMinorSpec, k: int) -> LqgProblem:
+    """A type-k minor agent's problem on the extended state (x, x0, xbar).
+
+    A is the structural drift, B the minor's input rows; b and sigma are
+    zero, and the sweep supplies them with the major's closed loop.
+    """
+    n = spec.n
     th = spec.minors[k]
-    major_ext = assemble_major(spec)
-    dim = n * (2 + K)
-    F_pi = _pi_blocks(th.F, spec.pi)
-    top = np.concatenate([th.A, th.G, F_pi], axis=1)
-    A_tilde = np.vstack([
-        top,
-        np.concatenate([np.zeros((major_ext.dim, n)), major_ext.A_tilde],
-                       axis=1),
-    ])
-    B_own = np.vstack([th.B, np.zeros((major_ext.dim, spec.m))])
-    B_mean = np.vstack([np.zeros((n, major_ext.B_mean.shape[1])),
-                        major_ext.B_mean])
-
-    H_hat_pi = _pi_blocks(th.H_hat, spec.pi)
-    Tk = np.concatenate([np.eye(n), -th.H, -H_hat_pi], axis=1)
-    Q_bb = Tk.T @ th.Q @ Tk
-    G_bb = Tk.T @ th.Q_hat @ Tk
-    S_bb = Tk.T @ th.S
-    eta_bar = Tk.T @ (th.Q @ th.eta)
-    n_bar = th.S.T @ th.eta
-
-    x0 = np.concatenate([th.x0, major_ext.x0])
-    return ExtendedSystem(dim=dim, A_tilde=A_tilde, B_own=B_own,
-                          B_mean=B_mean, Q_bb=Q_bb, S_bb=S_bb, G_bb=G_bb,
-                          q_hat=-Tk.T @ (th.Q_hat @ th.eta),
-                          eta_bar=eta_bar, n_bar=n_bar, R=th.R,
-                          delta=th.delta, x0=x0)
+    major = assemble_major(spec)
+    top = np.concatenate([th.A, th.G, _pi_blocks(th.F, spec.pi)], axis=1)
+    A = np.vstack([top, np.concatenate([np.zeros((major.n, n)), major.A(0.0)],
+                                       axis=1)])
+    B = np.vstack([th.B, np.zeros((major.n, spec.m))])
+    Tk = np.concatenate([np.eye(n), -th.H, -_pi_blocks(th.H_hat, spec.pi)],
+                        axis=1)
+    x0 = np.concatenate([th.x0, major.x0])
+    return _tracking_problem(th, Tk, A, B, x0, spec.T, 2 * spec.r)
 
 
 @dataclass
@@ -146,28 +144,8 @@ class MfgEquilibrium:
     m_bar: MatrixTrajectory   # (nK,)
     major_problem: LqgProblem   # extended problem the major solution obeys
     minor_problems: list
-    major_ext: ExtendedSystem
-    minor_exts: list
     iterations: IterationLog
     _laws: tuple   # the final sweep's laws, read by equilibrium_laws
-
-
-def _extended_problem(sys: ExtendedSystem, A_nodes, M_nodes, sigma,
-                      grid, T):
-    """Wrap a time-varying extended system as a single-agent problem.
-
-    A and b are the sweep's drift arrays on the grid nodes; A is copied,
-    since the sweep overwrites its drift arrays in place.  sigma, the
-    extended diffusion as a MatrixTrajectory, is the same in every sweep.
-    """
-    return LqgProblem(
-        A=MatrixTrajectory(grid, A_nodes.copy()),
-        B=sys.B_own,
-        b=MatrixTrajectory(grid, M_nodes),
-        sigma=sigma,
-        Q=sys.Q_bb, S=sys.S_bb, R=sys.R, eta=sys.eta_bar, zeta=sys.n_bar,
-        Q_hat=sys.G_bb, q_hat=sys.q_hat, delta=sys.delta, x0=sys.x0, T=T,
-    )
 
 
 def _average_laws(minor_laws, n: int):
@@ -202,17 +180,18 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         grid = TimeGrid(t_end=spec.T, steps=2000)
     n, r, K = spec.n, spec.r, spec.K
     M = grid.steps
-    major_ext = assemble_major(spec)
-    minor_exts = [assemble_minor(spec, k) for k in range(K)]
-    d0 = major_ext.dim
-    # the mean-field rows n: of the major system: structural drift
-    # [G_tilde | A_tilde] and control input B_breve
-    GA_tilde, B_breve = major_ext.A_tilde[n:], major_ext.B_mean[n:]
+    major = assemble_major(spec)
+    minors = [assemble_minor(spec, k) for k in range(K)]
+    d0 = major.n
+    # the mean-field rows n: of the major's structural drift, [G~ | A~],
+    # and of its mean-field control input, B_breve
+    GA_struct = major.A(0.0)[n:]
+    B_breve = assemble_mean_field(spec.minors, spec.pi)[2]
 
     # extended node diffusions: the major's noise drives x0, a minor's own x
     sig0_nodes = np.zeros((M + 1, d0, r))
     sig0_nodes[:, :n] = half_grid_table(spec.major.sigma, grid)[::2]
-    sigk_nodes = [np.zeros((M + 1, me.dim, 2 * r)) for me in minor_exts]
+    sigk_nodes = [np.zeros((M + 1, p.n, 2 * r)) for p in minors]
     for th, sig in zip(spec.minors, sigk_nodes):
         sig[:, :n, :r] = half_grid_table(th.sigma, grid)[::2]
         sig[:, n:, r:] = sig0_nodes
@@ -222,41 +201,40 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
     b_breve = np.concatenate([half_grid_table(th.b, grid)[::2]
                               for th in spec.minors], axis=1)
     # extended drifts on the nodes; each sweep writes the iterate into the
-    # major's mean-field rows and the major's closed loop into each minor's
-    A0_nodes = np.repeat(major_ext.A_tilde[None], M + 1, axis=0)
-    Ak_nodes = [np.repeat(me.A_tilde[None], M + 1, axis=0)
-                for me in minor_exts]
+    # major's mean-field rows and the major's closed loop into each minor's.
+    # A sweep's problems copy A, since the next sweep overwrites it.
+    A0_nodes = np.repeat(major.A(0.0)[None], M + 1, axis=0)
+    Ak_nodes = [np.repeat(p.A(0.0)[None], M + 1, axis=0) for p in minors]
 
     # iterates on the grid: [G_bar | A_bar] and m_bar
     GA_bar = np.zeros((M + 1, n * K, d0))
     m_bar = b_breve + B_breve @ np.concatenate(
-        [np.linalg.inv(me.R) @ me.n_bar for me in minor_exts])
+        [np.linalg.inv(p.R) @ p.zeta for p in minors])
 
     errors = []
     for sweep in range(1, max_iter + 1):
         # (1) major extended solve with the current mean-field coefficients
         A0_nodes[:, n:] = GA_bar
         M0_nodes = np.concatenate([b0_nodes, m_bar], axis=1)
-        p0 = _extended_problem(major_ext, A0_nodes, M0_nodes, sig0, grid,
-                               spec.T)
+        p0 = replace(major, A=MatrixTrajectory(grid, A0_nodes.copy()),
+                     b=MatrixTrajectory(grid, M0_nodes), sigma=sig0)
         Pi0 = solve_riccati(p0, grid)
         s0 = solve_offset(p0, Pi0, grid)
 
         # closed-loop major coefficients (A + B K, M + B k) consumed by
         # every minor system
-        B0 = major_ext.B_own
         K0, k0 = feedback_law(p0, Pi0, s0)
-        closed_A0 = A0_nodes + np.einsum("ij,tjk->tik", B0, K0.values)
-        closed_M0 = M0_nodes + k0.values @ B0.T
+        closed_A0 = A0_nodes + np.einsum("ij,tjk->tik", major.B, K0.values)
+        closed_M0 = M0_nodes + k0.values @ major.B.T
 
         # (2) minor extended solves
         Piks, sks, pks = [], [], []
-        for k, me in enumerate(minor_exts):
+        for k, p in enumerate(minors):
             Ak_nodes[k][:, n:, n:] = closed_A0
             Mk_nodes = np.concatenate([b_breve[:, n * k:n * (k + 1)],
                                        closed_M0], axis=1)
-            pk = _extended_problem(me, Ak_nodes[k], Mk_nodes, sigk[k], grid,
-                                   spec.T)
+            pk = replace(p, A=MatrixTrajectory(grid, Ak_nodes[k].copy()),
+                         b=MatrixTrajectory(grid, Mk_nodes), sigma=sigk[k])
             Pik = solve_riccati(pk, grid)
             sk = solve_offset(pk, Pik, grid)
             Piks.append(Pik)
@@ -267,7 +245,7 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         minor_laws = [feedback_law(pk, Pik, sk)
                       for pk, Pik, sk in zip(pks, Piks, sks)]
         Xi, vs = _average_laws(minor_laws, n)
-        GA_new = GA_tilde + B_breve @ Xi
+        GA_new = GA_struct + B_breve @ Xi
         m_new = b_breve + vs @ B_breve.T
 
         if relaxation:
@@ -291,7 +269,6 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         G_bar=MatrixTrajectory(grid, GA_bar[:, :, :n]),
         m_bar=MatrixTrajectory(grid, m_bar),
         major_problem=p0, minor_problems=pks,
-        major_ext=major_ext, minor_exts=minor_exts,
         iterations=IterationLog(errors), _laws=((K0, k0), minor_laws),
     )
 

@@ -5,6 +5,8 @@ dataclasses.  Time-dependent coefficients (drift matrix, drift offset,
 diffusion) may be given as constant arrays, which the constructors wrap
 as numerics.ConstantFunction, or as callables of time, such as a
 numerics.MatrixTrajectory of node values, which they keep as given.
+A game's extended single-agent problems are LqgProblems as well, built
+by mfg.assemble_major and mfg.assemble_minor.
 Validation checks the positivity conditions required for the feedback
 solution to exist and raises AssumptionViolated naming the failed
 condition.
@@ -209,9 +211,6 @@ class MinorTypeParams:
     delta: float
     x0: np.ndarray  # representative initial state for simulation
 
-    def normalized(self, n, m, r):
-        return _normalized(self, "k", n, m, r)
-
 
 @dataclass
 class MajorParams:
@@ -231,9 +230,6 @@ class MajorParams:
     delta: float
     x0: np.ndarray
 
-    def normalized(self, n, m, r):
-        return _normalized(self, "0", n, m, r)
-
 
 @dataclass
 class MajorMinorSpec:
@@ -250,9 +246,9 @@ class MajorMinorSpec:
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=float).reshape(-1)
         self.T = float(self.T)
-        self.major.normalized(self.n, self.m, self.r)
+        _normalized(self.major, "0", self.n, self.m, self.r)
         for th in self.minors:
-            th.normalized(self.n, self.m, self.r)
+            _normalized(th, "k", self.n, self.m, self.r)
 
     @property
     def K(self) -> int:
@@ -275,46 +271,8 @@ def validate_game(g: MajorMinorSpec) -> MajorMinorSpec:
     return g
 
 
-@dataclass
-class ExtendedSystem:
-    """Stacked (agent + major + mean field) system for one player.
-
-    For the major agent the extended state is (x0, xbar) with dimension
-    n(1+K); for a minor agent it is (x, x0, xbar) with dimension n(2+K).
-    The quadratic cost blocks are congruence transforms T'(.)T of the
-    original tracking costs, with T z the agent's tracking residual before
-    eta, and therefore symmetric PSD by construction; eta_bar = T'Q eta and
-    q_hat = -T'Q_hat eta are the cross terms of the same costs.
-    """
-
-    dim: int
-    A_tilde: np.ndarray        # structural drift; the sweep copies it to
-                               # the nodes, then writes in the iterate
-                               # (major) or the major's loop (minor)
-    B_own: np.ndarray          # own control input, (dim, m)
-    B_mean: np.ndarray         # mean-field control input; its mean-
-                               # field rows are the refresh's B_breve
-    Q_bb: np.ndarray           # running state weight
-    S_bb: np.ndarray           # running cross weight, (dim, m)
-    G_bb: np.ndarray           # terminal state weight
-    q_hat: np.ndarray          # terminal linear state term
-    eta_bar: np.ndarray        # running linear state term
-    n_bar: np.ndarray          # running linear control term
-    R: np.ndarray
-    delta: float
-    x0: np.ndarray
-
-
 def scalar_problem(A=0.0, B=1.0, b=0.0, sigma=1.0, Q=1.0, S=0.0, R=1.0,
                    eta=0.0, zeta=0.0, Q_hat=0.0, delta=0.5, x0=1.0, T=1.0):
     """Convenience constructor for one-dimensional problems."""
-    return LqgProblem(
-        A=np.array([[A]]) if not callable(A) else A,
-        B=np.array([[B]]),
-        b=np.array([b]) if not callable(b) else b,
-        sigma=np.array([[sigma]]) if not callable(sigma) else sigma,
-        Q=np.array([[Q]]), S=np.array([[S]]), R=np.array([[R]]),
-        eta=np.array([eta]), zeta=np.array([zeta]),
-        Q_hat=np.array([[Q_hat]]), delta=delta,
-        x0=np.array([x0]), T=T,
-    )
+    return LqgProblem(A=A, B=B, b=b, sigma=sigma, Q=Q, S=S, R=R, eta=eta,
+                      zeta=zeta, Q_hat=Q_hat, delta=delta, x0=x0, T=T)

@@ -458,6 +458,20 @@ def _flat(a):
     return a.reshape(len(a), -1)
 
 
+def _column(agent, N: int) -> int:
+    """The agent's exponent column: 0 for "major", 1 + j for minor slot j.
+
+    j must be an integer (not a bool) in [0, N); anything else raises
+    OutOfRange.
+    """
+    if agent == "major":
+        return 0
+    if (isinstance(agent, (int, np.integer)) and not isinstance(agent, bool)
+            and 0 <= agent < N):
+        return 1 + int(agent)
+    raise OutOfRange(f"agent {agent!r} not in the population")
+
+
 def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
                              N: int, overrides, n_reps: int = 1,
                              seed: int = 0, grid: TimeGrid = None,
@@ -513,12 +527,10 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
         if ov is None:
             continue
         agent, law = ov
-        if agent == "major":
-            dim = n * (1 + K)
-        elif 0 <= int(agent) < N:
+        if _column(agent, N):
             agent, dim = int(agent), n * (2 + K)
         else:
-            raise OutOfRange(f"agent {agent!r} not in the population")
+            dim = n * (1 + K)
         groups.setdefault(agent, []).append(
             (l, as_control_law(law, grid, dim, m)))
     devs = [_Deviation(spec, tab, counts, agent, laws,
@@ -710,8 +722,7 @@ def noise_free_cost(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
     if not counts.all():
         raise OutOfRange(f"minor type {int(np.argmin(counts))} has no "
                          f"agents at N={N}")
-    if agent != "major" and not 0 <= int(agent) < N:
-        raise OutOfRange(f"agent {agent!r} not in the population")
+    _column(agent, N)
     (K0, k0), minor_laws = equilibrium_laws(eq)
     # x0's first row in z; the agent is agents[dev] below
     o, dev = (0, 0) if agent == "major" else (n, -1)
@@ -764,12 +775,10 @@ def noise_free_cost(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
 def finite_cost(run: FinitePopulationRun, agent) -> LogMeanExpEstimate:
     """log E[exp(delta*Lambda_T)] for one agent across replications.
 
-    A NaN column (a deviation run's non-deviating agents) was not
-    computed and raises OutOfRange.
+    An agent outside the run, or a NaN column (a deviation run's
+    non-deviating agents), which was not computed, raises OutOfRange.
     """
-    col = 0 if agent == "major" else 1 + int(agent)
-    if col < 0 or col > run.N:
-        raise OutOfRange(f"agent {agent!r} not in run")
+    col = _column(agent, run.N)
     w = run.exponents[:, col]
     if np.isnan(w).any():
         raise OutOfRange(f"no cost computed for agent {agent!r} in this run")
@@ -820,8 +829,7 @@ def nash_gap(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
     """
     if grid is None:
         grid = eq.grid
-    if agent != "major" and not 0 <= int(agent) < N:
-        raise OutOfRange(f"agent {agent!r} not in the population")
+    col = _column(agent, N)
     if deviation_family is None:
         type_index = 0 if agent == "major" else int(
             assignment_from_counts(apportion(spec.pi, N))[int(agent)])
@@ -829,7 +837,6 @@ def nash_gap(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
     overrides = [(agent, law) for _, law in deviation_family]
     runs = simulate_population_laws(spec, eq, N, [None] + overrides,
                                     n_reps=n_reps, seed=seed, grid=grid)
-    col = 0 if agent == "major" else 1 + int(agent)
     w_eq = runs[0].exponents[:, col]
     results = [(label, run.exponents[:, col])
                for (label, _), run in zip(deviation_family, runs[1:])]

@@ -212,11 +212,11 @@ def test_criterion_5_golden_toy_assembly(capsys):
     spec = toy_game()
     major = assemble_major(spec)
     minor = assemble_minor(spec, 0)
-    exact = (np.array_equal(major.A_tilde, [[1.0, 1.0], [1.0, 2.0]])
-             and np.array_equal(major.Q_bb, [[1.0, -1.0], [-1.0, 1.0]])
-             and np.array_equal(minor.Q_bb, [[1.0, -1.0, -1.0],
-                                             [-1.0, 1.0, 1.0],
-                                             [-1.0, 1.0, 1.0]]))
+    exact = (np.array_equal(major.A(0.0), [[1.0, 1.0], [1.0, 2.0]])
+             and np.array_equal(major.Q, [[1.0, -1.0], [-1.0, 1.0]])
+             and np.array_equal(minor.Q, [[1.0, -1.0, -1.0],
+                                          [-1.0, 1.0, 1.0],
+                                          [-1.0, 1.0, 1.0]]))
     eq = solve_consistency(spec, TimeGrid(t_end=1.0, steps=1000))
     P = eq.Pik[0].values
     err_a = float(np.max(np.abs(eq.A_bar.values[:, 0, 0]

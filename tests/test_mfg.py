@@ -16,7 +16,12 @@ from rsmfg.mfg import (
     mean_field_trajectory,
     solve_consistency,
 )
-from rsmfg.model import LqgProblem, MajorMinorSpec, MinorTypeParams
+from rsmfg.model import (
+    LqgProblem,
+    MajorMinorSpec,
+    MinorTypeParams,
+    validate_single,
+)
 from rsmfg.numerics import MatrixTrajectory, TimeGrid, half_grid_table
 from rsmfg.riccati import solve
 
@@ -25,12 +30,13 @@ GRID = TimeGrid(t_end=1.0, steps=400)
 
 class TestAssembly:
     def test_toy_major_matrices(self):
-        es = assemble_major(toy_game())
-        assert np.array_equal(es.A_tilde, [[1.0, 1.0], [1.0, 2.0]])
-        assert np.array_equal(es.Q_bb, [[1.0, -1.0], [-1.0, 1.0]])
-        assert np.array_equal(es.B_own, [[1.0], [0.0]])
-        assert np.array_equal(es.B_mean, [[0.0], [1.0]])
-        assert np.array_equal(es.G_bb, np.zeros((2, 2)))
+        g = toy_game()
+        es = assemble_major(g)
+        assert np.array_equal(es.A(0.0), [[1.0, 1.0], [1.0, 2.0]])
+        assert np.array_equal(es.Q, [[1.0, -1.0], [-1.0, 1.0]])
+        assert np.array_equal(es.B, [[1.0], [0.0]])
+        assert np.array_equal(assemble_mean_field(g.minors, g.pi)[2], [[1.0]])
+        assert np.array_equal(es.Q_hat, np.zeros((2, 2)))
         assert np.array_equal(es.x0, [1.0, 1.0])
         # the extended diffusion and drift offset are tabulated at solve
         p0 = solve_consistency(toy_game(), GRID).major_problem
@@ -39,13 +45,13 @@ class TestAssembly:
 
     def test_toy_minor_matrices(self):
         es = assemble_minor(toy_game(), 0)
-        assert np.array_equal(es.Q_bb, [[1.0, -1.0, -1.0],
-                                        [-1.0, 1.0, 1.0],
-                                        [-1.0, 1.0, 1.0]])
-        assert np.array_equal(es.A_tilde, [[1.0, 1.0, 1.0],
-                                           [0.0, 1.0, 1.0],
-                                           [0.0, 1.0, 2.0]])
-        assert np.array_equal(es.B_own, [[1.0], [0.0], [0.0]])
+        assert np.array_equal(es.Q, [[1.0, -1.0, -1.0],
+                                     [-1.0, 1.0, 1.0],
+                                     [-1.0, 1.0, 1.0]])
+        assert np.array_equal(es.A(0.0), [[1.0, 1.0, 1.0],
+                                          [0.0, 1.0, 1.0],
+                                          [0.0, 1.0, 2.0]])
+        assert np.array_equal(es.B, [[1.0], [0.0], [0.0]])
         assert np.array_equal(es.x0, [1.0, 1.0, 1.0])
         pk = solve_consistency(toy_game(), GRID).minor_problems[0]
         assert np.array_equal(pk.sigma(0.0), [[0.3, 0.0],
@@ -69,6 +75,20 @@ class TestAssembly:
         # each type's extended drift offset leads with its own b_k
         pks = solve_consistency(g2, GRID).minor_problems
         assert [pk.b(0.0)[0] for pk in pks] == [0.0, 0.5]
+
+
+    @pytest.mark.parametrize(
+        "game", [toy_game, flocking_game, decoupled_game, vector_game])
+    def test_problems_meet_standing_assumptions(self, game):
+        # the congruence weights are PSD by construction: delta, R > 0,
+        # Q_hat >= 0, Q - S R^-1 S' >= 0 and finite coefficients hold for
+        # every assembled problem and every swept one
+        spec = game()
+        eq = solve_consistency(spec, GRID)
+        assembled = [assemble_major(spec)] + [assemble_minor(spec, k)
+                                              for k in range(spec.K)]
+        for p in assembled + [eq.major_problem] + eq.minor_problems:
+            validate_single(p)
 
 
 class TestConsistency:
@@ -146,10 +166,11 @@ class TestConsistency:
     def test_terminal_conditions(self):
         g = decoupled_game()
         eq = solve_consistency(g, GRID)
-        assert np.array_equal(eq.Pi0.values[-1], eq.major_ext.G_bb)
-        assert np.array_equal(eq.Pik[0].values[-1], eq.minor_exts[0].G_bb)
-        assert np.array_equal(eq.s0.values[-1], eq.major_ext.q_hat)
-        assert np.array_equal(eq.sk[0].values[-1], eq.minor_exts[0].q_hat)
+        p0, pk = eq.major_problem, eq.minor_problems[0]
+        assert np.array_equal(eq.Pi0.values[-1], p0.Q_hat)
+        assert np.array_equal(eq.Pik[0].values[-1], pk.Q_hat)
+        assert np.array_equal(eq.s0.values[-1], p0.q_hat)
+        assert np.array_equal(eq.sk[0].values[-1], pk.q_hat)
 
     def test_not_converged(self):
         with pytest.raises(NotConverged) as exc:
@@ -178,7 +199,7 @@ class TestConsistency:
         spec.major.eta = np.array([0.2])
         eq = solve_consistency(spec, GRID)
         (K0, k0), _ = equilibrium_laws(eq)
-        B0, n = eq.major_ext.B_own, spec.n
+        B0, n = eq.major_problem.B, spec.n
         pk = eq.minor_problems[0]
         for i in (0, GRID.steps // 2, GRID.steps):
             t = GRID.nodes[i]

@@ -551,6 +551,26 @@ class TestFiniteCost:
             finite_cost(run, 5)
 
 
+@pytest.mark.parametrize("agent", [2.5, "minor", True, -1, 3])
+@pytest.mark.parametrize("entry", ["simulate_population_laws", "nash_gap",
+                                   "noise_free_cost", "finite_cost"])
+def test_agent_outside_population_rejected(entry, agent):
+    # "major" or an integral, non-bool slot in [0, N) at N = 3, nothing else
+    spec = noiseless_game()
+    eq = solve_consistency(spec, TimeGrid(1.0, 20))
+    _, minor_laws = equilibrium_laws(eq)
+    calls = {
+        "simulate_population_laws": lambda: simulate_population_laws(
+            spec, eq, 3, [(agent, minor_laws[0])], n_reps=2),
+        "nash_gap": lambda: nash_gap(spec, eq, agent, N=3, n_reps=2),
+        "noise_free_cost": lambda: noise_free_cost(spec, eq, agent, 3),
+        "finite_cost": lambda: finite_cost(
+            simulate_population(spec, eq, N=3, n_reps=2), agent),
+    }
+    with pytest.raises(OutOfRange, match="not in the population"):
+        calls[entry]()
+
+
 class TestNashGap:
     def test_equilibrium_family_zero_gap(self, flocking_eq):
         spec, eq = flocking_eq

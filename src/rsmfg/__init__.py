@@ -20,6 +20,7 @@ from .errors import (
 )
 from .mfg import (
     MfgEquilibrium,
+    agent_problem,
     equilibrium_laws,
     mean_field_trajectory,
     solve_consistency,
@@ -49,6 +50,8 @@ from .population import (
     FinitePopulationRun,
     NashGapReport,
     apportion,
+    exact_cost,
+    exact_nash_gap,
     finite_cost,
     fluctuation_statistics,
     nash_gap,
@@ -77,6 +80,7 @@ __all__ = [
     "RiccatiSolution",
     "RsmfgError",
     "TimeGrid",
+    "agent_problem",
     "apportion",
     "check_martingale_quotient",
     "check_normalization",
@@ -84,6 +88,8 @@ __all__ = [
     "equilibrium_laws",
     "estimate_cost",
     "estimate_gateaux",
+    "exact_cost",
+    "exact_nash_gap",
     "finite_cost",
     "fluctuation_statistics",
     "log_mean_exp",

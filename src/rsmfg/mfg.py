@@ -7,12 +7,13 @@ The mean-field drift coefficients Abar(t), Gbar(t), mbar(t) both feed
 those extended problems and are recomputed from their solutions, so the
 equilibrium is the fixed point of a sweep: solve the major's Riccati and
 offset, then each minor type's, then refresh the coefficients.
-assemble_major and assemble_minor return each extended problem as an
-LqgProblem with the structural drift A~ and zero b and sigma, its cost
-built by one congruence of the agent's tracking cost.  A sweep replaces
-their A, b and sigma by node tables, with the iterate in the major's
-mean-field rows and the major's closed loop in each minor's, and solves
-them with the single-agent riccati module.  The refresh is the averaging
+agent_problem builds each agent's problem as an LqgProblem, on its own
+state, x0 and the type averages, with the others playing given laws, for
+the limit or for a finite population; its cost is one congruence of the
+agent's tracking cost.  The sweep starts from the limit problems with the
+others uncontrolled, writes the iterate into the major's mean-field rows
+of A and b and the major's closed loop into each minor's, and solves them
+with the single-agent riccati module.  The refresh is the averaging
 identity [Gbar | Abar] = [G~ | A~] + B_breve Xi, mbar = b_breve +
 B_breve varsigma, with (Xi, varsigma) the minor laws averaged within
 each type.
@@ -64,58 +65,72 @@ def assemble_mean_field(minors, pi):
     return A_breve, G_breve, B_breve
 
 
-def _tracking_problem(agent, Tz, A, B, x0, T, r) -> LqgProblem:
-    """The agent's problem on its extended state z, b and sigma zero.
+def agent_problem(spec: MajorMinorSpec, grid: TimeGrid, k: int = None,
+                  counts=None, laws=None):
+    """(p, E): the major's (k None) or a type-k minor's problem, the others
+    playing laws.
 
-    Tz z is the agent's tracking residual before eta, so the quadratic
-    weights are the congruence transforms Tz'(.)Tz of the agent's own,
-    symmetric PSD by construction; Tz'Q eta, S'eta and -Tz'Q_hat eta are
-    the cross terms of the same costs.  r is the width of sigma.
+    p is an LqgProblem on z = (x0, xbar_1..xbar_K) for the major and z =
+    (x, x0, xbar_1..xbar_K) for a minor, xbar_l the average of the other
+    type-l minors; with counts None (the mean-field limit) it covers all of
+    them, weighted by pi, without noise, else counts[l] - [l == k] of them,
+    with noise sigma_l / sqrt of that count.  laws is equilibrium_laws'
+    pair; None leaves the others uncontrolled, the structural drift.  The
+    costs are the congruence Tz'(.)Tz of the agent's tracking cost, Tz z
+    its residual before eta, so the weights are symmetric PSD by
+    construction.  E maps z to the extended state (x0, xhat) or (x, x0,
+    xhat) that the agent's own laws read, xhat the per-type averages.
     """
-    dim = len(x0)
+    n, K, r, maj = spec.n, spec.K, spec.r, spec.major
+    minor = k is not None
+    a = spec.minors[k] if minor else maj
+    o = n if minor else 0   # x0's first row in z
+    I = np.eye(o + n * (1 + K))
+    rows = [slice(o + n * j, o + n * (1 + j)) for j in range(1 + K)]
+    x0, xbar = I[rows[0]], [I[s] for s in rows[1:]]
+    xhat = list(xbar)
+    if counts is None:
+        xN = sum(w * xb for w, xb in zip(spec.pi, xbar))
+        others = [0] * K   # no noise on the averages
+    else:
+        others = np.asarray(counts) - (np.arange(K) == k)
+        xN = sum(c * xb for c, xb in zip(others, xbar)) / sum(counts)
+        if minor:
+            xN = xN + I[:n] / sum(counts)
+            xhat[k] = (others[k] * xbar[k] + I[:n]) / counts[k]
+    ext0 = np.vstack([x0] + xhat)
+    law0, minor_laws = (None, [None] * K) if laws is None else laws
+    # (parameters, rows in z, law, the state it reads as a map of z, and
+    # the number of agents its rows average, 0 for no noise)
+    blocks = [(a, slice(0, n), None, None, 1)]
+    if minor:
+        blocks.append((maj, rows[0], law0, ext0, 1))
+    blocks += [(th, s, law, np.vstack([I[s], ext0]), c) for th, s, law, c
+               in zip(spec.minors, rows[1:], minor_laws, others)]
+    A = np.empty((grid.steps + 1,) + I.shape)
+    b = np.empty(A.shape[:2])
+    for p, s, law, ext, _ in blocks:
+        A[:, s] = p.A @ I[s] + p.F @ xN + (p.G @ x0 if p is not maj else 0.0)
+        b[:, s] = half_grid_table(p.b, grid)[::2]
+        if law is not None:
+            A[:, s] += p.B @ (law[0].values @ ext)
+            b[:, s] += law[1].values @ p.B.T
+    noisy = [(s, p.sigma, c) for p, s, _, _, c in blocks if c]
+    sigma = np.zeros(A.shape[:2] + (r * len(noisy),))
+    for j, (s, sig, c) in enumerate(noisy):
+        sigma[:, s, r * j:r * (j + 1)] = (half_grid_table(sig, grid)[::2]
+                                          / np.sqrt(c))
+    Tz = I[:n] - (a.H @ x0 + a.H_hat @ xN if minor else a.H @ xN)
     return LqgProblem(
-        A=A, B=B, b=np.zeros(dim), sigma=np.zeros((dim, r)),
-        Q=Tz.T @ agent.Q @ Tz, S=Tz.T @ agent.S, R=agent.R,
-        eta=Tz.T @ (agent.Q @ agent.eta), zeta=agent.S.T @ agent.eta,
-        Q_hat=Tz.T @ agent.Q_hat @ Tz,
-        q_hat=-Tz.T @ (agent.Q_hat @ agent.eta),
-        delta=agent.delta, x0=x0, T=T,
-    )
-
-
-def assemble_major(spec: MajorMinorSpec) -> LqgProblem:
-    """The major agent's problem on the extended state (x0, xbar).
-
-    A is the structural drift, B the major's input rows; b and sigma are
-    zero, and the sweep supplies them with the mean-field rows of A.
-    """
-    n, K = spec.n, spec.K
-    maj = spec.major
-    A_breve, G_breve, _ = assemble_mean_field(spec.minors, spec.pi)
-    A = np.block([[maj.A, _pi_blocks(maj.F, spec.pi)], [G_breve, A_breve]])
-    B = np.vstack([maj.B, np.zeros((n * K, spec.m))])
-    T0 = np.concatenate([np.eye(n), -_pi_blocks(maj.H, spec.pi)], axis=1)
-    x0 = np.concatenate([maj.x0] + [th.x0 for th in spec.minors])
-    return _tracking_problem(maj, T0, A, B, x0, spec.T, spec.r)
-
-
-def assemble_minor(spec: MajorMinorSpec, k: int) -> LqgProblem:
-    """A type-k minor agent's problem on the extended state (x, x0, xbar).
-
-    A is the structural drift, B the minor's input rows; b and sigma are
-    zero, and the sweep supplies them with the major's closed loop.
-    """
-    n = spec.n
-    th = spec.minors[k]
-    major = assemble_major(spec)
-    top = np.concatenate([th.A, th.G, _pi_blocks(th.F, spec.pi)], axis=1)
-    A = np.vstack([top, np.concatenate([np.zeros((major.n, n)), major.A(0.0)],
-                                       axis=1)])
-    B = np.vstack([th.B, np.zeros((major.n, spec.m))])
-    Tk = np.concatenate([np.eye(n), -th.H, -_pi_blocks(th.H_hat, spec.pi)],
-                        axis=1)
-    x0 = np.concatenate([th.x0, major.x0])
-    return _tracking_problem(th, Tk, A, B, x0, spec.T, 2 * spec.r)
+        A=MatrixTrajectory(grid, A),
+        B=np.vstack([a.B, np.zeros((len(I) - n, spec.m))]),
+        b=MatrixTrajectory(grid, b), sigma=MatrixTrajectory(grid, sigma),
+        Q=Tz.T @ a.Q @ Tz, S=Tz.T @ a.S, R=a.R,
+        eta=Tz.T @ (a.Q @ a.eta), zeta=a.S.T @ a.eta,
+        Q_hat=Tz.T @ a.Q_hat @ Tz, q_hat=-Tz.T @ (a.Q_hat @ a.eta),
+        delta=a.delta, T=spec.T,
+        x0=np.concatenate([p.x0 for p, *_ in blocks]),
+    ), (np.vstack([I[:n], ext0]) if minor else ext0)
 
 
 @dataclass
@@ -178,33 +193,22 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
     """
     if grid is None:
         grid = TimeGrid(t_end=spec.T, steps=2000)
-    n, r, K = spec.n, spec.r, spec.K
+    n, K = spec.n, spec.K
     M = grid.steps
-    major = assemble_major(spec)
-    minors = [assemble_minor(spec, k) for k in range(K)]
+    major, _ = agent_problem(spec, grid)
+    minors = [agent_problem(spec, grid, k)[0] for k in range(K)]
     d0 = major.n
     # the mean-field rows n: of the major's structural drift, [G~ | A~],
     # and of its mean-field control input, B_breve
     GA_struct = major.A(0.0)[n:]
     B_breve = assemble_mean_field(spec.minors, spec.pi)[2]
-
-    # extended node diffusions: the major's noise drives x0, a minor's own x
-    sig0_nodes = np.zeros((M + 1, d0, r))
-    sig0_nodes[:, :n] = half_grid_table(spec.major.sigma, grid)[::2]
-    sigk_nodes = [np.zeros((M + 1, p.n, 2 * r)) for p in minors]
-    for th, sig in zip(spec.minors, sigk_nodes):
-        sig[:, :n, :r] = half_grid_table(th.sigma, grid)[::2]
-        sig[:, n:, r:] = sig0_nodes
-    sig0 = MatrixTrajectory(grid, sig0_nodes)
-    sigk = [MatrixTrajectory(grid, sig) for sig in sigk_nodes]
-    b0_nodes = half_grid_table(spec.major.b, grid)[::2]
-    b_breve = np.concatenate([half_grid_table(th.b, grid)[::2]
-                              for th in spec.minors], axis=1)
-    # extended drifts on the nodes; each sweep writes the iterate into the
-    # major's mean-field rows and the major's closed loop into each minor's.
-    # A sweep's problems copy A, since the next sweep overwrites it.
-    A0_nodes = np.repeat(major.A(0.0)[None], M + 1, axis=0)
-    Ak_nodes = [np.repeat(p.A(0.0)[None], M + 1, axis=0) for p in minors]
+    b0_nodes, b_breve = major.b.values[:, :n], major.b.values[:, n:]
+    # the templates' drift tables: each sweep writes the iterate into the
+    # major's mean-field rows and the major's closed loop into each
+    # minor's.  A sweep's problems copy A, since the next sweep overwrites
+    # it, and keep the templates' sigma.
+    A0_nodes = major.A.values
+    Ak_nodes = [p.A.values for p in minors]
 
     # iterates on the grid: [G_bar | A_bar] and m_bar
     GA_bar = np.zeros((M + 1, n * K, d0))
@@ -217,7 +221,7 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
         A0_nodes[:, n:] = GA_bar
         M0_nodes = np.concatenate([b0_nodes, m_bar], axis=1)
         p0 = replace(major, A=MatrixTrajectory(grid, A0_nodes.copy()),
-                     b=MatrixTrajectory(grid, M0_nodes), sigma=sig0)
+                     b=MatrixTrajectory(grid, M0_nodes))
         Pi0 = solve_riccati(p0, grid)
         s0 = solve_offset(p0, Pi0, grid)
 
@@ -234,7 +238,7 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
             Mk_nodes = np.concatenate([b_breve[:, n * k:n * (k + 1)],
                                        closed_M0], axis=1)
             pk = replace(p, A=MatrixTrajectory(grid, Ak_nodes[k].copy()),
-                         b=MatrixTrajectory(grid, Mk_nodes), sigma=sigk[k])
+                         b=MatrixTrajectory(grid, Mk_nodes))
             Pik = solve_riccati(pk, grid)
             sk = solve_offset(pk, Pik, grid)
             Piks.append(Pik)

@@ -5,8 +5,8 @@ dataclasses.  Time-dependent coefficients (drift matrix, drift offset,
 diffusion) may be given as constant arrays, which the constructors wrap
 as numerics.ConstantFunction, or as callables of time, such as a
 numerics.MatrixTrajectory of node values, which they keep as given.
-A game's extended single-agent problems are LqgProblems as well, built
-by mfg.assemble_major and mfg.assemble_minor.
+A game's single-agent problems are LqgProblems as well, built by
+mfg.agent_problem.
 Validation checks the positivity conditions required for the feedback
 solution to exist and raises AssumptionViolated naming the failed
 condition.

@@ -25,6 +25,10 @@ stepped in full, the major and type shifts its cost reads, which follow
 a noise-free linear recursion, and its cost.  Every other field of a
 deviation run is NaN (not computed).
 
+exact_cost and exact_nash_gap simulate nothing: the others that keep
+the equilibrium law reach the agent only through their type averages,
+so mfg.agent_problem at size N carries its exact cost and best response.
+
 States are held component-major: a type's minors are one array (n,
 agent, replication), and every product is numerics._mm with the
 coefficient matrix on the left, its inner loop running over all agents
@@ -50,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteState, OutOfRange
-from .mfg import MfgEquilibrium, equilibrium_laws
+from .mfg import MfgEquilibrium, agent_problem, equilibrium_laws
 from .montecarlo import (
     ControlLaw,
     LogMeanExpEstimate,
@@ -65,7 +69,7 @@ from .numerics import (
     _mm,
     half_grid_table,
 )
-from .riccati import log_cost
+from .riccati import law_cost, solve
 
 # Bound on the noise arrays alive at once (see the module docstring).
 NOISE_BUDGET_BYTES = 256_000_000
@@ -86,6 +90,16 @@ def apportion(pi, N: int) -> np.ndarray:
         # ties broken by lower index for determinism
         order = np.lexsort((np.arange(len(pi)), -(quota - counts)))
         counts[order[:remainder]] += 1
+    return counts
+
+
+def _counts(pi, N: int) -> np.ndarray:
+    """apportion(pi, N); OutOfRange when a minor type gets no agents,
+    since its average is then undefined."""
+    counts = apportion(pi, N)
+    if not counts.all():
+        raise OutOfRange(f"minor type {int(np.argmin(counts))} has no "
+                         f"agents at N={N}")
     return counts
 
 
@@ -502,10 +516,7 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
     n, m, r, K = spec.n, spec.m, spec.r, spec.K
     M, h = grid.steps, grid.h
     sqrt_h = math.sqrt(h)
-    counts = apportion(spec.pi, N)
-    if not counts.all():
-        raise OutOfRange(f"minor type {int(np.argmin(counts))} has no "
-                         f"agents at N={N}")
+    counts = _counts(spec.pi, N)
     assignment = assignment_from_counts(counts)
     if agent_keys is None:
         agent_keys = list(range(N))
@@ -699,77 +710,51 @@ def simulate_population_laws(spec: MajorMinorSpec, eq: MfgEquilibrium,
     return runs
 
 
-def noise_free_cost(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
-                    N: int, law=None) -> float:
-    """The agent's delta*Lambda_T in the noise-free population of size N.
+def _reduced(spec: MajorMinorSpec, eq: MfgEquilibrium, agent, N: int):
+    """(p, E, law, constant) of the agent in the population of size N.
 
-    Without noise, the minors of type l that keep the equilibrium law
-    follow one path xbar_l.  The agent's state is z = (x0, xbar_1..xbar_K)
-    for the major and z = (x_j, x0, xbar_1..xbar_K) for minor slot j of
-    type k, whose type's average is xhat_k = ((N_k - 1) xbar_k + x_j) /
-    N_k.  z follows a linear ODE, and riccati.log_cost gives the cost.
-    law, on the agent's extended state as in simulate_population_laws,
-    replaces the agent's equilibrium law.  Raises OutOfRange for nonzero
-    diffusion, an agent outside the population, or an N that leaves a
-    minor type without agents.
+    p and E are mfg.agent_problem's against the equilibrium laws, law is
+    the agent's own equilibrium law, on E z, and constant is delta/2 (T
+    eta'Q eta + eta'Q_hat eta), the part of the tracking cost that p
+    leaves out.
     """
-    grid = eq.grid
-    if any(np.any(half_grid_table(a.sigma, grid))
-           for a in [spec.major] + spec.minors):
-        raise OutOfRange("noise-free cost requires zero diffusion")
-    n, K = spec.n, spec.K
-    counts = apportion(spec.pi, N)
-    if not counts.all():
-        raise OutOfRange(f"minor type {int(np.argmin(counts))} has no "
-                         f"agents at N={N}")
-    _column(agent, N)
-    (K0, k0), minor_laws = equilibrium_laws(eq)
-    # x0's first row in z; the agent is agents[dev] below
-    o, dev = (0, 0) if agent == "major" else (n, -1)
-    # (parameters, first row in z, law) of the major, of each type's
-    # shared path and of a minor agent
-    agents = [(spec.major, o, K0, k0)] + [
-        (th, o + n * (1 + l)) + law_l
-        for l, (th, law_l) in enumerate(zip(spec.minors, minor_laws))]
-    rows = np.eye(o + n * (1 + K))
-    xhat = [rows[r:r + n] for _, r, _, _ in agents[1:]]
-    if agent != "major":
-        k = int(assignment_from_counts(counts)[int(agent)])
-        agents.append((spec.minors[k], 0) + minor_laws[k])
-        xhat[k] = ((counts[k] - 1) * xhat[k] + rows[:n]) / counts[k]
-    if law is not None:
-        law = as_control_law(law, grid, len(rows), spec.m)
-        agents[dev] = agents[dev][:2] + (law.K, law.k)
-    x0_rows = rows[o:o + n]
-    xN = sum(c / N * xh for c, xh in zip(counts, xhat))
-    ext0 = np.vstack([x0_rows] + xhat)
-    F = np.empty((2 * grid.steps + 1,) + rows.shape)
-    f = np.empty(F.shape[:2])
-    z0 = np.empty(len(rows))
-    laws = []
-    for a, r, Kt, kt in agents:
-        own = rows[r:r + n]
-        drift, ext = a.A @ own + a.F @ xN, ext0
-        if a is not spec.major:
-            drift, ext = drift + a.G @ x0_rows, np.vstack([own, ext0])
-        # u = gain z + offset
-        gain = half_grid_table(Kt, grid) @ ext
-        offset = half_grid_table(kt, grid)
-        F[:, r:r + n] = drift + a.B @ gain
-        f[:, r:r + n] = half_grid_table(a.b, grid) + offset @ a.B.T
-        z0[r:r + n] = a.x0
-        laws.append((gain, offset))
-    a = agents[dev][0]
-    resid = rows[:n] - (a.H @ xN if agent == "major"
-                        else a.H @ x0_rows + a.H_hat @ xN)
-    # (tracking residual, control) = L (z, 1)
-    L = np.zeros((len(F), n + spec.m, len(rows) + 1))
-    L[:, :n, :-1], L[:, :n, -1] = resid, -a.eta
-    L[:, n:, :-1], L[:, n:, -1] = laws[dev]
-    weight = np.block([[a.Q, a.S], [a.S.T, a.R]])
-    return log_cost(F, f, np.swapaxes(L, 1, 2) @ weight @ L,
-                    L[0, :n].T @ a.Q_hat @ L[0, :n], z0, grid, a.delta,
-                    np.zeros_like(F))
+    col = _column(agent, N)
+    counts = _counts(spec.pi, N)
+    k = None if col == 0 else int(assignment_from_counts(counts)[col - 1])
+    laws = equilibrium_laws(eq)
+    p, E = agent_problem(spec, eq.grid, k, counts, laws)
+    a = spec.major if k is None else spec.minors[k]
+    constant = 0.5 * a.delta * (spec.T * a.eta @ a.Q @ a.eta
+                                + a.eta @ a.Q_hat @ a.eta)
+    return p, E, laws[0] if k is None else laws[1][k], constant
+
+
+def exact_cost(spec: MajorMinorSpec, eq: MfgEquilibrium, agent, N: int,
+               law=None) -> float:
+    """log E exp(delta Lambda_T) of the agent in the population of size N.
+
+    Exact up to the RK4 scan at any diffusion: the others that keep the
+    equilibrium law enter through their type averages, so
+    riccati.law_cost runs on the agent's state, x0 and one average per
+    type, whatever N.  law, on the agent's extended state as in
+    simulate_population_laws, replaces the agent's equilibrium law.
+    Raises OutOfRange for an agent outside the population or an N that
+    leaves a minor type without agents.
+    """
+    p, E, eq_law, constant = _reduced(spec, eq, agent, N)
+    law = as_control_law(eq_law if law is None else law, eq.grid, len(E),
+                         spec.m)
+    return law_cost(p, law.K @ E, law.k, eq.grid) + constant
+
+
+def exact_nash_gap(spec: MajorMinorSpec, eq: MfgEquilibrium, agent,
+                   N: int) -> float:
+    """epsilon_N: the agent's equilibrium log-cost minus its best
+    response's, the others keeping their equilibrium laws, exact up to the
+    RK4 scan; the best response is the optimal law of the agent's problem
+    at size N, and the constant of its cost cancels."""
+    p, E, (K, k), _ = _reduced(spec, eq, agent, N)
+    return law_cost(p, K.values @ E, k, eq.grid) - solve(p, eq.grid).C_star
 
 
 def finite_cost(run: FinitePopulationRun, agent) -> LogMeanExpEstimate:

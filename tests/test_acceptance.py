@@ -14,7 +14,7 @@ from scipy.integrate import solve_ivp
 
 from conftest import flocking_game, toy_game
 from rsmfg.cli import main
-from rsmfg.mfg import assemble_major, assemble_minor, solve_consistency
+from rsmfg.mfg import agent_problem, solve_consistency
 from rsmfg.model import LqgProblem, scalar_problem
 from rsmfg.montecarlo import (
     ControlLaw,
@@ -210,14 +210,15 @@ def test_criterion_4_gateaux_optimality(capsys):
 
 def test_criterion_5_golden_toy_assembly(capsys):
     spec = toy_game()
-    major = assemble_major(spec)
-    minor = assemble_minor(spec, 0)
+    grid = TimeGrid(t_end=1.0, steps=1000)
+    major = agent_problem(spec, grid)[0]
+    minor = agent_problem(spec, grid, 0)[0]
     exact = (np.array_equal(major.A(0.0), [[1.0, 1.0], [1.0, 2.0]])
              and np.array_equal(major.Q, [[1.0, -1.0], [-1.0, 1.0]])
              and np.array_equal(minor.Q, [[1.0, -1.0, -1.0],
                                           [-1.0, 1.0, 1.0],
                                           [-1.0, 1.0, 1.0]]))
-    eq = solve_consistency(spec, TimeGrid(t_end=1.0, steps=1000))
+    eq = solve_consistency(spec, grid)
     P = eq.Pik[0].values
     err_a = float(np.max(np.abs(eq.A_bar.values[:, 0, 0]
                                 - (2.0 - P[:, 0, 0] - P[:, 0, 2]))))

@@ -1,5 +1,6 @@
-"""Source hygiene: every module of the package uses what it imports, and
-every private helper is used."""
+"""Source hygiene: every module of the package uses what it imports, every
+private helper is used, and the package's modules import each other
+without a cycle."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,20 @@ def test_every_private_helper_is_used():
         and not any(node.name in _references(t, node)
                     for t in trees.values())]
     assert not orphans, f"private helpers nothing uses: {orphans}"
+
+
+def test_import_graph_is_acyclic():
+    # a cycle works, or not, by the order the modules happen to load in;
+    # from . import names the package itself
+    graph = {}
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        graph[path.stem] = {node.module or "__init__"
+                            for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom)
+                            and node.level == 1}
+    # peel off modules that import nothing left; a cycle never peels
+    while leaves := [m for m, deps in graph.items() if not deps & graph.keys()]:
+        for m in leaves:
+            del graph[m]
+    assert not graph, f"import cycle among {sorted(graph)}"

@@ -8,9 +8,8 @@ from scipy.integrate import solve_ivp
 from rsmfg import riccati
 from rsmfg.errors import NotConverged
 from rsmfg.mfg import (
-    assemble_major,
+    agent_problem,
     assemble_mean_field,
-    assemble_minor,
     control_mean_field_coefficients,
     equilibrium_laws,
     mean_field_trajectory,
@@ -31,7 +30,7 @@ GRID = TimeGrid(t_end=1.0, steps=400)
 class TestAssembly:
     def test_toy_major_matrices(self):
         g = toy_game()
-        es = assemble_major(g)
+        es = agent_problem(g, GRID)[0]
         assert np.array_equal(es.A(0.0), [[1.0, 1.0], [1.0, 2.0]])
         assert np.array_equal(es.Q, [[1.0, -1.0], [-1.0, 1.0]])
         assert np.array_equal(es.B, [[1.0], [0.0]])
@@ -44,7 +43,7 @@ class TestAssembly:
         assert np.array_equal(p0.b(0.5), [0.0, 0.0])
 
     def test_toy_minor_matrices(self):
-        es = assemble_minor(toy_game(), 0)
+        es = agent_problem(toy_game(), GRID, 0)[0]
         assert np.array_equal(es.Q, [[1.0, -1.0, -1.0],
                                      [-1.0, 1.0, 1.0],
                                      [-1.0, 1.0, 1.0]])
@@ -85,10 +84,25 @@ class TestAssembly:
         # every assembled problem and every swept one
         spec = game()
         eq = solve_consistency(spec, GRID)
-        assembled = [assemble_major(spec)] + [assemble_minor(spec, k)
-                                              for k in range(spec.K)]
+        assembled = [agent_problem(spec, GRID)[0]] + [
+            agent_problem(spec, GRID, k)[0] for k in range(spec.K)]
         for p in assembled + [eq.major_problem] + eq.minor_problems:
             validate_single(p)
+
+    @pytest.mark.parametrize("game", [flocking_game, vector_game])
+    def test_problems_against_the_laws_are_the_fixed_points(self, game):
+        # against the final laws, the limit problems are those the fixed
+        # point solved, up to the last sweep's change of the mean field
+        spec = game()
+        eq = solve_consistency(spec, GRID)
+        laws = equilibrium_laws(eq)
+        for k, q in zip([None] + list(range(spec.K)),
+                        [eq.major_problem] + eq.minor_problems):
+            p, E = agent_problem(spec, GRID, k, None, laws)
+            assert np.array_equal(E, np.eye(q.n))
+            for f in ("A", "b", "sigma"):
+                diff = getattr(p, f).values - getattr(q, f).values
+                assert np.max(np.abs(diff)) < 1e-9
 
 
 class TestConsistency:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rsmfg import population, riccati
 from rsmfg.errors import NonFiniteState, OutOfRange
 from rsmfg.mfg import (
+    agent_problem,
     equilibrium_laws,
     mean_field_trajectory,
     solve_consistency,
@@ -22,10 +23,11 @@ from rsmfg.population import (
     apportion,
     assignment_from_counts,
     default_deviation_family,
+    exact_cost,
+    exact_nash_gap,
     finite_cost,
     fluctuation_statistics,
     nash_gap,
-    noise_free_cost,
     paired_log_diff,
     simulate_population,
     simulate_population_laws,
@@ -436,24 +438,7 @@ class TestFiniteCost:
                        x0=0.5, T=1.0)
         sol = solve(p, grid)
         oracle = rk4_log_cost(p, sol, grid)
-        assert abs(noise_free_cost(spec, eq, 0, 1) - oracle) < 1e-6
-
-    @pytest.mark.parametrize("agent", ["major", "minor"])
-    def test_deterministic_run_rejects_interior_diffusion(self, agent):
-        # sigma vanishes at both ends of the horizon but not inside
-        grid = TimeGrid(1.0, 20)
-        inside = np.full((21, 1, 1), 0.3)
-        inside[[0, -1]] = 0.0
-        g = decoupled_game()
-        g.major.sigma = np.array([[0.0]])
-        g.minors[0].sigma = np.array([[0.0]])
-        target = g.major if agent == "major" else g.minors[0]
-        target.sigma = MatrixTrajectory(grid, inside)
-        spec = MajorMinorSpec(major=g.major, minors=g.minors, pi=g.pi,
-                              T=1.0, n=1, m=1, r=1)
-        eq = solve_consistency(spec, grid)
-        with pytest.raises(OutOfRange, match="zero diffusion"):
-            noise_free_cost(spec, eq, "major" if agent == "major" else 0, 2)
+        assert abs(exact_cost(spec, eq, 0, 1) - oracle) < 1e-6
 
     @pytest.mark.parametrize("agent", [None, "major", 0],
                              ids=["equilibrium", "major", "minor"])
@@ -471,12 +456,12 @@ class TestFiniteCost:
             em = simulate_population_laws(spec, eq, 3, [override], n_reps=1,
                                           seed=0)[0]
             col = 0 if agent is None else agent
-            exact = noise_free_cost(spec, eq, col, 3,
+            exact = exact_cost(spec, eq, col, 3,
                                     None if override is None else override[1])
             errs.append(abs(finite_cost(em, col).log_value - exact))
         assert errs[1] < errs[0] / 5.0
 
-    def test_noise_free_cost_shared_by_a_type(self):
+    def test_exact_cost_shared_by_a_type(self):
         # every slot of a type has the same cost; the values are those of
         # scipy's DOP853 (rtol 1e-13) run over all 1+N agents in full, node
         # interval by node interval, with the laws read linearly between
@@ -488,19 +473,19 @@ class TestFiniteCost:
         spec = MajorMinorSpec(major=g.major, minors=g.minors, pi=g.pi,
                               T=1.0, n=2, m=1, r=1)
         eq = solve_consistency(spec, GRID)
-        costs = [noise_free_cost(spec, eq, j, 7) for j in range(7)]
+        costs = [exact_cost(spec, eq, j, 7) for j in range(7)]
         assert costs[:4] == [costs[0]] * 4
         assert costs[4:] == [costs[4]] * 3
         assert abs(costs[0] - 0.01135658331488663) < 1e-12
         assert abs(costs[4] - 0.014211309592200313) < 1e-12
-        assert abs(noise_free_cost(spec, eq, "major", 7)
+        assert abs(exact_cost(spec, eq, "major", 7)
                    - 0.11116246711319494) < 1e-11
         with pytest.raises(OutOfRange, match="no agents"):
-            noise_free_cost(spec, eq, 0, 1)
+            exact_cost(spec, eq, 0, 1)
         with pytest.raises(OutOfRange, match="not in the population"):
-            noise_free_cost(spec, eq, 7, 7)
+            exact_cost(spec, eq, 7, 7)
 
-    def test_noise_free_cost_is_extended_law_cost(self):
+    def test_exact_cost_is_extended_law_cost(self):
         # without noise every minor of a type follows the mean field, so
         # an agent's population cost is its extended problem's law_cost
         # plus the constant delta/2 (T eta'Q eta + eta'Q_hat eta), which
@@ -528,8 +513,27 @@ class TestFiniteCost:
             constant = 0.5 * a.delta * (spec.T * a.eta @ a.Q @ a.eta
                                         + a.eta @ a.Q_hat @ a.eta)
             expected = riccati.law_cost(p, *law, grid) + constant
-            assert abs(noise_free_cost(spec, eq, agent, 10)
+            assert abs(exact_cost(spec, eq, agent, 10)
                        - expected) < 1e-11
+
+    @pytest.mark.parametrize("game", [flocking_game, vector_game])
+    def test_exact_cost_approaches_the_limit_as_one_over_n(self, game):
+        # the limit is the law_cost of the limit problem against the same
+        # laws, plus the constant of the tracking cost; N (cost - limit)
+        # settles, measured 0.2129 for the flocking major and 8.53e-4 for
+        # the vector game's
+        spec = game()
+        eq = solve_consistency(spec, GRID)
+        laws = equilibrium_laws(eq)
+        for k, agent, a, law in [(None, "major", spec.major, laws[0]),
+                                 (0, 0, spec.minors[0], laws[1][0])]:
+            constant = 0.5 * a.delta * (spec.T * a.eta @ a.Q @ a.eta
+                                        + a.eta @ a.Q_hat @ a.eta)
+            limit = riccati.law_cost(agent_problem(spec, GRID, k, None,
+                                                   laws)[0], *law, GRID)
+            scaled = [N * (exact_cost(spec, eq, agent, N) - limit - constant)
+                      for N in (10 ** 4, 10 ** 6)]
+            assert scaled[1] == pytest.approx(scaled[0], rel=1e-2)
 
     def test_major_cost_near_infinite_population(self, flocking_eq):
         spec, eq = flocking_eq
@@ -553,7 +557,7 @@ class TestFiniteCost:
 
 @pytest.mark.parametrize("agent", [2.5, "minor", True, -1, 3])
 @pytest.mark.parametrize("entry", ["simulate_population_laws", "nash_gap",
-                                   "noise_free_cost", "finite_cost"])
+                                   "exact_cost", "finite_cost"])
 def test_agent_outside_population_rejected(entry, agent):
     # "major" or an integral, non-bool slot in [0, N) at N = 3, nothing else
     spec = noiseless_game()
@@ -563,12 +567,57 @@ def test_agent_outside_population_rejected(entry, agent):
         "simulate_population_laws": lambda: simulate_population_laws(
             spec, eq, 3, [(agent, minor_laws[0])], n_reps=2),
         "nash_gap": lambda: nash_gap(spec, eq, agent, N=3, n_reps=2),
-        "noise_free_cost": lambda: noise_free_cost(spec, eq, agent, 3),
+        "exact_cost": lambda: exact_cost(spec, eq, agent, 3),
         "finite_cost": lambda: finite_cost(
             simulate_population(spec, eq, N=3, n_reps=2), agent),
     }
     with pytest.raises(OutOfRange, match="not in the population"):
         calls[entry]()
+
+
+@pytest.fixture(scope="module")
+def fine_eqs():
+    grid = TimeGrid(1.0, 2000)
+    return {game.__name__: (game(), solve_consistency(game(), grid))
+            for game in (flocking_game, vector_game, decoupled_game)}
+
+
+class TestExactNashGap:
+    # epsilon_N at M = 2000; the paper's limiting Nash claim is epsilon -> 0,
+    # Huang 2010 bounds it by O(1/sqrt N), and the exact LQ gap falls as N^-2
+
+    @pytest.mark.parametrize("agent, gaps", [
+        ("major", (8.49e-7, 4.50e-8, 2.69e-9)),
+        (0, (1.04e-4, 7.25e-6, 4.65e-7))], ids=["major", "minor"])
+    def test_flocking_values(self, fine_eqs, agent, gaps):
+        spec, eq = fine_eqs["flocking_game"]
+        assert [exact_nash_gap(spec, eq, agent, N) for N in (5, 20, 80)] \
+            == pytest.approx(gaps, rel=5e-3)
+
+    @pytest.mark.parametrize("game, agent", [
+        ("flocking_game", "major"), ("flocking_game", 0),
+        ("vector_game", 0), ("vector_game", -1)])
+    def test_decay_and_limit(self, fine_eqs, game, agent):
+        spec, eq = fine_eqs[game]
+        Ns = (5, 20, 80)
+        gaps = [exact_nash_gap(spec, eq, N - 1 if agent == -1 else agent, N)
+                for N in Ns]
+        assert min(gaps) >= -1e-12
+        slope = np.polyfit(np.log(Ns), np.log(gaps), 1)[0]
+        assert -2.3 <= slope <= -1.7
+        last = 10 ** 6 - 1 if agent == -1 else agent
+        assert abs(exact_nash_gap(spec, eq, last, 10 ** 6)) < 1e-12
+
+    def test_vector_major_at_the_rounding_floor(self, fine_eqs):
+        spec, eq = fine_eqs["vector_game"]
+        for N in (5, 20, 80, 10 ** 6):
+            assert abs(exact_nash_gap(spec, eq, "major", N)) < 1e-10
+
+    def test_decoupled_game_has_no_gap(self, fine_eqs):
+        spec, eq = fine_eqs["decoupled_game"]
+        for agent in ("major", 0):
+            assert [exact_nash_gap(spec, eq, agent, N)
+                    for N in (5, 20, 10 ** 6)] == [0.0] * 3
 
 
 class TestNashGap:

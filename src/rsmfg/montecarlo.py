@@ -27,6 +27,8 @@ functions are pure functions of the per-path arrays of all paths in path
 order.  Any split of [0, n_paths) into ranges, simulated in any order or
 process and concatenated in path order, therefore gives the check's
 report bit for bit; cli runs the checks' blocks in worker processes so.
+The optimal-cost and quotient estimators both read log_weights, so one
+ensemble on one seed can feed the two.
 
 Coefficients are tabulated once on the half-grid, and riccati._closed_loop
 turns an affine law into tables of its gains and of the closed-loop drift.

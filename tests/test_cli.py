@@ -31,6 +31,7 @@ from rsmfg.cli import (
 from rsmfg.errors import NonFiniteState, ParseError
 from rsmfg.model import LqgProblem, MajorMinorSpec
 from rsmfg.montecarlo import (
+    _run_paths,
     check_martingale_quotient,
     check_normalization,
     check_optimal_cost,
@@ -470,7 +471,7 @@ _WORKER_RUNS = {
     "verify": ("verify-single", {
         "model": scalar_model(b=[0.1], S=[[0.2]], eta=[0.3], zeta=[0.1]),
         "grid": {"steps": 50}, "montecarlo": {"n_paths": 300, "seed": 5}}),
-    # three path blocks of 3000 per check
+    # three path blocks of 3000 per ensemble
     "verify-blocks": ("verify-single", {
         "model": scalar_model(b=[0.1], S=[[0.2]], eta=[0.3], zeta=[0.1]),
         "grid": {"steps": 10}, "montecarlo": {"n_paths": 9000, "seed": 5}}),
@@ -497,7 +498,8 @@ def test_worker_count_keeps_every_output(tmp_path, monkeypatch, name):
 
 
 def test_path_blocks_give_the_library_checks(tmp_path, monkeypatch):
-    # the blocks joined in path order feed the estimators of check_*
+    # the blocks joined in path order feed the estimators of check_*; the
+    # optimal-cost check reads the quotient's ensemble on seed + 2
     mode, doc = _WORKER_RUNS["verify-blocks"]
     monkeypatch.setattr(cli, "FORK_MIN_STEPS", 0)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -508,7 +510,7 @@ def test_path_blocks_give_the_library_checks(tmp_path, monkeypatch):
     cfg = parse_config(doc, mode)
     p, sol, seed = cfg.model, solve(cfg.model, cfg.grid), 5
     norm = check_normalization(p, sol, 9000, seed)
-    cost = check_optimal_cost(p, sol, 9000, seed + 1)
+    cost = check_optimal_cost(p, sol, 9000, seed + 2)
     quot = check_martingale_quotient(p, sol, 9000, seed + 2)
     assert rows[1:] == [
         ["normalization", "", repr(norm.value), repr(norm.target),
@@ -518,6 +520,22 @@ def test_path_blocks_give_the_library_checks(tmp_path, monkeypatch):
         ["martingale_quotient", "0", repr(float(quot.quotient[0])),
          repr(float(quot.target[0])), repr(float(quot.std_error[0])),
          repr(float(quot.z[0]))]]
+
+
+def test_sampled_checks_simulate_two_ensembles(tmp_path, monkeypatch):
+    # normalization on seed, optimal cost and quotient on seed + 2: two
+    # ensembles of n_paths paths, each path M steps
+    mode, doc = _WORKER_RUNS["verify"]
+    steps = []
+
+    def counting(p, law, paths, seed, grid, **kw):
+        steps.append(len(paths) * grid.steps)
+        return _run_paths(p, law, paths, seed, grid, **kw)
+
+    monkeypatch.setattr(cli, "_run_paths", counting)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert main([mode, "--config", write_config(tmp_path, doc)]) == EXIT_OK
+    assert sum(steps) == 2 * 300 * 50
 
 
 def _error_at_every_worker_count(tmp_path, monkeypatch, capsys, mode,

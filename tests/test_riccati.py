@@ -11,6 +11,7 @@ from rsmfg.errors import FiniteEscape
 from rsmfg.model import LqgProblem, scalar_problem
 from rsmfg.numerics import TimeGrid, _block_length, _step_maps, half_grid_table
 from rsmfg.riccati import (
+    _cubic_half_values,
     feedback_law,
     solve,
     solve_offset,
@@ -268,6 +269,27 @@ class TestSolveOffset:
         s_c = solve_offset(p, solve_riccati(p, coarse), coarse)
         s_f = solve_offset(p, solve_riccati(p, fine), fine)
         assert abs(s_c.values[0][0] - s_f.values[0][0]) < 1e-8
+
+    def test_fourth_order_in_h(self):
+        # Pi is read at the RK4 midpoints by cubics, so s keeps Pi's
+        # order: the differences of s(0) between successive grids shrink
+        # about 16x per halving (4x with linear midpoints)
+        p = scalar_problem(A=-0.5, eta=0.3, zeta=0.1, b=0.2, delta=0.5)
+        s0 = []
+        for M in (50, 100, 200, 400):
+            g = TimeGrid(t_end=1.0, steps=M)
+            s0.append(solve_offset(p, solve_riccati(p, g), g).values[0][0])
+        diffs = np.abs(np.diff(s0))
+        assert np.all(diffs[:-1] / diffs[1:] >= 12.0)
+
+    @pytest.mark.parametrize("steps, degree", [(2, 2), (3, 3), (8, 3)])
+    def test_midpoints_exact_on_polynomials(self, steps, degree):
+        # the end and interior stencils reproduce the polynomials of the
+        # degree they are built on
+        poly = np.polynomial.Polynomial([1.0, 2.0, -3.0, 0.7][:degree + 1])
+        g = TimeGrid(t_end=1.0, steps=steps)
+        assert np.max(np.abs(_cubic_half_values(poly(g.nodes))
+                             - poly(g.half_nodes))) < 1e-14
 
     def test_superposition_in_eta(self):
         eta1, eta2 = 0.4, -0.7

@@ -13,7 +13,9 @@ the limit or for a finite population; its cost is one congruence of the
 agent's tracking cost.  The sweep starts from the limit problems with the
 others uncontrolled, writes the iterate into the major's mean-field rows
 of A and b and the major's closed loop into each minor's, and solves them
-with the single-agent riccati module.  The refresh is the averaging
+with the single-agent riccati module; the sweep's problems keep the
+templates' sigma, so riccati forms sigma sigma^T once per fixed point,
+not once per sweep.  The refresh is the averaging
 identity [Gbar | Abar] = [G~ | A~] + B_breve Xi, mbar = b_breve +
 B_breve varsigma, with (Xi, varsigma) the minor laws averaged within
 each type.

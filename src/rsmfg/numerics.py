@@ -7,7 +7,8 @@ tabulated once on the half-grid (half_grid_table; node values are its
 even entries).  _step_maps builds the affine RK4 step maps of a linear
 ODE for all steps at once, and _scan applies them in blocks of steps:
 batched products within every block, a sequential pass over the block
-starts only, and one batched fill of every node.  propagate_linear and
+starts only, and one batched fill of every node; it reads the maps and
+writes the nodes through slices in sweep order.  propagate_linear and
 the Riccati solve both go through _scan; integrate_ode, RK4 on a general
 vector field, serves only as the tests' reference for them.  The path and
 population engines hold states as columns and multiply through _mm,
@@ -181,6 +182,13 @@ def _sweep(grid: TimeGrid, direction: str):
     raise ValueError("direction must be 'forward' or 'backward'")
 
 
+def _as_slice(steps: range, offset: int = 0) -> slice:
+    """The slice that indexes the same entries as steps shifted by offset."""
+    stop = steps.stop + offset
+    return slice(steps.start + offset, stop if stop >= 0 else None,
+                 steps.step)
+
+
 def integrate_ode(vector_field, boundary_value, grid: TimeGrid,
                   direction: str = "forward",
                   indexed: bool = False) -> MatrixTrajectory:
@@ -270,7 +278,8 @@ def _scan(Phi, boundary, node, rho, grid: TimeGrid, direction: str):
 
     Returns the values on all nodes, the boundary value at the boundary
     node, and the first node in sweep order that is not ok (None if all
-    are); nodes past that one hold no meaningful value.
+    are), by the batched call or else the block end where the loop
+    stopped; nodes past that one hold no meaningful value.
     """
     h, first, order, lands = _sweep(grid, direction)
     M, D = Phi.shape[0], Phi.shape[-1]
@@ -279,25 +288,32 @@ def _scan(Phi, boundary, node, rho, grid: TimeGrid, direction: str):
     # P[j, k] starts as the k-th step map of block j; identities pad the
     # last block
     P = np.empty((blocks * b, D, D))
-    P[:M] = Phi[order]
+    P[:M] = Phi[_as_slice(order)]
     P[M:] = np.eye(D)
     P = P.reshape(blocks, b, D, D)
     with np.errstate(all="ignore"):
         for k in range(1, b):
             P[:, k] = P[:, k] @ P[:, k - 1]
         starts = [boundary]
+        stopped = False
         for j in range(blocks - 1):
             v, ok = node(P[j, -1], starts[-1])
             if not ok:
+                stopped = True
                 break
             starts.append(v)
         v, ok = node(P[:len(starts)], np.stack(starts)[:, None])
-    landing = np.asarray(order)[:min(M, len(starts) * b)] + lands
+    filled = order[:min(M, len(starts) * b)]
     values = np.empty((M + 1,) + np.shape(boundary))
     values[first] = boundary
-    values[landing] = v.reshape((-1,) + v.shape[2:])[:len(landing)]
-    bad = np.flatnonzero(~ok.reshape(-1)[:len(landing)])
-    return values, (int(landing[bad[0]]) if bad.size else None)
+    values[_as_slice(filled, lands)] = v.reshape((-1,) + v.shape[2:])[
+        :len(filled)]
+    bad = np.flatnonzero(~ok.reshape(-1)[:len(filled)])
+    if stopped:
+        # the block end where the pass stopped is the last filled node; it
+        # is not ok even if the batched call, rounding otherwise, finds it so
+        bad = np.append(bad, len(filled) - 1)
+    return values, (filled[bad[0]] + lands if bad.size else None)
 
 
 def propagate_linear(F, f, boundary_value, grid: TimeGrid,

@@ -7,10 +7,13 @@ FiniteEscape rather than propagated as garbage.  Pi at each node is a
 Moebius map of Pi at the start of its block of steps through the
 product of the block's RK4 step maps of the linear Hamiltonian system
 (numerics._scan); an escape shows, at any scale, as a singular X.  The
-linear offset equation goes through the linear propagator.  log_cost
-evaluates the log exponential cost of any linear closed loop with the
-same scan, on the state augmented by a constant 1; C_star is law_cost
-at the optimal law.
+linear offset equation goes through the linear propagator, unless its
+data are exactly zero, when s is too.  log_cost evaluates the log
+exponential cost of any linear closed loop with the same scan, on the
+state augmented by a constant 1; C_star is law_cost at the optimal law.
+sigma sigma^T on the half-grid is kept on the sigma object, so the
+sweeps of a fixed point, whose problems keep their template's sigma,
+form it once; A's table is kept on the problem.
 """
 
 from __future__ import annotations
@@ -55,20 +58,36 @@ def _diffusion_table(p: LqgProblem, grid: TimeGrid) -> np.ndarray:
     return sig @ np.swapaxes(sig, 1, 2)
 
 
-def _half_tables(p: LqgProblem, grid: TimeGrid):
-    """(A, sigma sigma^T) on grid.half_nodes, formed once per problem.
+def _noise_table(p: LqgProblem, grid: TimeGrid) -> np.ndarray:
+    """_diffusion_table, formed once per sigma table.
 
-    solve_riccati and solve_offset both read them, so the pair is kept on
-    the problem with the grid and the coefficient objects it came from;
-    another grid or a replaced A or sigma forms it afresh.
+    It is kept on the sigma object with the grid it came from, so the
+    problems of a fixed-point sweep, which keep their template's sigma,
+    share it; another grid or a replaced sigma forms it afresh.  A sigma
+    that takes no attributes has it formed on every call.
     """
-    cached = getattr(p, "_half_tables_cache", None)
-    if (cached is None or cached[0] != grid or cached[1] is not p.A
-            or cached[2] is not p.sigma):
-        cached = (grid, p.A, p.sigma, half_grid_table(p.A, grid),
-                  _diffusion_table(p, grid))
-        p._half_tables_cache = cached
-    return cached[3:]
+    cached = getattr(p.sigma, "_noise_table_cache", None)
+    if cached is None or cached[0] != grid:
+        cached = (grid, _diffusion_table(p, grid))
+        try:
+            p.sigma._noise_table_cache = cached
+        except AttributeError:
+            pass
+    return cached[1]
+
+
+def _drift_table(p: LqgProblem, grid: TimeGrid) -> np.ndarray:
+    """A on grid.half_nodes, formed once per problem.
+
+    solve_riccati, solve_offset and law_cost all read it, so it is kept on
+    the problem with the grid and the A it came from; another grid or a
+    replaced A forms it afresh.
+    """
+    cached = getattr(p, "_drift_table_cache", None)
+    if cached is None or cached[0] != grid or cached[1] is not p.A:
+        cached = (grid, p.A, half_grid_table(p.A, grid))
+        p._drift_table_cache = cached
+    return cached[2]
 
 
 def solve_riccati(p: LqgProblem, grid: TimeGrid) -> MatrixTrajectory:
@@ -77,29 +96,30 @@ def solve_riccati(p: LqgProblem, grid: TimeGrid) -> MatrixTrajectory:
     - B R^-1 B^T and Q_s = Q - S R^-1 S^T."""
     Rinv = np.linalg.inv(p.R)
     B, S = p.B, p.S
-    A_half, sig2 = _half_tables(p, grid)
-    A_s = A_half - B @ Rinv @ S.T
-    W = p.delta * sig2 - B @ Rinv @ B.T
-    Q_s = np.broadcast_to(p.Q - S @ Rinv @ S.T, A_s.shape)
-    return _backward_riccati(A_s, W, Q_s, p.Q_hat, grid)
+    A_s = _drift_table(p, grid) - B @ Rinv @ S.T
+    W = p.delta * _noise_table(p, grid) - B @ Rinv @ B.T
+    return _backward_riccati(A_s, W, p.Q - S @ Rinv @ S.T, p.Q_hat, grid)
 
 
 def _backward_riccati(A_s, W, Q_s, Q_hat, grid: TimeGrid) -> MatrixTrajectory:
     """Node values of -Pi' = Pi A_s + A_s^T Pi + Pi W Pi + Q_s, Pi(T)=Q_hat.
 
-    A_s, W and Q_s are (2M+1, n, n) tables on grid.half_nodes.  The
-    equation has Pi = Y X^-1 for [X; Y]' = H [X; Y], H = [[A_s, W],
-    [-Q_s, -A_s^T]].  A product P of H's RK4 step maps carries a node's
-    Pi to [X; Y] = P [I; Pi] at a later node in the backward sweep, and
-    Pi there is sym(Y X^-1); numerics._scan applies this to every node,
-    with rho = max|A_s| + sqrt(max|W| max|Q_s|) in the infinity norm,
-    which the scaling of the weights by c and of delta by 1/c leaves
-    unchanged.  det X is the product of the per-step determinants, so the
-    first node with det X <= 0 or a non-finite Pi is the per-step
-    recurrence's first singular step; it raises FiniteEscape(t).
+    A_s and W are (2M+1, n, n) tables on grid.half_nodes, Q_s one too or
+    a constant (n, n).  The equation has Pi = Y X^-1 for [X; Y]' =
+    H [X; Y], H = [[A_s, W], [-Q_s, -A_s^T]].  A product P of H's RK4 step
+    maps carries a node's Pi to [X; Y] = P [I; Pi] at a later node in the
+    backward sweep, and Pi there is sym(Y X^-1); numerics._scan applies
+    this to every node, with rho = max|A_s| + sqrt(max|W| max|Q_s|) in the
+    infinity norm, which the scaling of the weights by c and of delta by
+    1/c leaves unchanged.  det X is the product of the per-step
+    determinants, so the first node with det X <= 0 or a non-finite Pi is
+    the per-step recurrence's first singular step; it raises
+    FiniteEscape(t).
     """
     n = A_s.shape[-1]
-    H = np.block([[A_s, W], [-Q_s, -np.swapaxes(A_s, 1, 2)]])
+    H = np.empty((len(A_s), 2 * n, 2 * n))
+    H[:, :n, :n], H[:, :n, n:] = A_s, W
+    H[:, n:, :n], H[:, n:, n:] = -Q_s, -np.swapaxes(A_s, 1, 2)
     rho = _max_row_sum(A_s) + np.sqrt(_max_row_sum(W) * _max_row_sum(Q_s))
     Phi, _ = _step_maps(H, grid, "backward")
 
@@ -146,11 +166,13 @@ def solve_offset(p: LqgProblem, Pi: MatrixTrajectory,
                  grid: TimeGrid) -> MatrixTrajectory:
     """Backward solve of the linear offset equation, s(T)=q_hat.
 
-    The field is -(M s + f) with M = A^T - Pi B R^-1 B^T - S R^-1 B^T
-    + delta Pi sigma sigma^T and f = Pi (b + B R^-1 zeta) + S R^-1 zeta
-    - eta, both formed for the whole half-grid and handed to the linear
+    The field is -(M s + Pi g + c) with M = A^T - Pi B R^-1 B^T - S R^-1
+    B^T + delta Pi sigma sigma^T, g = b + B R^-1 zeta and c = S R^-1 zeta
+    - eta, formed for the whole half-grid and handed to the linear
     propagator.  Pi at the midpoints is _cubic_half_values of its nodes,
-    so that s keeps the fourth order of Pi.
+    so that s keeps the fourth order of Pi.  When g, c and q_hat are all
+    exactly zero, s is zero whatever Pi is, and the zero trajectory is
+    returned without a solve.
     """
     if Pi.grid != grid:
         raise ValueError("trajectory is sampled on another grid")
@@ -158,14 +180,15 @@ def solve_offset(p: LqgProblem, Pi: MatrixTrajectory,
     B, S = p.B, p.S
     BRinv = B @ Rinv
     SRinv = S @ Rinv
+    g = half_grid_table(p.b, grid) + BRinv @ p.zeta
+    if not (g.any() or (SRinv @ p.zeta - p.eta).any() or p.q_hat.any()):
+        return MatrixTrajectory(grid, np.zeros((grid.steps + 1, p.n)))
     Pi_h = _cubic_half_values(Pi.values)
-    A_half, sig2 = _half_tables(p, grid)
-    M = (np.swapaxes(A_half, 1, 2)
+    sig2 = _noise_table(p, grid)
+    M = (np.swapaxes(_drift_table(p, grid), 1, 2)
          - Pi_h @ (BRinv @ B.T) - SRinv @ B.T
          + p.delta * Pi_h @ sig2)
-    forcing = (np.einsum("tij,tj->ti", Pi_h,
-                         half_grid_table(p.b, grid) + BRinv @ p.zeta)
-               + SRinv @ p.zeta - p.eta)
+    forcing = np.einsum("tij,tj->ti", Pi_h, g) + SRinv @ p.zeta - p.eta
     try:
         return propagate_linear(-M, -forcing, p.q_hat, grid, "backward")
     except NonFiniteState as e:
@@ -205,8 +228,8 @@ def _closed_loop(p: LqgProblem, K, k, grid: TimeGrid):
     dx/dt = F x + f is the closed-loop drift: F = A + B K, f = B k + b.
     """
     K, k = half_grid_table(K, grid), half_grid_table(k, grid)
-    A_half, _ = _half_tables(p, grid)
-    return K, k, A_half + p.B @ K, k @ p.B.T + half_grid_table(p.b, grid)
+    return (K, k, _drift_table(p, grid) + p.B @ K,
+            k @ p.B.T + half_grid_table(p.b, grid))
 
 
 def log_cost(F, f, running, terminal, x0, grid: TimeGrid, delta: float,
@@ -243,7 +266,7 @@ def law_cost(p: LqgProblem, K, k, grid: TimeGrid) -> float:
                         [w[:, None], 2.0 * c[:, None, None]]])
     terminal = np.block([[p.Q_hat, p.q_hat[:, None]], [p.q_hat, 0.0]])
     return log_cost(F, f, running, terminal, p.x0, grid, p.delta,
-                    _half_tables(p, grid)[1])
+                    _noise_table(p, grid))
 
 
 def solve(p: LqgProblem, grid: TimeGrid) -> RiccatiSolution:

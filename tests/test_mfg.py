@@ -284,18 +284,38 @@ class TestMeanFieldTrajectory:
         assert np.array_equal(x1.values, x2.values)
 
 
-def test_diffusion_tabulated_once_per_problem(monkeypatch):
-    # solve_riccati and solve_offset share sigma sigma^T: one table for
-    # each extended problem, the major's and every minor type's per sweep
+def test_diffusion_tabulated_once_per_agent(monkeypatch):
+    # a sweep's problems keep their template's sigma, so sigma sigma^T is
+    # tabulated once per fixed point for each agent: the major and every
+    # minor type
     tabulated = []
     original = riccati._diffusion_table
 
     def counted(p, grid):
-        tabulated.append(p)
+        tabulated.append(p.sigma)
         return original(p, grid)
 
     monkeypatch.setattr(riccati, "_diffusion_table", counted)
     game = vector_game()
     eq = solve_consistency(game, TimeGrid(t_end=1.0, steps=50))
-    assert len(tabulated) == (1 + game.K) * eq.iterations.iterations
-    assert len({id(p) for p in tabulated}) == len(tabulated)
+    assert eq.iterations.iterations > 1
+    assert len(tabulated) == 1 + game.K
+    assert len({id(sigma) for sigma in tabulated}) == len(tabulated)
+
+
+def test_zero_offsets_skip_the_propagator(monkeypatch):
+    # the flocking game has no affine term, so every offset solve takes
+    # the zero route and every offset is exactly +0.0
+    calls = []
+    original = riccati.propagate_linear
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "propagate_linear", counted)
+    eq = solve_consistency(flocking_game(), TimeGrid(t_end=1.0, steps=200))
+    assert calls == []
+    for values in [eq.s0.values, eq.m_bar.values] + [s.values for s in eq.sk]:
+        assert np.all(values == 0.0)
+        assert not np.signbit(values).any()

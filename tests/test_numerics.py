@@ -166,6 +166,23 @@ class TestPropagateLinear:
         assert prop.value.t == ref.value.t
         assert 0.0 < prop.value.t < 1.0
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("rate", [18.5, 23.0, 31.0, 41.0])
+    def test_blowup_node_anywhere_in_the_blocks(self, direction, rate):
+        # blocks of 44 steps, the last one of 21; at rate 18.5 the blow-up
+        # lands in that partial block, at the others in full ones
+        g = TimeGrid(t_end=1.0, steps=2001)
+        assert _block_length(g.steps, g.h, rate) == 44
+        sign = 1.0 if direction == "forward" else -1.0
+        F = np.full((2 * g.steps + 1, 1, 1), sign * rate)
+        with pytest.raises(NonFiniteState) as prop:
+            propagate_linear(F, np.zeros((2 * g.steps + 1, 1)), np.ones(1),
+                             g, direction)
+        with pytest.raises(NonFiniteState) as ref:
+            integrate_ode(lambda j, y: F[j] @ y, np.ones(1), g, direction,
+                          indexed=True)
+        assert prop.value.t == ref.value.t
+
     @pytest.mark.parametrize("M,block", [(7, 1), (9, 2), (2001, 44)])
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("columns", [None, 2])
@@ -207,6 +224,32 @@ class TestPropagateLinear:
                                     np.array([1.0]), g)
             errs.append(abs(traj.values[-1][0] - exact))
         assert errs[0] / errs[1] >= 12.0
+
+
+class TestScan:
+    @pytest.mark.parametrize("direction,node", [("forward", 30),
+                                                ("backward", 70)])
+    def test_stop_of_the_pass_is_reported(self, direction, node):
+        # blocks of 10 steps; the pass over the block starts finds the end
+        # of the third block not ok, the batched fill finds every node ok,
+        # as when the two calls round a det near zero differently
+        g = TimeGrid(t_end=1.0, steps=100)
+        calls = []
+
+        def check(P, v):
+            if P.ndim == 2:
+                calls.append(v)
+                return P @ v, len(calls) < 3
+            return P @ v, np.ones(P.shape[:2], dtype=bool)
+
+        Phi = np.ones((g.steps, 1, 1))
+        values, bad = numerics._scan(Phi, np.ones((1, 1)), check, 0.0, g,
+                                     direction)
+        assert len(calls) == 3
+        assert bad == node
+        nodes = slice(0, node + 1) if direction == "forward" else slice(node,
+                                                                        None)
+        assert np.array_equal(values[nodes], np.ones((30 + 1, 1, 1)))
 
 
 class TestStateTransition:

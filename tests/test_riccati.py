@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from rsmfg import riccati
 from rsmfg.errors import FiniteEscape
 from rsmfg.model import LqgProblem, scalar_problem
 from rsmfg.numerics import TimeGrid, _block_length, _step_maps, half_grid_table
@@ -223,6 +224,23 @@ class TestBlockedScan:
                 solve_riccati(p, grid)
             assert got.value.t == ref.value.t
 
+    @pytest.mark.parametrize("M", [200, 2000])
+    def test_stiff_escape_node_matches_per_step(self, M):
+        # rho = 300 leaves blocks of 1 step at M = 200 and of 6 steps,
+        # the last one partial, at M = 2000; the three terminal weights
+        # put the escape near t = 0.8, 0.6 and 0.4
+        grid = TimeGrid(t_end=1.0, steps=M)
+        assert _block_length(M, grid.h, 300.0) == (1 if M == 200 else 6)
+        for q in (1e-50, 1e-100, 1e-150):
+            p = scalar_problem(A=300.0, B=0.0, Q=0.0, Q_hat=q, sigma=1.0,
+                               delta=0.5)
+            with pytest.raises(FiniteEscape) as ref:
+                per_step_riccati(p, grid)
+            with pytest.raises(FiniteEscape) as got:
+                solve_riccati(p, grid)
+            assert got.value.t == ref.value.t
+            assert 0.0 < got.value.t < 1.0
+
     def test_escape_raises_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -247,6 +265,33 @@ class TestHalfTables:
         assert np.array_equal(Pi.values, solve_riccati(fresh, coarse).values)
         assert np.array_equal(solve_offset(p, Pi, coarse).values,
                               solve_offset(fresh, Pi, coarse).values)
+
+    def test_sigma_that_takes_no_attributes(self, monkeypatch):
+        # a bound method keeps no table, so sigma sigma^T is formed on
+        # every call; the solves equal those of the same constant sigma
+        class Noise:
+            def __init__(self, value):
+                self.value = value
+
+            def at(self, t):
+                return self.value
+
+        coarse = TimeGrid(t_end=1.0, steps=200)
+        p, bound = random_instance(7), random_instance(7)
+        bound.sigma = Noise(p.sigma(0.0)).at
+        tabulated = []
+        original = riccati._diffusion_table
+
+        def counted(q, grid):
+            tabulated.append(q)
+            return original(q, grid)
+
+        monkeypatch.setattr(riccati, "_diffusion_table", counted)
+        Pi = solve_riccati(p, coarse)
+        assert np.array_equal(solve_riccati(bound, coarse).values, Pi.values)
+        assert np.array_equal(solve_offset(bound, Pi, coarse).values,
+                              solve_offset(p, Pi, coarse).values)
+        assert [q is bound for q in tabulated] == [False, True, True]
 
 
 class TestSolveOffset:
@@ -290,6 +335,25 @@ class TestSolveOffset:
         g = TimeGrid(t_end=1.0, steps=steps)
         assert np.max(np.abs(_cubic_half_values(poly(g.nodes))
                              - poly(g.half_nodes))) < 1e-14
+
+    @pytest.mark.parametrize("term", ["eta", "q_hat"])
+    def test_tiny_affine_term_is_propagated(self, monkeypatch, term):
+        # the zero route needs b + B R^-1 zeta, S R^-1 zeta - eta and
+        # q_hat all exactly zero; one term of 1e-12 takes the solve
+        p = scalar_problem(eta=0.0, zeta=0.0, b=0.0, delta=0.5)
+        setattr(p, term, np.array([1e-12]))
+        Pi = solve_riccati(p, GRID)
+        calls = []
+        original = riccati.propagate_linear
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(riccati, "propagate_linear", counted)
+        s = solve_offset(p, Pi, GRID)
+        assert len(calls) == 1
+        assert np.all(s.values[:-1] != 0.0)
 
     def test_superposition_in_eta(self):
         eta1, eta2 = 0.4, -0.7

@@ -13,12 +13,13 @@ the limit or for a finite population; its cost is one congruence of the
 agent's tracking cost.  The sweep starts from the limit problems with the
 others uncontrolled, writes the iterate into the major's mean-field rows
 of A and b and the major's closed loop into each minor's, and solves them
-with the single-agent riccati module; the sweep's problems keep the
-templates' sigma, so riccati forms sigma sigma^T once per fixed point,
-not once per sweep.  The refresh is the averaging
-identity [Gbar | Abar] = [G~ | A~] + B_breve Xi, mbar = b_breve +
-B_breve varsigma, with (Xi, varsigma) the minor laws averaged within
-each type.
+with the single-agent riccati module, which reads these node tables at
+the RK4 midpoints by cubics, so the fixed point is fourth order in the
+step; the sweep's problems keep the templates' sigma, so riccati forms
+sigma sigma^T once per fixed point, not once per sweep.  The refresh is
+the averaging identity [Gbar | Abar] = [G~ | A~] + B_breve Xi, mbar =
+b_breve + B_breve varsigma, with (Xi, varsigma) the minor laws averaged
+within each type.
 """
 
 from __future__ import annotations
@@ -201,8 +202,9 @@ def solve_consistency(spec: MajorMinorSpec, grid: TimeGrid = None,
     minors = [agent_problem(spec, grid, k)[0] for k in range(K)]
     d0 = major.n
     # the mean-field rows n: of the major's structural drift, [G~ | A~],
-    # and of its mean-field control input, B_breve
-    GA_struct = major.A(0.0)[n:]
+    # copied before the sweeps overwrite them, and of its mean-field
+    # control input, B_breve
+    GA_struct = major.A.values[0, n:].copy()
     B_breve = assemble_mean_field(spec.minors, spec.pi)[2]
     b0_nodes, b_breve = major.b.values[:, :n], major.b.values[:, n:]
     # the templates' drift tables: each sweep writes the iterate into the
@@ -299,13 +301,13 @@ def mean_field_trajectory(eq: MfgEquilibrium, x0_path) -> MatrixTrajectory:
     """Forward solve of dxbar = (A_bar xbar + G_bar x0 + m_bar) dt.
 
     x0_path is the major state trajectory (or its mean) as an array of
-    node samples or a MatrixTrajectory; xbar(0) stacks the minor initial
-    states.
+    node samples or a MatrixTrajectory of states on eq.grid, read like
+    every other table; xbar(0) stacks the minor initial states.
     """
     grid = eq.grid
-    if isinstance(x0_path, MatrixTrajectory):
-        x0_path = x0_path.values
-    x0_path = np.asarray(x0_path, dtype=float).reshape(grid.steps + 1, -1)
+    if not isinstance(x0_path, MatrixTrajectory):
+        x0_path = MatrixTrajectory(
+            grid, np.reshape(x0_path, (grid.steps + 1, -1)))
     forcing = (np.einsum("tij,tj->ti", eq.G_bar.half_values(),
                          half_grid_table(x0_path, grid))
                + eq.m_bar.half_values())

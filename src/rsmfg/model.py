@@ -1,10 +1,11 @@
 """Parameter containers and standing-assumption validation.
 
 Single-agent problems and major/minor game specifications are plain
-dataclasses.  Time-dependent coefficients (drift matrix, drift offset,
-diffusion) may be given as constant arrays, which the constructors wrap
-as numerics.ConstantFunction, or as callables of time, such as a
-numerics.MatrixTrajectory of node values, which they keep as given.
+dataclasses.  A time-dependent coefficient (drift matrix, drift offset,
+diffusion) is a constant array or a numerics.MatrixTrajectory of node
+values, which numerics.half_grid_table reads at the RK4 midpoints by
+cubics; anything else, a callable among them, raises DimensionMismatch
+naming the field.
 A game's single-agent problems are LqgProblems as well, built by
 mfg.agent_problem.
 Validation checks the positivity conditions required for the feedback
@@ -19,15 +20,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionViolated, DimensionMismatch
-from .numerics import ConstantFunction
+from .numerics import MatrixTrajectory
 
 # Symmetric-part eigenvalues down to this level still count as PSD:
 # congruence transforms in floating point shed tiny negative eigenvalues.
 PSD_TOL = -1e-10
 
 
+def _array(value, name):
+    """value as a float array; anything else, a callable among them,
+    raises DimensionMismatch naming the field."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{name} must be an array of numbers, not "
+                                f"{type(value).__name__}") from None
+
+
 def _as_matrix(value, rows, cols, name):
-    a = np.asarray(value, dtype=float)
+    a = _array(value, name)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
@@ -38,36 +49,23 @@ def _as_matrix(value, rows, cols, name):
 
 
 def _as_vector(value, n, name):
-    a = np.asarray(value, dtype=float).reshape(-1)
+    a = _array(value, name).reshape(-1)
     if a.shape != (n,):
         raise DimensionMismatch(f"{name} has shape {a.shape}, expected ({n},)")
     return a
 
 
-def as_time_function(value, shape, name):
-    """Normalize a constant array or callable to a callable of time.
-
-    A callable is kept as it was given once its value at t = 0 has the
-    shape, so a MatrixTrajectory's table stays readable; a constant
-    becomes a ConstantFunction, a module-level class, so a problem built
-    from picklable coefficients pickles.
-    """
-    if callable(value):
-        probe = np.asarray(value(0.0), dtype=float)
-        if probe.shape != shape:
-            raise DimensionMismatch(
-                f"{name}(t) has shape {probe.shape}, expected {shape}")
-        return value
-    a = np.asarray(value, dtype=float)
-    if a.ndim == 0 and shape == (1, 1):
-        a = a.reshape(1, 1)
-    elif a.ndim == 0 and shape == (1,):
-        a = a.reshape(1)
-    elif a.ndim == 1 and len(shape) == 2 and shape[1] == 1:
-        a = a.reshape(-1, 1)
-    if a.shape != shape:
-        raise DimensionMismatch(f"{name} has shape {a.shape}, expected {shape}")
-    return ConstantFunction(a)
+def _as_coefficient(value, shape, name):
+    """A time-dependent coefficient: a MatrixTrajectory of node values
+    whose entries have the shape, kept as given, or else a constant array,
+    normalized as _as_matrix or _as_vector do."""
+    if not isinstance(value, MatrixTrajectory):
+        return (_as_matrix(value, *shape, name) if len(shape) == 2
+                else _as_vector(value, *shape, name))
+    if value.shape != shape:
+        raise DimensionMismatch(f"{name} has entries of shape {value.shape}, "
+                                f"expected {shape}")
+    return value
 
 
 def min_symmetric_eigenvalue(M):
@@ -95,10 +93,10 @@ class LqgProblem:
     0.5 x'Q_hat x + q_hat'x; a scalar q_hat fills every component.
     """
 
-    A: object            # time -> (n,n), constant array allowed
+    A: object            # (n,n), constant or MatrixTrajectory
     B: np.ndarray        # (n,m)
-    b: object            # time -> (n,), constant allowed
-    sigma: object        # time -> (n,r), constant allowed
+    b: object            # (n,), constant or MatrixTrajectory
+    sigma: object        # (n,r), constant or MatrixTrajectory
     Q: np.ndarray        # (n,n)
     S: np.ndarray        # (n,m)
     R: np.ndarray        # (m,m)
@@ -123,17 +121,14 @@ class LqgProblem:
             B = B.reshape(n, -1)
         m = B.shape[1]
         self.B = _as_matrix(B, n, m, "B")
-        # infer noise dimension from sigma
-        sig_probe = self.sigma(0.0) if callable(self.sigma) else np.asarray(
-            self.sigma, dtype=float)
-        sig_probe = np.atleast_2d(np.asarray(sig_probe, dtype=float))
-        if sig_probe.shape[0] != n:
-            sig_probe = sig_probe.reshape(n, -1)
-        r = sig_probe.shape[1]
+        # the noise dimension is sigma's trailing one
+        sig = (self.sigma if isinstance(self.sigma, MatrixTrajectory)
+               else _array(self.sigma, "sigma"))
+        r = sig.shape[-1] if len(sig.shape) == 2 else 1
         self.n, self.m, self.r = n, m, r
-        self.A = as_time_function(self.A, (n, n), "A")
-        self.b = as_time_function(self.b, (n,), "b")
-        self.sigma = as_time_function(self.sigma, (n, r), "sigma")
+        self.A = _as_coefficient(self.A, (n, n), "A")
+        self.b = _as_coefficient(self.b, (n,), "b")
+        self.sigma = _as_coefficient(self.sigma, (n, r), "sigma")
         self.Q = _as_matrix(self.Q, n, n, "Q")
         self.S = _as_matrix(self.S, n, m, "S")
         self.R = _as_matrix(self.R, m, m, "R")
@@ -165,10 +160,12 @@ def validate_single(p: LqgProblem) -> LqgProblem:
     _check_agent(p)
     if not p.T > 0.0:
         raise AssumptionViolated("T positive")
-    for t in (0.0, 0.5 * p.T, p.T):
-        for name, fn in (("A", p.A), ("b", p.b), ("sigma", p.sigma)):
-            if not np.all(np.isfinite(fn(t))):
-                raise AssumptionViolated(f"{name}(t) finite on [0,T]")
+    # a MatrixTrajectory is finite by construction
+    for name in ("A", "b", "sigma"):
+        value = getattr(p, name)
+        if not (isinstance(value, MatrixTrajectory)
+                or np.all(np.isfinite(value))):
+            raise AssumptionViolated(f"{name}(t) finite on [0,T]")
     return p
 
 
@@ -183,8 +180,8 @@ def _normalized(agent, suffix: str, n: int, m: int, r: int):
         if hasattr(agent, name):
             setattr(agent, name, _as_matrix(getattr(agent, name), rows, cols,
                                             f"{name}_{suffix}"))
-    agent.b = as_time_function(agent.b, (n,), f"b_{suffix}")
-    agent.sigma = as_time_function(agent.sigma, (n, r), f"sigma_{suffix}")
+    agent.b = _as_coefficient(agent.b, (n,), f"b_{suffix}")
+    agent.sigma = _as_coefficient(agent.sigma, (n, r), f"sigma_{suffix}")
     agent.eta = _as_vector(agent.eta, n, f"eta_{suffix}")
     agent.delta = float(agent.delta)
     agent.x0 = _as_vector(agent.x0, n, f"x0_{suffix}")

@@ -2,16 +2,19 @@
 
 Everything here is deterministic, allocation-light, and operates on a
 uniform time grid.  The classical 4th-order Runge-Kutta scheme evaluates
-vector fields only at grid nodes and midpoints, so every coefficient is
-tabulated once on the half-grid (half_grid_table; node values are its
-even entries).  _step_maps builds the affine RK4 step maps of a linear
-ODE for all steps at once, and _scan applies them in blocks of steps:
-batched products within every block, a sequential pass over the block
-starts only, and one batched fill of every node; it reads the maps and
-writes the nodes through slices in sweep order.  propagate_linear and
-the Riccati solve both go through _scan; integrate_ode, RK4 on a general
-vector field, serves only as the tests' reference for them.  The path and
-population engines hold states as columns and multiply through _mm,
+vector fields only at grid nodes and midpoints, so every coefficient, a
+constant array or a MatrixTrajectory of node values, is tabulated once
+on the half-grid by half_grid_table: node values are its even entries,
+and a table's midpoints come from cubics through the nearest nodes, so
+the reading keeps RK4's fourth order.  _step_maps builds the affine RK4
+step maps of a linear ODE for all steps at once, and _scan applies them
+in blocks of steps: batched products within every block, a sequential
+pass over the block starts only, and one batched fill of every node; it
+reads the maps and writes the nodes through slices in sweep order.
+propagate_linear and the Riccati solve both go through _scan;
+integrate_ode, RK4 on a general vector field, serves only as the tests'
+reference for them.  The path and population engines read coefficients
+at the nodes only, hold states as columns and multiply through _mm,
 coefficient matrix on the left, whose rounding does not depend on how
 many columns are stacked.
 """
@@ -23,7 +26,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import NonFiniteState, OutOfRange
+from .errors import NonFiniteState
 
 # Entries past this are a linear propagation's or a path's finite escape.
 BLOWUP_BOUND = 1e8
@@ -61,7 +64,7 @@ class TimeGrid:
 class MatrixTrajectory:
     """Node-sampled matrix- or vector-valued function of time.
 
-    Read linearly between nodes, both when called and by half_grid_table.
+    Read at the RK4 midpoints by half_grid_table's cubic stencil.
     """
 
     grid: TimeGrid
@@ -78,63 +81,37 @@ class MatrixTrajectory:
     def shape(self) -> tuple:
         return self.values.shape[1:]
 
-    def __call__(self, t: float) -> np.ndarray:
-        return interpolate(self, t)
-
     def half_values(self) -> np.ndarray:
-        """Values on the half-grid (linear at midpoints, exact at nodes)."""
+        """Values on the half-grid, by half_grid_table."""
         return half_grid_table(self, self.grid)
 
 
-def interpolate(traj: MatrixTrajectory, t: float) -> np.ndarray:
-    """Piecewise-linear interpolation; exact at nodes."""
-    g = traj.grid
-    if t < g.t_start - 1e-12 or t > g.t_end + 1e-12:
-        raise OutOfRange(f"t={t} outside [{g.t_start}, {g.t_end}]")
-    pos = np.clip((t - g.t_start) / g.h, 0.0, g.steps)
-    nearest = int(round(pos))
-    if abs(pos - nearest) < 1e-12:  # exact at nodes, up to time round-off
-        return traj.values[nearest].copy()
-    i = int(pos)
-    frac = pos - i
-    return (1.0 - frac) * traj.values[i] + frac * traj.values[i + 1]
+def half_grid_table(coef, grid: TimeGrid) -> np.ndarray:
+    """Values of a coefficient on grid.half_nodes, every RK4 evaluation time.
 
-
-class ConstantFunction:
-    """Callable t -> value, the same array at every time."""
-
-    def __init__(self, value: np.ndarray):
-        self.value = value
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.value
-
-
-def half_grid_table(fn, grid: TimeGrid) -> np.ndarray:
-    """Values on grid.half_nodes, every RK4 evaluation time.
-
-    fn is an array of node values or a MatrixTrajectory on the same grid,
-    both kept at the nodes and linear at the midpoints; a ConstantFunction,
-    repeated into a fresh array; or any other callable of time, stacked
-    over the half-nodes.  A MatrixTrajectory on another grid raises
-    ValueError.
+    A MatrixTrajectory on the same grid keeps its nodes, and each midpoint
+    takes the cubic through its four nearest nodes, (9 (v_i + v_i+1) -
+    v_i-1 - v_i+2) / 16, the end midpoints the one-sided (5 v_0 + 15 v_1 -
+    5 v_2 + v_3) / 16; on two steps, the quadratic through the three
+    nodes.  The error is O(h^4), as for the RK4 solve that reads it.  A
+    MatrixTrajectory on another grid raises ValueError.  Anything else is
+    a constant, repeated into a fresh array.
     """
-    if isinstance(fn, MatrixTrajectory):
-        if fn.grid != grid:
-            raise ValueError("trajectory is sampled on another grid")
-        fn = fn.values
-    elif isinstance(fn, ConstantFunction):
-        value = np.asarray(fn.value, dtype=float)
+    if not isinstance(coef, MatrixTrajectory):
+        value = np.asarray(coef, dtype=float)
         return np.repeat(value[None], 2 * grid.steps + 1, axis=0)
-    elif callable(fn):
-        return np.stack([np.asarray(fn(t), dtype=float)
-                         for t in grid.half_nodes])
-    v = np.asarray(fn, dtype=float)
-    if v.shape[0] != grid.steps + 1:
-        raise ValueError("node values need one entry per grid node")
-    out = np.empty((2 * grid.steps + 1,) + v.shape[1:])
+    if coef.grid != grid:
+        raise ValueError("trajectory is sampled on another grid")
+    v = coef.values
+    out = np.empty((2 * len(v) - 1,) + v.shape[1:])
     out[0::2] = v
-    out[1::2] = 0.5 * (v[:-1] + v[1:])
+    if len(v) == 3:
+        out[1] = (3.0 * v[0] + 6.0 * v[1] - v[2]) / 8.0
+        out[3] = (3.0 * v[2] + 6.0 * v[1] - v[0]) / 8.0
+        return out
+    out[3:-3:2] = (9.0 * (v[1:-2] + v[2:-1]) - v[:-3] - v[3:]) / 16.0
+    out[1] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
+    out[-2] = (5.0 * v[-1] + 15.0 * v[-2] - 5.0 * v[-3] + v[-4]) / 16.0
     return out
 
 
@@ -350,9 +327,10 @@ def propagate_linear(F, f, boundary_value, grid: TimeGrid,
 def state_transition(A, grid: TimeGrid):
     """Fundamental matrix and its inverse for dY = A(t) Y dt.
 
-    Returns (Upsilon, Upsilon_inv) with Upsilon(0)=I, solving
-    d/dt Upsilon = A Upsilon and d/dt Upsilon^{-1} = -Upsilon^{-1} A; the
-    latter is propagated as its transpose, whose field is -A^T.
+    A is a constant array or a MatrixTrajectory on grid.  Returns
+    (Upsilon, Upsilon_inv) with Upsilon(0)=I, solving d/dt Upsilon = A
+    Upsilon and d/dt Upsilon^{-1} = -Upsilon^{-1} A; the latter is
+    propagated as its transpose, whose field is -A^T.
     """
     A_h = half_grid_table(A, grid)
     eye, zero = np.eye(A_h.shape[1]), np.zeros_like(A_h)

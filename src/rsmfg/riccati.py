@@ -11,9 +11,11 @@ linear offset equation goes through the linear propagator, unless its
 data are exactly zero, when s is too.  log_cost evaluates the log
 exponential cost of any linear closed loop with the same scan, on the
 state augmented by a constant 1; C_star is law_cost at the optimal law.
-sigma sigma^T on the half-grid is kept on the sigma object, so the
-sweeps of a fixed point, whose problems keep their template's sigma,
-form it once; A's table is kept on the problem.
+Every coefficient, Pi and the laws are read at the RK4 midpoints by
+numerics.half_grid_table's cubic stencil, so each solve is fourth order
+in the step.  A sigma table's sigma sigma^T on the half-grid is kept on
+the table, so the sweeps of a fixed point, whose problems keep their
+template's sigma, form it once; A's table is kept on the problem.
 """
 
 from __future__ import annotations
@@ -59,20 +61,20 @@ def _diffusion_table(p: LqgProblem, grid: TimeGrid) -> np.ndarray:
 
 
 def _noise_table(p: LqgProblem, grid: TimeGrid) -> np.ndarray:
-    """_diffusion_table, formed once per sigma table.
+    """sigma sigma^T on grid.half_nodes, formed once per sigma.
 
-    It is kept on the sigma object with the grid it came from, so the
-    problems of a fixed-point sweep, which keep their template's sigma,
-    share it; another grid or a replaced sigma forms it afresh.  A sigma
-    that takes no attributes has it formed on every call.
+    A constant sigma's is one product, repeated as a read-only view.  A
+    table's is _diffusion_table, kept on the MatrixTrajectory with the
+    grid it came from, so the problems of a fixed-point sweep, which keep
+    their template's sigma, share it; another grid or a replaced sigma
+    forms it afresh.
     """
-    cached = getattr(p.sigma, "_noise_table_cache", None)
+    sig = p.sigma
+    if not isinstance(sig, MatrixTrajectory):
+        return np.broadcast_to(sig @ sig.T, (2 * grid.steps + 1, p.n, p.n))
+    cached = getattr(sig, "_noise_table_cache", None)
     if cached is None or cached[0] != grid:
-        cached = (grid, _diffusion_table(p, grid))
-        try:
-            p.sigma._noise_table_cache = cached
-        except AttributeError:
-            pass
+        cached = sig._noise_table_cache = (grid, _diffusion_table(p, grid))
     return cached[1]
 
 
@@ -141,27 +143,6 @@ def _backward_riccati(A_s, W, Q_s, Q_hat, grid: TimeGrid) -> MatrixTrajectory:
     return MatrixTrajectory(grid, values)
 
 
-def _cubic_half_values(v: np.ndarray) -> np.ndarray:
-    """Node values on the half-grid, each midpoint from a cubic.
-
-    A midpoint takes the cubic through its four nearest nodes,
-    (9 (v_i + v_i+1) - v_i-1 - v_i+2) / 16, and the end midpoints the
-    one-sided (5 v_0 + 15 v_1 - 5 v_2 + v_3) / 16; on two steps, the
-    quadratic through the three nodes.  The error is O(h^4), as for the
-    RK4 solve that gave the nodes.
-    """
-    out = np.empty((2 * len(v) - 1,) + v.shape[1:])
-    out[0::2] = v
-    if len(v) == 3:
-        out[1] = (3.0 * v[0] + 6.0 * v[1] - v[2]) / 8.0
-        out[3] = (3.0 * v[2] + 6.0 * v[1] - v[0]) / 8.0
-        return out
-    out[3:-3:2] = (9.0 * (v[1:-2] + v[2:-1]) - v[:-3] - v[3:]) / 16.0
-    out[1] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
-    out[-2] = (5.0 * v[-1] + 15.0 * v[-2] - 5.0 * v[-3] + v[-4]) / 16.0
-    return out
-
-
 def solve_offset(p: LqgProblem, Pi: MatrixTrajectory,
                  grid: TimeGrid) -> MatrixTrajectory:
     """Backward solve of the linear offset equation, s(T)=q_hat.
@@ -169,13 +150,11 @@ def solve_offset(p: LqgProblem, Pi: MatrixTrajectory,
     The field is -(M s + Pi g + c) with M = A^T - Pi B R^-1 B^T - S R^-1
     B^T + delta Pi sigma sigma^T, g = b + B R^-1 zeta and c = S R^-1 zeta
     - eta, formed for the whole half-grid and handed to the linear
-    propagator.  Pi at the midpoints is _cubic_half_values of its nodes,
-    so that s keeps the fourth order of Pi.  When g, c and q_hat are all
-    exactly zero, s is zero whatever Pi is, and the zero trajectory is
-    returned without a solve.
+    propagator.  Pi at the midpoints is half_grid_table's cubic reading
+    of its nodes, so that s keeps the fourth order of Pi.  When g, c and
+    q_hat are all exactly zero, s is zero whatever Pi is, and the zero
+    trajectory is returned without a solve.
     """
-    if Pi.grid != grid:
-        raise ValueError("trajectory is sampled on another grid")
     Rinv = np.linalg.inv(p.R)
     B, S = p.B, p.S
     BRinv = B @ Rinv
@@ -183,7 +162,7 @@ def solve_offset(p: LqgProblem, Pi: MatrixTrajectory,
     g = half_grid_table(p.b, grid) + BRinv @ p.zeta
     if not (g.any() or (SRinv @ p.zeta - p.eta).any() or p.q_hat.any()):
         return MatrixTrajectory(grid, np.zeros((grid.steps + 1, p.n)))
-    Pi_h = _cubic_half_values(Pi.values)
+    Pi_h = half_grid_table(Pi, grid)
     sig2 = _noise_table(p, grid)
     M = (np.swapaxes(_drift_table(p, grid), 1, 2)
          - Pi_h @ (BRinv @ B.T) - SRinv @ B.T
@@ -225,9 +204,12 @@ def running_cost(p: LqgProblem, K, k):
 def _closed_loop(p: LqgProblem, K, k, grid: TimeGrid):
     """(K, k, F, f) on grid.half_nodes for u = K x + k given at the nodes.
 
+    K and k are MatrixTrajectory's on grid or arrays of their node values.
     dx/dt = F x + f is the closed-loop drift: F = A + B K, f = B k + b.
     """
-    K, k = half_grid_table(K, grid), half_grid_table(k, grid)
+    K, k = (half_grid_table(v if isinstance(v, MatrixTrajectory)
+                            else MatrixTrajectory(grid, v), grid)
+            for v in (K, k))
     return (K, k, _drift_table(p, grid) + p.B @ K,
             k @ p.B.T + half_grid_table(p.b, grid))
 

@@ -2,9 +2,11 @@
 
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from rsmfg.model import MajorMinorSpec, MajorParams, MinorTypeParams
+from rsmfg.numerics import MatrixTrajectory
 
 
 @pytest.fixture(autouse=True)
@@ -65,8 +67,6 @@ def decoupled_game():
 
 def vector_game():
     """Two-dimensional states, two minor types, a nonzero cross weight."""
-    import numpy as np
-
     eye = np.eye(2)
     major = MajorParams(
         A=[[-1.0, 0.2], [0.0, -0.8]], F=0.3 * eye, B=[[1.0], [0.5]],
@@ -85,3 +85,9 @@ def vector_game():
     ]
     return MajorMinorSpec(major=major, minors=minors, pi=[0.6, 0.4],
                           T=1.0, n=2, m=1, r=1)
+
+
+def on_grid(f, grid):
+    """The MatrixTrajectory of f(t) at the grid's nodes."""
+    return MatrixTrajectory(grid, np.stack([np.asarray(f(t), dtype=float)
+                                            for t in grid.nodes]))

@@ -88,7 +88,7 @@ def lqr_riccati_oracle(p, t_eval):
 
     def rhs(t, y):
         Pi = y.reshape(n, n)
-        A = p.A(t)
+        A = p.A
         PBpS = Pi @ p.B + p.S
         d = -(Pi @ A + A.T @ Pi - PBpS @ Rinv @ PBpS.T + p.Q)
         return d.reshape(-1)
@@ -213,7 +213,7 @@ def test_criterion_5_golden_toy_assembly(capsys):
     grid = TimeGrid(t_end=1.0, steps=1000)
     major = agent_problem(spec, grid)[0]
     minor = agent_problem(spec, grid, 0)[0]
-    exact = (np.array_equal(major.A(0.0), [[1.0, 1.0], [1.0, 2.0]])
+    exact = (np.array_equal(major.A.values[0], [[1.0, 1.0], [1.0, 2.0]])
              and np.array_equal(major.Q, [[1.0, -1.0], [-1.0, 1.0]])
              and np.array_equal(minor.Q, [[1.0, -1.0, -1.0],
                                           [-1.0, 1.0, 1.0],

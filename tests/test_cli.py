@@ -64,7 +64,7 @@ class TestLoadConfig:
         assert model.K == 1
         assert model.major.A[0, 0] == -2.5
         assert model.major.F[0, 0] == 2.5
-        assert model.major.sigma(0.0)[0, 0] == 0.5
+        assert model.major.sigma[0, 0] == 0.5
         # raw-exponent form loads with risk loading 2 so that delta/2 = 1
         assert model.major.delta == 2.0
         assert model.minors[0].delta == 2.0
@@ -112,7 +112,7 @@ class TestLoadConfig:
         doc = {"model": scalar_model(A={"nodes": nodes}),
                "grid": {"steps": steps}}
         cfg = load_config(write_config(tmp_path, doc), "solve-single")
-        assert cfg.model.A(0.5)[0, 0] == pytest.approx(0.1 * 25)
+        assert cfg.model.A.values[25][0, 0] == pytest.approx(0.1 * 25)
 
     def test_raw_exponent_delta_conflict(self, tmp_path):
         doc = {"model": scalar_model(raw_exponent=True)}

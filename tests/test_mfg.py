@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import decoupled_game, flocking_game, toy_game, vector_game
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from rsmfg import riccati
 from rsmfg.errors import NotConverged
@@ -31,7 +32,7 @@ class TestAssembly:
     def test_toy_major_matrices(self):
         g = toy_game()
         es = agent_problem(g, GRID)[0]
-        assert np.array_equal(es.A(0.0), [[1.0, 1.0], [1.0, 2.0]])
+        assert np.array_equal(es.A.values[0], [[1.0, 1.0], [1.0, 2.0]])
         assert np.array_equal(es.Q, [[1.0, -1.0], [-1.0, 1.0]])
         assert np.array_equal(es.B, [[1.0], [0.0]])
         assert np.array_equal(assemble_mean_field(g.minors, g.pi)[2], [[1.0]])
@@ -39,21 +40,21 @@ class TestAssembly:
         assert np.array_equal(es.x0, [1.0, 1.0])
         # the extended diffusion and drift offset are tabulated at solve
         p0 = solve_consistency(toy_game(), GRID).major_problem
-        assert np.array_equal(p0.sigma(0.0), [[0.3], [0.0]])
-        assert np.array_equal(p0.b(0.5), [0.0, 0.0])
+        assert np.array_equal(p0.sigma.values[0], [[0.3], [0.0]])
+        assert np.array_equal(p0.b.values[GRID.steps // 2], [0.0, 0.0])
 
     def test_toy_minor_matrices(self):
         es = agent_problem(toy_game(), GRID, 0)[0]
         assert np.array_equal(es.Q, [[1.0, -1.0, -1.0],
                                      [-1.0, 1.0, 1.0],
                                      [-1.0, 1.0, 1.0]])
-        assert np.array_equal(es.A(0.0), [[1.0, 1.0, 1.0],
+        assert np.array_equal(es.A.values[0], [[1.0, 1.0, 1.0],
                                           [0.0, 1.0, 1.0],
                                           [0.0, 1.0, 2.0]])
         assert np.array_equal(es.B, [[1.0], [0.0], [0.0]])
         assert np.array_equal(es.x0, [1.0, 1.0, 1.0])
         pk = solve_consistency(toy_game(), GRID).minor_problems[0]
-        assert np.array_equal(pk.sigma(0.0), [[0.3, 0.0],
+        assert np.array_equal(pk.sigma.values[0], [[0.3, 0.0],
                                               [0.0, 0.3],
                                               [0.0, 0.0]])
 
@@ -73,7 +74,7 @@ class TestAssembly:
         assert np.array_equal(B_breve, np.eye(2))
         # each type's extended drift offset leads with its own b_k
         pks = solve_consistency(g2, GRID).minor_problems
-        assert [pk.b(0.0)[0] for pk in pks] == [0.0, 0.5]
+        assert [pk.b.values[0][0] for pk in pks] == [0.0, 0.5]
 
 
     @pytest.mark.parametrize(
@@ -216,11 +217,10 @@ class TestConsistency:
         B0, n = eq.major_problem.B, spec.n
         pk = eq.minor_problems[0]
         for i in (0, GRID.steps // 2, GRID.steps):
-            t = GRID.nodes[i]
-            A_cl = eq.major_problem.A(t) + B0 @ K0.values[i]
-            M_cl = eq.major_problem.b(t) + B0 @ k0.values[i]
-            assert np.max(np.abs(pk.A(t)[n:, n:] - A_cl)) < 1e-12
-            assert np.max(np.abs(pk.b(t)[n:] - M_cl)) < 1e-12
+            A_cl = eq.major_problem.A.values[i] + B0 @ K0.values[i]
+            M_cl = eq.major_problem.b.values[i] + B0 @ k0.values[i]
+            assert np.max(np.abs(pk.A.values[i][n:, n:] - A_cl)) < 1e-12
+            assert np.max(np.abs(pk.b.values[i][n:] - M_cl)) < 1e-12
 
 
 class TestEquilibriumLaws:
@@ -264,12 +264,14 @@ class TestMeanFieldTrajectory:
         eq = solve_consistency(decoupled_game(), GRID)
         x0_path = np.zeros((GRID.steps + 1, 1))
         xbar = mean_field_trajectory(eq, x0_path)
+        # the reference reads A_bar and m_bar by cubic splines, whose
+        # error is of the cubic midpoints' order
         t = GRID.nodes
-        a = eq.A_bar.values[:, 0, 0]
-        m = eq.m_bar.values[:, 0]
+        a = CubicSpline(t, eq.A_bar.values[:, 0, 0])
+        m = CubicSpline(t, eq.m_bar.values[:, 0])
 
         def rhs(s, y):
-            return np.interp(s, t, a) * y + np.interp(s, t, m)
+            return a(s) * y + m(s)
 
         ref = solve_ivp(rhs, (0.0, 1.0), [0.5], t_eval=t,
                         rtol=1e-10, atol=1e-12)
@@ -282,6 +284,10 @@ class TestMeanFieldTrajectory:
         x2 = mean_field_trajectory(
             eq, type(eq.A_bar)(GRID, x0_path))
         assert np.array_equal(x1.values, x2.values)
+        # a trajectory on another grid is not read as if on this one
+        with pytest.raises(ValueError):
+            mean_field_trajectory(
+                eq, MatrixTrajectory(TimeGrid(2.0, GRID.steps), x0_path))
 
 
 def test_diffusion_tabulated_once_per_agent(monkeypatch):
@@ -319,3 +325,20 @@ def test_zero_offsets_skip_the_propagator(monkeypatch):
     for values in [eq.s0.values, eq.m_bar.values] + [s.values for s in eq.sk]:
         assert np.all(values == 0.0)
         assert not np.signbit(values).any()
+
+
+@pytest.mark.parametrize("game", [flocking_game, vector_game])
+def test_fixed_point_fourth_order_in_h(game):
+    # every table of the sweep, the mean field and the other agents' closed
+    # loops among them, is read at the RK4 midpoints by cubics, so the
+    # fixed point keeps RK4's order: the largest difference of Pi0(0),
+    # s0(0), Pi_k(0) and s_k(0) between successive grids shrinks about 16x
+    # per halving (a linear reading of the tables gives 4x)
+    spec = game()
+    starts = []
+    for M in (50, 100, 200, 400, 800):
+        eq = solve_consistency(spec, TimeGrid(t_end=1.0, steps=M))
+        starts.append(np.concatenate([x.values[0].ravel() for x in
+                                      [eq.Pi0, eq.s0] + eq.Pik + eq.sk]))
+    diffs = np.max(np.abs(np.diff(starts, axis=0)), axis=1)
+    assert np.all(diffs[:-1] / diffs[1:] >= 12.0)

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import vector_game
+from conftest import on_grid, vector_game
 from rsmfg.cli import bundled_config, parse_config
 from rsmfg.errors import AssumptionViolated, DimensionMismatch
 from rsmfg.model import (
@@ -17,7 +17,7 @@ from rsmfg.model import (
     validate_game,
     validate_single,
 )
-from rsmfg.numerics import TimeGrid, half_grid_table
+from rsmfg.numerics import MatrixTrajectory, TimeGrid, half_grid_table
 
 
 def toy_game():
@@ -82,14 +82,31 @@ class TestValidateSingle:
 class TestLqgProblem:
     def test_time_functions_normalized(self):
         p = scalar_problem(A=2.0, b=0.5, sigma=0.1)
-        assert p.A(0.3).shape == (1, 1)
-        assert p.A(0.3)[0, 0] == 2.0
-        assert p.b(0.7)[0] == 0.5
-        assert p.sigma(1.0)[0, 0] == 0.1
+        assert p.A.shape == (1, 1)
+        assert p.A[0, 0] == 2.0
+        assert p.b[0] == 0.5
+        assert p.sigma[0, 0] == 0.1
 
-    def test_callable_coefficients(self):
-        p = scalar_problem(A=lambda t: np.array([[np.cos(t)]]))
-        assert abs(p.A(0.5)[0, 0] - np.cos(0.5)) < 1e-15
+    @pytest.mark.parametrize("field, shape", [("A", (1, 1)), ("b", (1,)),
+                                              ("sigma", (1, 1))],
+                             ids=["A", "b", "sigma"])
+    def test_callable_or_misshapen_coefficient_rejected(self, field, shape):
+        # a callable, or a table whose entries have the wrong shape, raises
+        # DimensionMismatch naming the field, in a game's agents as well
+        wrong = on_grid(lambda t: np.zeros((2,) + shape),
+                        TimeGrid(t_end=1.0, steps=4))
+        for value in (lambda t: np.zeros(shape), wrong):
+            with pytest.raises(DimensionMismatch, match=f"^{field} "):
+                scalar_problem(**{field: value})
+            if field == "A":
+                continue
+            for k, suffix in ((None, "0"), (0, "k")):
+                g = toy_game()
+                setattr(g.major if k is None else g.minors[k], field, value)
+                with pytest.raises(DimensionMismatch,
+                                   match=f"^{field}_{suffix} "):
+                    MajorMinorSpec(major=g.major, minors=g.minors, pi=[1.0],
+                                   T=1.0, n=1, m=1, r=1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -160,7 +177,7 @@ def test_spec_pickle_round_trip(make):
     grid = TimeGrid(t_end=spec.T, steps=20)
     for agent, copy in zip(_agents(spec), _agents(back)):
         for name, value in vars(agent).items():
-            if callable(value):
+            if isinstance(value, MatrixTrajectory):
                 assert np.array_equal(half_grid_table(value, grid),
                                       half_grid_table(getattr(copy, name),
                                                       grid)), name

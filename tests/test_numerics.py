@@ -5,18 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from conftest import on_grid
 
 from rsmfg import numerics
-from rsmfg.errors import NonFiniteState, OutOfRange
+from rsmfg.errors import NonFiniteState
 from rsmfg.numerics import (
-    ConstantFunction,
     MatrixTrajectory,
     TimeGrid,
     _block_length,
     half_grid_table,
     integrate_ode,
-    interpolate,
     propagate_linear,
     state_transition,
 )
@@ -115,14 +113,16 @@ class TestPropagateLinear:
 
     @staticmethod
     def _field(d):
+        """F(t) and f(t), for a time t or an array of times, such as the
+        half-nodes, where they give propagate_linear's tables."""
         rng = np.random.default_rng(3)
         A0, A1 = 0.5 * rng.standard_normal((2, d, d))
 
         def F(t):
-            return A0 + np.sin(3.0 * t) * A1
+            return A0 + np.sin(3.0 * t)[..., None, None] * A1
 
         def f(t):
-            return np.cos(2.0 * t) * np.arange(1.0, d + 1.0)
+            return np.cos(2.0 * t)[..., None] * np.arange(1.0, d + 1.0)
 
         return F, f
 
@@ -140,10 +140,10 @@ class TestPropagateLinear:
             weights = np.arange(1.0, columns + 1.0)
 
             def forcing(t):
-                return np.outer(f(t), weights)
+                return f(t)[..., None] * weights
 
-        prop = propagate_linear(half_grid_table(F, g),
-                                half_grid_table(forcing, g), y0, g, direction)
+        prop = propagate_linear(F(g.half_nodes), forcing(g.half_nodes), y0,
+                                g, direction)
         ref = integrate_ode(lambda t, y: F(t) @ y + forcing(t), y0, g,
                             direction)
         assert prop.values.shape == ref.values.shape
@@ -155,10 +155,10 @@ class TestPropagateLinear:
         g = TimeGrid(t_end=1.0, steps=200)
 
         def F(t):
-            return np.array([[rate * (1.0 + t)]])
+            return np.reshape(rate * (1.0 + t), np.shape(t) + (1, 1))
 
         with pytest.raises(NonFiniteState) as prop:
-            propagate_linear(half_grid_table(F, g),
+            propagate_linear(F(g.half_nodes),
                              np.zeros((2 * g.steps + 1, 1)), np.ones(1), g,
                              direction)
         with pytest.raises(NonFiniteState) as ref:
@@ -190,7 +190,7 @@ class TestPropagateLinear:
         # blocks of `block` steps; in each case the last block is partial
         g = TimeGrid(t_end=1.0, steps=M)
         F, f = self._field(3)
-        F_h, f_h = half_grid_table(F, g), half_grid_table(f, g)
+        F_h, f_h = F(g.half_nodes), f(g.half_nodes)
         assert _block_length(M, g.h, np.abs(F_h).sum(axis=-1).max()) == block
         y0 = np.array([1.0, -0.5, 0.2])
         if columns is not None:
@@ -255,101 +255,63 @@ class TestScan:
 class TestStateTransition:
     def test_identity_flow(self):
         g = TimeGrid(t_end=1.0, steps=100)
-        ups, ups_inv = state_transition(lambda t: np.zeros((3, 3)), g)
+        ups, ups_inv = state_transition(np.zeros((3, 3)), g)
         assert np.allclose(ups.values, np.eye(3))
         assert np.allclose(ups_inv.values, np.eye(3))
 
     def test_scalar_exponential(self):
         g = TimeGrid(t_end=1.0, steps=1000)
-        ups, _ = state_transition(lambda t: np.array([[0.5]]), g)
+        ups, _ = state_transition(np.array([[0.5]]), g)
         assert abs(ups.values[-1][0, 0] - math.exp(0.5)) < 1e-9
 
     def test_product_identity(self):
         rng = np.random.default_rng(7)
         A_const = rng.standard_normal((3, 3))
         g = TimeGrid(t_end=1.0, steps=2000)
-        ups, ups_inv = state_transition(lambda t: A_const * (1 + 0.3 * t), g)
+        ups, ups_inv = state_transition(
+            on_grid(lambda t: A_const * (1 + 0.3 * t), g), g)
         prods = np.einsum("tij,tjk->tik", ups.values, ups_inv.values)
         err = np.max(np.abs(prods - np.eye(3)))
         assert err < 1e-7
 
 
-class TestInterpolate:
-    def _traj(self):
-        g = TimeGrid(t_end=1.0, steps=10)
-        vals = np.stack([np.full((2, 2), i) for i in range(11)]).astype(float)
-        return MatrixTrajectory(g, vals)
-
-    def test_node_hit(self):
-        traj = self._traj()
-        for i, t in enumerate(traj.grid.nodes):
-            assert np.array_equal(interpolate(traj, t), traj.values[i])
-
-    def test_constant(self):
-        g = TimeGrid(t_end=1.0, steps=5)
-        traj = MatrixTrajectory(g, np.full((6, 1), 3.14))
-        for t in (0.0, 0.33, 0.5, 0.99, 1.0):
-            assert np.allclose(interpolate(traj, t), 3.14)
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    def test_linear_trajectory_reproduced(self, t):
-        g = TimeGrid(t_end=1.0, steps=10)
-        traj = MatrixTrajectory(g, (2.0 * g.nodes - 1.0).reshape(-1, 1))
-        assert abs(interpolate(traj, t)[0] - (2.0 * t - 1.0)) < 1e-12
-
-    def test_out_of_range(self):
-        traj = self._traj()
-        with pytest.raises(OutOfRange):
-            interpolate(traj, -0.1)
-        with pytest.raises(OutOfRange):
-            interpolate(traj, 1.1)
-
-    def test_callable_form(self):
-        traj = self._traj()
-        assert np.array_equal(traj(0.5), interpolate(traj, 0.5))
-
-
 class TestHalfGrid:
     def test_sampler_hits_nodes_and_midpoints(self):
-        # a trajectory's table keeps the nodes and is linear between them
-        g = TimeGrid(t_end=1.0, steps=4)
-        traj = MatrixTrajectory(g, (g.nodes ** 2).reshape(-1, 1, 1))
+        # a trajectory's table keeps the nodes, and each midpoint is read
+        # from the cubic through the four nearest nodes, one-sided at the
+        # ends: a jump overshoots by 1/16 of its size at the neighbouring
+        # midpoints
+        g = TimeGrid(t_end=1.0, steps=7)
+        traj = MatrixTrajectory(g, np.repeat([0.0, 1.0], 4)[:, None])
         table = half_grid_table(traj, g)
-        assert table.shape == (9, 1, 1)
+        assert table.shape == (15, 1)
         assert np.array_equal(table[0::2], traj.values)
-        assert np.array_equal(table[1::2],
-                              0.5 * (traj.values[:-1] + traj.values[1:]))
-        assert np.array_equal(table, half_grid_table(traj.values, g))
+        assert np.array_equal(table[1::2, 0],
+                              [0.0, 0.0, -1 / 16, 0.5, 17 / 16, 1.0, 1.0])
+
+    @pytest.mark.parametrize("steps, degree", [(2, 2), (3, 3), (8, 3)])
+    def test_midpoints_exact_on_polynomials(self, steps, degree):
+        # the end and interior stencils reproduce the polynomials of the
+        # degree they are built on
+        poly = np.polynomial.Polynomial([1.0, 2.0, -3.0, 0.7][:degree + 1])
+        g = TimeGrid(t_end=1.0, steps=steps)
+        table = half_grid_table(MatrixTrajectory(g, poly(g.nodes)), g)
+        assert np.max(np.abs(table - poly(g.half_nodes))) < 1e-14
 
     def test_sampler_out_of_range(self):
         g = TimeGrid(t_end=1.0, steps=4)
         traj = MatrixTrajectory(g, np.zeros((5, 1)))
-        with pytest.raises(OutOfRange):
-            traj(1.5)
         for other in (TimeGrid(t_end=1.0, steps=8),
                       TimeGrid(t_end=2.0, steps=4)):
             with pytest.raises(ValueError):
                 half_grid_table(traj, other)
 
-    def test_table_reads_sampler_directly(self, monkeypatch):
-        g = TimeGrid(t_end=1.0, steps=4)
-        traj = MatrixTrajectory(g, g.nodes.reshape(-1, 1).copy())
-
-        def no_call(traj, t):
-            raise AssertionError("interpolate called")
-
-        monkeypatch.setattr(numerics, "interpolate", no_call)
-        assert np.array_equal(half_grid_table(traj, g)[:, 0], g.half_nodes)
-        table = half_grid_table(lambda t: np.array([t, 2.0 * t]), g)
-        assert np.array_equal(table[:, 1], 2.0 * g.half_nodes)
-
     def test_constant_repeated_into_writable_copy(self):
         g = TimeGrid(t_end=1.0, steps=4)
         value = np.array([[1.5, -2.0], [0.25, 3.0]])
-        table = half_grid_table(ConstantFunction(value), g)
-        looped = half_grid_table(lambda t: value, g)
-        assert table.shape == looped.shape == (9, 2, 2)
-        assert np.array_equal(table, looped)
+        table = half_grid_table(value, g)
+        assert table.shape == (9, 2, 2)
+        assert np.array_equal(table, np.broadcast_to(value, (9, 2, 2)))
         table[0, 0, 0] = 7.0
         assert value[0, 0] == 1.5
 

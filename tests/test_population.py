@@ -18,7 +18,7 @@ from rsmfg.mfg import (
 )
 from rsmfg.model import LqgProblem, MajorMinorSpec, MajorParams, MinorTypeParams
 from rsmfg.montecarlo import ControlLaw, simulate
-from rsmfg.numerics import MatrixTrajectory, TimeGrid
+from rsmfg.numerics import MatrixTrajectory, TimeGrid, half_grid_table
 from rsmfg.population import (
     apportion,
     assignment_from_counts,
@@ -97,6 +97,8 @@ def euler_reference(spec, eq, N, override, n_reps, seed):
     z = [np.random.Generator(np.random.Philox(key=[seed, key]))
          .standard_normal((n_reps, M, spec.r))
          for key in [N] + list(range(N))]
+    b, sigma = ([half_grid_table(getattr(p, name), grid)[::2] for p in agents]
+                for name in ("b", "sigma"))
     x = np.empty((n_reps, 1 + N, n))
     for a, p in enumerate(agents):
         x[:, a] = p.x0
@@ -105,7 +107,7 @@ def euler_reference(spec, eq, N, override, n_reps, seed):
     sup = np.zeros(n_reps)
     paths = np.empty((M + 1, 1 + N, n))
     avg = np.empty((M + 1, n))
-    for i, t in enumerate(grid.nodes):
+    for i in range(M + 1):
         xhat = np.concatenate([x[:, 1:][:, types == k].mean(axis=1)
                                for k in range(K)], axis=1)
         xN = x[:, 1:].mean(axis=1)
@@ -139,8 +141,8 @@ def euler_reference(spec, eq, N, override, n_reps, seed):
         for a, p in enumerate(agents):
             coupling = xN @ p.F.T + (0.0 if a == 0 else new[:, 0] @ p.G.T)
             new[:, a] += (x[:, a] @ p.A.T + us[a] @ p.B.T + coupling
-                          + p.b(t)) * h
-            new[:, a] += z[a][:, i] @ p.sigma(t).T * math.sqrt(h)
+                          + b[a][i]) * h
+            new[:, a] += z[a][:, i] @ sigma[a][i].T * math.sqrt(h)
         x = new
     deltas = np.array([p.delta for p in agents])
     return deltas * lam, paths, sup, avg
@@ -464,8 +466,8 @@ class TestFiniteCost:
     def test_exact_cost_shared_by_a_type(self):
         # every slot of a type has the same cost; the values are those of
         # scipy's DOP853 (rtol 1e-13) run over all 1+N agents in full, node
-        # interval by node interval, with the laws read linearly between
-        # nodes
+        # interval by node interval, with the laws read by the piecewise
+        # cubic whose midpoint values are half_grid_table's
         g = vector_game()
         g.major.sigma = np.zeros((2, 1))
         for th in g.minors:
@@ -476,10 +478,10 @@ class TestFiniteCost:
         costs = [exact_cost(spec, eq, j, 7) for j in range(7)]
         assert costs[:4] == [costs[0]] * 4
         assert costs[4:] == [costs[4]] * 3
-        assert abs(costs[0] - 0.011356583415585137) < 1e-12
-        assert abs(costs[4] - 0.01421130982015565) < 1e-12
+        assert abs(costs[0] - 0.011356583777871338) < 1e-12
+        assert abs(costs[4] - 0.014211311011119197) < 1e-12
         assert abs(exact_cost(spec, eq, "major", 7)
-                   - 0.11116246702482814) < 1e-11
+                   - 0.11116246781931056) < 1e-11
         with pytest.raises(OutOfRange, match="no agents"):
             exact_cost(spec, eq, 0, 1)
         with pytest.raises(OutOfRange, match="not in the population"):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import on_grid
 from scipy.integrate import solve_ivp
 
 from rsmfg import riccati
@@ -12,7 +13,6 @@ from rsmfg.errors import FiniteEscape
 from rsmfg.model import LqgProblem, scalar_problem
 from rsmfg.numerics import TimeGrid, _block_length, _step_maps, half_grid_table
 from rsmfg.riccati import (
-    _cubic_half_values,
     feedback_law,
     solve,
     solve_offset,
@@ -72,7 +72,7 @@ def lqr_riccati_oracle(p, t_eval):
 
     def rhs(t, y):
         Pi = y.reshape(n, n)
-        A = p.A(t)
+        A = p.A
         PBpS = Pi @ p.B + p.S
         d = -(Pi @ A + A.T @ Pi - PBpS @ Rinv @ PBpS.T + p.Q)
         return d.reshape(-1)
@@ -82,14 +82,15 @@ def lqr_riccati_oracle(p, t_eval):
     return sol.y[:, ::-1].T.reshape(len(t_eval), n, n)
 
 
-def risk_riccati_oracle(p, t_eval):
-    """Risk-sensitive Riccati via an adaptive 8th-order integrator."""
+def risk_riccati_oracle(p, t_eval, drift):
+    """Risk-sensitive Riccati via an adaptive 8th-order integrator, with
+    the drift matrix drift(t) and p's constant sigma."""
     n = p.n
     Rinv = np.linalg.inv(p.R)
 
     def rhs(t, y):
         Pi = y.reshape(n, n)
-        A, sig = p.A(t), p.sigma(t)
+        A, sig = drift(t), p.sigma
         PBpS = Pi @ p.B + p.S
         d = -(Pi @ A + A.T @ Pi - PBpS @ Rinv @ PBpS.T
               + p.delta * Pi @ sig @ sig.T @ Pi + p.Q)
@@ -151,16 +152,22 @@ class TestSolveRiccati:
         assert np.max(np.abs(Pi.values - oracle)) < 1e-6
 
     def test_risk_sensitive_matrix_against_dop853(self):
-        # full 3x3 instance, delta=0.3, full sigma, time-varying drift:
-        # fourth-order convergence to an independent adaptive solve
+        # full 3x3 instance, delta=0.3, full sigma, time-varying drift
+        # given as a node table on each grid: fourth-order convergence to
+        # an independent adaptive solve
         p = random_instance(6)
-        A0, A1 = p.A(0.0), np.random.default_rng(7).standard_normal((3, 3))
-        p.A = lambda t: A0 + 0.5 * np.sin(3.0 * t) * A1
+        A0, A1 = p.A, np.random.default_rng(7).standard_normal((3, 3))
+
+        def drift(t):
+            return A0 + 0.5 * np.sin(3.0 * t) * A1
+
         fine = TimeGrid(t_end=1.0, steps=2000)
-        oracle = risk_riccati_oracle(p, fine.nodes)
+        oracle = risk_riccati_oracle(p, fine.nodes, drift)
         errs = {}
         for M in (250, 500, 2000):
-            Pi = solve_riccati(p, TimeGrid(t_end=1.0, steps=M))
+            grid = TimeGrid(t_end=1.0, steps=M)
+            p.A = on_grid(drift, grid)
+            Pi = solve_riccati(p, grid)
             errs[M] = np.max(np.abs(Pi.values - oracle[::2000 // M]))
         assert errs[250] / errs[500] >= 12.0
         assert errs[2000] < 1e-10
@@ -259,39 +266,15 @@ class TestHalfTables:
         solve(p, GRID)
         assert np.array_equal(solve_riccati(p, coarse).values,
                               solve_riccati(fresh, coarse).values)
-        sigma = lambda t: 0.5 * np.eye(3)  # noqa: E731
-        p.sigma = fresh.sigma = sigma
+        # a sigma table keeps its sigma sigma^T; a replaced one is not read
+        p.sigma = on_grid(lambda t: (1.0 + t) * np.eye(3), coarse)
+        solve_riccati(p, coarse)
+        p.sigma, fresh.sigma = (on_grid(lambda t: 0.5 * np.eye(3), coarse)
+                                for _ in range(2))
         Pi = solve_riccati(p, coarse)
         assert np.array_equal(Pi.values, solve_riccati(fresh, coarse).values)
         assert np.array_equal(solve_offset(p, Pi, coarse).values,
                               solve_offset(fresh, Pi, coarse).values)
-
-    def test_sigma_that_takes_no_attributes(self, monkeypatch):
-        # a bound method keeps no table, so sigma sigma^T is formed on
-        # every call; the solves equal those of the same constant sigma
-        class Noise:
-            def __init__(self, value):
-                self.value = value
-
-            def at(self, t):
-                return self.value
-
-        coarse = TimeGrid(t_end=1.0, steps=200)
-        p, bound = random_instance(7), random_instance(7)
-        bound.sigma = Noise(p.sigma(0.0)).at
-        tabulated = []
-        original = riccati._diffusion_table
-
-        def counted(q, grid):
-            tabulated.append(q)
-            return original(q, grid)
-
-        monkeypatch.setattr(riccati, "_diffusion_table", counted)
-        Pi = solve_riccati(p, coarse)
-        assert np.array_equal(solve_riccati(bound, coarse).values, Pi.values)
-        assert np.array_equal(solve_offset(bound, Pi, coarse).values,
-                              solve_offset(p, Pi, coarse).values)
-        assert [q is bound for q in tabulated] == [False, True, True]
 
 
 class TestSolveOffset:
@@ -326,15 +309,6 @@ class TestSolveOffset:
             s0.append(solve_offset(p, solve_riccati(p, g), g).values[0][0])
         diffs = np.abs(np.diff(s0))
         assert np.all(diffs[:-1] / diffs[1:] >= 12.0)
-
-    @pytest.mark.parametrize("steps, degree", [(2, 2), (3, 3), (8, 3)])
-    def test_midpoints_exact_on_polynomials(self, steps, degree):
-        # the end and interior stencils reproduce the polynomials of the
-        # degree they are built on
-        poly = np.polynomial.Polynomial([1.0, 2.0, -3.0, 0.7][:degree + 1])
-        g = TimeGrid(t_end=1.0, steps=steps)
-        assert np.max(np.abs(_cubic_half_values(poly(g.nodes))
-                             - poly(g.half_nodes))) < 1e-14
 
     @pytest.mark.parametrize("term", ["eta", "q_hat"])
     def test_tiny_affine_term_is_propagated(self, monkeypatch, term):

@@ -215,10 +215,24 @@ def _step_maps(F, grid: TimeGrid, direction: str, f=None):
     # RK4 on the augmented [F | f], f as columns, gives [Phi - I | phi]
     F = np.asarray(F, dtype=float)
     G = F if f is None else np.concatenate([F, f], axis=2)
-    k2 = G[c] + (h / 2.0) * (F[c] @ G[a])
-    k3 = G[c] + (h / 2.0) * (F[c] @ k2)
-    k4 = G[b] + h * (F[b] @ k3)
-    incr = (h / 6.0) * (G[a] + 2.0 * k2 + 2.0 * k3 + k4)
+    # the sums are written in place, in the order of (h / 6) (G[a] + 2 k2
+    # + 2 k3 + k4) with k2 = G[c] + (h / 2) F[c] G[a], and so on
+    k2 = F[c] @ G[a]
+    k2 *= h / 2.0
+    k2 += G[c]
+    k3 = F[c] @ k2
+    k3 *= h / 2.0
+    k3 += G[c]
+    k4 = F[b] @ k3
+    k4 *= h
+    k4 += G[b]
+    incr = k2
+    incr *= 2.0
+    incr += G[a]
+    k3 *= 2.0
+    incr += k3
+    incr += k4
+    incr *= h / 6.0
     d = F.shape[1]
     return np.eye(d) + incr[:, :, :d], incr[:, :, d:]
 

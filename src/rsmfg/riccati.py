@@ -7,6 +7,9 @@ FiniteEscape rather than propagated as garbage.  Pi at each node is a
 Moebius map of Pi at the start of its block of steps through the
 product of the block's RK4 step maps of the linear Hamiltonian system
 (numerics._scan); an escape shows, at any scale, as a singular X.  The
+scan's one batched fill of every node takes Y X^-1 = Y adj X / det X
+from cofactors when n <= 3, and numpy's stacked det and solve for
+larger n and for the block starts, one matrix at a time.  The
 linear offset equation goes through the linear propagator, unless its
 data are exactly zero, when s is too.  log_cost evaluates the log
 exponential cost of any linear closed loop with the same scan, on the
@@ -52,6 +55,31 @@ class RiccatiSolution:
 
 def _symmetrize(M):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+# the largest n whose batched Moebius fill takes _det_adj's closed form
+CLOSED_FORM_MAX_N = 3
+
+
+def _det_adj(X):
+    """(det X, adj X) of a stack of n x n matrices, n <= 3, by cofactors.
+
+    X^-1 = adj X / det X.  For matrices this small numpy's stacked det
+    and solve spend their time in one LAPACK call per matrix; the
+    cofactors are a few products over the whole stack.  Entry (i, j)'s
+    cofactor is X[i+1, j+1] X[i+2, j+2] - X[i+1, j+2] X[i+2, j+1] for n
+    = 3, indices mod 3, and +-X[1-i, 1-j] for n = 2.
+    """
+    n = X.shape[-1]
+    if n == 1:
+        C = np.ones_like(X)
+    elif n == 2:
+        C = X[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    else:
+        r1, r2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+        C = (X[..., r1[:, None], r1] * X[..., r2[:, None], r2]
+             - X[..., r1[:, None], r2] * X[..., r2[:, None], r1])
+    return (X[..., 0, :] * C[..., 0, :]).sum(axis=-1), np.swapaxes(C, -1, -2)
 
 
 def _diffusion_table(p: LqgProblem, grid: TimeGrid) -> np.ndarray:
@@ -127,13 +155,22 @@ def _backward_riccati(A_s, W, Q_s, Q_hat, grid: TimeGrid) -> MatrixTrajectory:
 
     def node(P, Pi):
         XY = P[..., :n] + P[..., n:] @ Pi
-        # Y X^-1 = (X^-T Y^T)^T, and sym ignores the transpose
-        Xt = np.swapaxes(XY[..., :n, :], -1, -2)
-        ok = np.linalg.det(Xt) > 0.0
-        # a dropped node solves against I, so solve never sees singular X
-        Xt = np.where(ok[..., None, None], Xt, np.eye(n))
-        Pi = _symmetrize(np.linalg.solve(
-            Xt, np.swapaxes(XY[..., n:, :], -1, -2)))
+        if P.ndim > 2 and n <= CLOSED_FORM_MAX_N:
+            # the batched fill: Y X^-1 = Y adj X / det X, garbage where
+            # det X <= 0, which is not ok
+            det, adj = _det_adj(XY[..., :n, :])
+            ok = det > 0.0
+            Pi = _symmetrize(XY[..., n:, :] @ adj) / det[..., None, None]
+        else:
+            # Y X^-1 = (X^-T Y^T)^T, and sym ignores the transpose
+            Xt = np.swapaxes(XY[..., :n, :], -1, -2)
+            ok = np.linalg.det(Xt) > 0.0
+            if not ok.all():
+                # a dropped node solves against I, so solve never sees
+                # singular X
+                Xt = np.where(ok[..., None, None], Xt, np.eye(n))
+            Pi = _symmetrize(np.linalg.solve(
+                Xt, np.swapaxes(XY[..., n:, :], -1, -2)))
         return Pi, ok & np.isfinite(Pi).all(axis=(-2, -1))
 
     values, bad = _scan(Phi, _symmetrize(Q_hat), node, rho, grid,

@@ -106,6 +106,20 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="not found"):
             load_config("/nonexistent/cfg.json", "solve-single")
 
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["solve-single", "--config", str(tmp_path)]) \
+            == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps({"model": scalar_model()}).encode()
+                         + b"\xff")
+        assert main(["solve-single", "--config", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
     def test_node_array_coefficient(self, tmp_path):
         steps = 50
         nodes = [[[0.1 * i]] for i in range(steps + 1)]
@@ -471,6 +485,8 @@ _WORKER_RUNS = {
     "verify": ("verify-single", {
         "model": scalar_model(b=[0.1], S=[[0.2]], eta=[0.3], zeta=[0.1]),
         "grid": {"steps": 50}, "montecarlo": {"n_paths": 300, "seed": 5}}),
+    # the sweeps' iterates formatted in a forked child or in-process
+    "paper": ("reproduce-paper", {"grid": {"steps": 50}}),
     # three path blocks of 3000 per ensemble
     "verify-blocks": ("verify-single", {
         "model": scalar_model(b=[0.1], S=[[0.2]], eta=[0.3], zeta=[0.1]),
@@ -586,6 +602,60 @@ def test_path_block_error_keeps_exit_code(tmp_path, monkeypatch, capsys):
                    f"t={exc.value.t:.6g}\n")
 
 
+def test_output_below_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    path = write_config(tmp_path, {"model": scalar_model(),
+                                   "grid": {"steps": 50}})
+    assert main(["solve-single", "--config", path, "--out", str(out)]) \
+        == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSweepFormatter:
+    # reproduce-paper formats each sweep's iterate in a forked child
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+    def run(self, tmp_path, doc):
+        out = tmp_path / "out"
+        return main(["reproduce-paper", "--config",
+                     write_config(tmp_path, doc), "--out", str(out)]), out
+
+    def test_converged_run_leaves_no_child(self, tmp_path):
+        code, out = self.run(tmp_path, {"grid": {"steps": 50}})
+        assert code == EXIT_OK and (out / "iterations.csv").exists()
+        _no_child_left()
+
+    def test_unconverged_run_leaves_no_child(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, {"grid": {"steps": 50},
+                                        "fixedpoint": {"max_iter": 2}})
+        assert code == EXIT_NOT_CONVERGED and not out.exists()
+        _no_child_left()
+
+    def test_child_error_fails_the_run(self, tmp_path, monkeypatch):
+        parent, traj_csv = os.getpid(), cli._traj_csv
+
+        def fail_in_child(*args):
+            if os.getpid() != parent:
+                raise ValueError("formatting failed in the child")
+            return traj_csv(*args)
+
+        monkeypatch.setattr(cli, "_traj_csv", fail_in_child)
+        with pytest.raises(ValueError, match="in the child"):
+            self.run(tmp_path, {"grid": {"steps": 50}})
+        assert not (tmp_path / "out").exists()
+        _no_child_left()
+
+
 def test_noise_free_verify_starts_no_worker(tmp_path, monkeypatch):
     # sigma = 0: the quotient, the one check written, integrates its one
     # path by RK4 in-process
@@ -680,6 +750,10 @@ _PAPER = {"grid": {"steps": 50}}
     ("solve-mfg", _with(_GAME, "model", major=dict(
         _GAME["model"]["major"], Sigma=[[0.5]]))),
     ("solve-mfg", _with_minor_field(_GAME, "etaa", [0.0])),
+    ("verify-single", _with(_VERIFY, "model", T="1")),
+    ("verify-single", _with(_VERIFY, "model", delta=True)),
+    ("verify-single", _with(_VERIFY, "model", Q=[["7"]])),
+    ("verify-single", _with(_VERIFY, "model", x0=["1"])),
 ], ids=["steps-1", "top-level-list", "n_paths-0", "n_paths-1", "N-0",
         "N_schedule-0", "n_reps-1", "N_schedule-scalar", "agent-outside",
         "threads-text", "minor-without-A", "model-not-object", "A-text",
@@ -692,7 +766,8 @@ _PAPER = {"grid": {"steps": 50}}
         "directory-number", "grid-unknown", "fixedpoint-unknown",
         "montecarlo-unknown", "population-unknown", "output-unknown",
         "single-model-unknown", "single-model-misspelled", "nodes-unknown",
-        "game-model-unknown", "major-unknown", "minor-unknown"])
+        "game-model-unknown", "major-unknown", "minor-unknown", "T-text",
+        "delta-bool", "Q-entry-text", "x0-entry-text"])
 def test_malformed_config_exits_2(tmp_path, capsys, mode, doc):
     path = write_config(tmp_path, doc)
     assert main([mode, "--config", path]) == EXIT_PARSE

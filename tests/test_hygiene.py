@@ -1,8 +1,10 @@
 """Source hygiene: every module of the package uses what it imports, every
-private helper is used, and the package's modules import each other
-without a cycle."""
+private helper is used, the package's modules import each other without a
+cycle, and a reproduce-paper run never imports multiprocessing."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +81,22 @@ def test_import_graph_is_acyclic():
         for m in leaves:
             del graph[m]
     assert not graph, f"import cycle among {sorted(graph)}"
+
+
+def test_reproduce_paper_imports_no_multiprocessing(tmp_path):
+    # importing multiprocessing takes 20-30 ms; the CLI's import and the
+    # sweep formatter's fork, two CPUs or not, must do without it
+    script = f"""
+import sys
+sys.path.insert(0, {str(SRC.parent)!r})
+import rsmfg.cli as cli
+cli._usable_cpus = lambda: 2
+code = cli.main(["reproduce-paper", "--config", {str(tmp_path / "c.json")!r},
+                 "--out", {str(tmp_path / "out")!r}])
+assert code == 0, code
+print("multiprocessing" in sys.modules)
+"""
+    (tmp_path / "c.json").write_text('{"grid": {"steps": 50}}')
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "False"

@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import on_grid
+from conftest import flocking_game, on_grid
 from scipy.integrate import solve_ivp
 
 from rsmfg import riccati
 from rsmfg.errors import FiniteEscape
+from rsmfg.mfg import agent_problem
 from rsmfg.model import LqgProblem, scalar_problem
 from rsmfg.numerics import TimeGrid, _block_length, _step_maps, half_grid_table
 from rsmfg.riccati import (
@@ -256,6 +257,53 @@ class TestBlockedScan:
                                    Q_hat=10.0 * c, sigma=5.0, delta=4.0 / c)
                 with pytest.raises(FiniteEscape):
                     solve_riccati(p, GRID)
+
+
+class TestClosedFormFill:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_det_adj_against_lapack(self, n):
+        rng = np.random.default_rng(40 + n)
+        X = rng.standard_normal((300, n, n))
+        # nearly singular (det X about 1e-9, of either sign) and singular
+        near = X[:100].copy()
+        near[:, -1] = near[:, :-1].sum(axis=1) + 1e-9 * rng.standard_normal(
+            (100, n))
+        zero = X[:20].copy()
+        zero[:, -1] = 0.0
+        X = np.concatenate([X, -X[:100], near, zero])
+        det, adj = riccati._det_adj(X)
+        ref = np.linalg.det(X)
+        assert (ref <= 0.0).sum() > 100 and (ref > 0.0).sum() > 100
+        assert np.array_equal(det > 0.0, ref > 0.0)
+        scale = np.abs(X).max(axis=(1, 2)) ** n
+        assert np.all(np.abs(det - ref) <= 1e-14 * scale)
+        # adj X is X^-1 det X, and X adj X = det X I at any conditioning
+        well = np.abs(ref) > 1e-3 * scale
+        assert np.allclose(adj[well] / det[well, None, None],
+                           np.linalg.inv(X[well]), rtol=1e-10, atol=1e-12)
+        assert np.all(np.abs(X @ adj - det[:, None, None] * np.eye(n))
+                      <= 1e-14 * scale[:, None, None])
+
+    @pytest.mark.parametrize("which", ["random", "major", "minor"])
+    def test_solve_matches_lapack_fill(self, monkeypatch, which):
+        # random_instance and the flocking game's extended problems, n = 3,
+        # 2 and 3: the closed-form fill against numpy's det and solve
+        if which == "random":
+            p = random_instance(5)
+        else:
+            p = agent_problem(flocking_game(), GRID,
+                              None if which == "major" else 0)[0]
+        calls = []
+        det_adj = riccati._det_adj
+        monkeypatch.setattr(riccati, "_det_adj",
+                            lambda X: calls.append(X.shape) or det_adj(X))
+        closed = solve_riccati(p, GRID).values
+        assert len(calls) == 1 and calls[0][-1] == p.n
+        monkeypatch.setattr(riccati, "CLOSED_FORM_MAX_N", 0)
+        lapack = solve_riccati(p, GRID).values
+        assert len(calls) == 1
+        assert np.max(np.abs(closed - lapack)) \
+            <= 1e-12 * np.max(np.abs(lapack))
 
 
 class TestHalfTables:

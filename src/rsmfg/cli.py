@@ -12,6 +12,7 @@ All emitted CSVs are long-format and byte-stable for a fixed config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -433,27 +434,14 @@ def _usable_cpus() -> int:
 
 
 # A fork_map whose sizes sum to fewer path-steps or agent-steps than this
-# runs in-process.  On a 2-core Xeon a pool start (a three-job map of
-# trivial jobs, after a solve) took 12 ms best to 17 ms mean, and two
-# workers at most halve the work.  The slowest jobs per step, two paths
-# or two replications, took 14-47 ms per 1000 steps in-process (1-d and
-# 2-d verify-single, nash-gap on the bundled game), about what a pool
-# start plus half of that costs; jobs of more paths or replications run
-# 1000 steps faster in-process.  The benchmark's smallest map is 2.6 M.
+# runs in-process.  On a 2-core Xeon a three-job map of trivial jobs after
+# a solve took 5.1 ms best, 6.0 ms mean, and two children at most halve
+# the work.  The slowest jobs per step, two paths or two replications,
+# took 14-47 ms per 1000 steps in-process (1-d and 2-d verify-single,
+# nash-gap on the bundled game), so forking saves 1-17 ms at 1000 steps
+# and less or nothing below; jobs of more paths or replications run 1000
+# steps faster in-process.  The benchmark's smallest map is 2.6 M.
 FORK_MIN_STEPS = 1000
-
-# (fn, jobs) of a fork_map, set in each of its workers by _start_worker
-_WORKER_JOBS = None
-
-
-def _start_worker(fn, jobs):
-    global _WORKER_JOBS
-    _WORKER_JOBS = fn, jobs
-
-
-def _run_job(i: int):
-    fn, jobs = _WORKER_JOBS
-    return fn(jobs[i])
 
 
 def _forking() -> bool:
@@ -461,148 +449,158 @@ def _forking() -> bool:
     return _usable_cpus() >= 2 and hasattr(os, "fork")
 
 
-def _write_all(fd: int, data: bytes):
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
+class _Child:
+    """fn() run in a forked child process, which inherits fn unpickled.
 
-
-def _format_items(fmt, items_fd: int, text_file, reply_fd: int):
-    """A _Formatter's child: never returns.
-
-    Formats each item unpickled from items_fd as it arrives and appends
-    the text to text_file.  When the items end, sends the first error fmt
-    raised, pickled, down reply_fd, or nothing; after an error it still
-    drains the items, so the parent never blocks on a full pipe.
+    The child pickles (True, fn()) or (False, the error fn raised) to an
+    unnamed temporary file and leaves by os._exit.  A child that leaves
+    without an outcome (killed, by os._exit, or with an outcome that does
+    not pickle) makes result() raise a RuntimeError naming its wait status.
     """
-    code = 1
-    try:
-        error = None
-        with os.fdopen(items_fd, "rb") as items:
-            while True:
+
+    def __init__(self, fn):
+        self.file = tempfile.TemporaryFile()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
                 try:
-                    item = pickle.load(items)
-                except EOFError:
-                    break
-                if error is None:
-                    try:
-                        text_file.write(fmt(*item).encode())
-                    except Exception as e:
-                        import traceback
-                        e.add_note("raised in the formatting child:\n"
-                                   + traceback.format_exc())
-                        error = e
-        text_file.flush()
-        if error is not None:
-            _write_all(reply_fd, pickle.dumps(error))
-        code = 0
-    finally:
-        os._exit(code)
+                    outcome = True, fn()
+                except Exception as e:
+                    import traceback
+                    e.add_note("raised in a forked child:\n"
+                               + traceback.format_exc())
+                    outcome = False, e
+                pickle.dump(outcome, self.file, pickle.HIGHEST_PROTOCOL)
+                self.file.flush()
+                code = 0
+            finally:
+                os._exit(code)
+
+    def result(self, status: int | None = None):
+        """fn()'s value or its error; waits for the child unless status
+        gives the wait status it was reaped with."""
+        if status is None:
+            status = os.waitpid(self.pid, 0)[1]
+        with self.file:
+            if status:
+                raise RuntimeError(f"forked child {self.pid} ended with "
+                                   f"wait status {status}")
+            self.file.seek(0)
+            ok, value = pickle.load(self.file)
+        if not ok:
+            raise value
+        return value
 
 
 class _Formatter:
     """"".join(fmt(*item) for every item put), formatted on a second core.
 
-    Where fork_map would fork, the constructor forks one child
-    (_format_items) with two pipes and an unnamed file: put pickles each
-    item down the first pipe and returns, so the caller goes on while the
-    child formats into the file, and text() closes the pipe, waits for
-    the child's reply on the second and reads the file, or re-raises the
-    error fmt raised.  The text comes back through a file because a pipe
-    carried it at a third of the speed.  Elsewhere put formats in-process.
-    As a context manager it reaps the child on every path: a caller that
-    leaves early closes the pipes, and the child, finding its input ended
-    and its reply closed, leaves by os._exit.  No multiprocessing is
-    imported.
+    Where fork_map would fork, one _Child formats the items as they
+    arrive: put pickles an item down a pipe and returns while the child
+    formats it, close() ends the pipe, and text() returns the child's
+    text or raises its error, as does a put that finds the child gone.
+    Elsewhere put formats in-process.  As a context manager it reaps the
+    child on every path.
     """
 
     def __init__(self, fmt):
-        self.fmt, self.parts, self.pid = fmt, [], None
+        self.fmt, self.parts, self.child = fmt, [], None
         if not _forking():
             return
-        self.file = tempfile.TemporaryFile()
-        items_r, self.items = os.pipe()
-        self.reply, reply_w = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            os.close(self.items)
-            os.close(self.reply)
-            _format_items(fmt, items_r, self.file, reply_w)
+        items_r, items_w = os.pipe()
+
+        def format_items():
+            os.close(items_w)
+            parts = []
+            with os.fdopen(items_r, "rb") as items:
+                while True:
+                    try:
+                        item = pickle.load(items)
+                    except EOFError:
+                        return "".join(parts)
+                    parts.append(fmt(*item))
+
+        self.child = _Child(format_items)
         os.close(items_r)
-        os.close(reply_w)
+        self.items = os.fdopen(items_w, "wb")
 
     def put(self, *item):
-        if self.pid is None:
+        if self.child is None:
             self.parts.append(self.fmt(*item))
-        else:
-            _write_all(self.items,
-                       pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+            return
+        try:
+            pickle.dump(item, self.items, pickle.HIGHEST_PROTOCOL)
+            self.items.flush()
+        except BrokenPipeError:
+            # the child left before its input ended: text() raises why
+            self.text()
+
+    def close(self):
+        """Ends the items; the child finishes while the caller goes on."""
+        if self.child is not None:
+            with contextlib.suppress(BrokenPipeError):  # the child left early
+                self.items.close()
 
     def text(self) -> str:
-        if self.pid is None:
+        if self.child is None:
             return "".join(self.parts)
-        os.close(self.items)
-        self.items = None
-        chunks = []
-        while chunk := os.read(self.reply, 1 << 16):
-            chunks.append(chunk)
-        self.file.seek(0)
-        text = self.file.read()
-        status = self._reap()
-        if chunks:
-            raise pickle.loads(b"".join(chunks))
-        if status:
-            raise RuntimeError(f"formatting child ended with wait status "
-                               f"{status}")
-        return text.decode()
-
-    def _reap(self) -> int:
-        """Closes the pipes and the file and waits for the child."""
-        for fd in (self.items, self.reply):
-            if fd is not None:
-                os.close(fd)
-        self.file.close()
-        pid, self.pid = self.pid, None
-        return os.waitpid(pid, 0)[1]
+        self.close()
+        child, self.child = self.child, None
+        return child.result()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        if self.pid is not None:
-            self._reap()
+        # after an error of the caller's, which stands, the child's
+        # outcome is dropped
+        if self.child is not None:
+            with contextlib.suppress(Exception):
+                self.text()
 
 
 def fork_map(fn, jobs, sizes) -> list:
-    """[fn(job) for job in jobs] over forked worker processes.
+    """[fn(job) for job in jobs], each job in a forked _Child.
 
-    sizes[i] is the work of job i in path-steps or agent-steps.  One
-    worker per usable CPU, at most one per job.  Jobs are submitted
-    largest sizes[i] first and their results come back in input order.
-    Forked workers inherit fn and the jobs, so only job indices and
-    results are pickled.  With one worker, with sizes summing to less
-    than FORK_MIN_STEPS, or where fork is unavailable, the same jobs run
-    in this process in a plain loop.  Either way the error raised is
-    that of the first failing job in submission order, and every worker
-    has exited when the call returns or raises.
+    sizes[i] is the work of job i in path-steps or agent-steps.  Jobs
+    start largest sizes[i] first, at most one child per usable CPU, each
+    ending child handing its CPU to the next job, and no job starts after
+    a failure.  With one usable CPU, with sizes summing to less than
+    FORK_MIN_STEPS, or where fork is unavailable, the same jobs run in
+    this process in a plain loop.  Either way the results come back in
+    input order, the error raised is that of the first failing job in
+    submission order, and no child is left when the call returns or raises.
     """
     order = sorted(range(len(jobs)), key=lambda i: sizes[i], reverse=True)
-    workers = min(len(jobs), _usable_cpus())
     if len(jobs) < 2 or sum(sizes) < FORK_MIN_STEPS or not _forking():
         results = {i: fn(jobs[i]) for i in order}
-    else:
-        import multiprocessing  # here, so that runs that never fork skip it
-
-        pool = multiprocessing.get_context("fork").Pool(
-            workers, initializer=_start_worker, initargs=(fn, jobs))
-        # after a failure the pool still drains: terminating it can kill
-        # a worker while it holds the result queue's lock, and the pool's
-        # own shutdown then waits on that lock forever
-        try:
-            results = dict(zip(order, pool.imap(_run_job, order)))
-        finally:
-            pool.close()
-            pool.join()
+        return [results[i] for i in range(len(jobs))]
+    cpus = _usable_cpus()
+    pending, running, results, errors = order[::-1], {}, {}, {}
+    try:
+        while pending or running:
+            while pending and len(running) < cpus:
+                i = pending.pop()
+                child = _Child(functools.partial(fn, jobs[i]))
+                running[child.pid] = i, child
+            # whichever child ends is this map's: the CLI has no other
+            # child process while a map runs
+            pid, status = os.waitpid(-1, 0)
+            i, child = running.pop(pid)
+            try:
+                results[i] = child.result(status)
+            except Exception as e:
+                errors[i] = e
+                pending = []
+    finally:
+        # only after an error of this process's own, which stands
+        for _, child in running.values():
+            with contextlib.suppress(Exception):
+                child.result()
+    for i in order:
+        if i in errors:
+            raise errors[i]
     return [results[i] for i in range(len(jobs))]
 
 
@@ -724,6 +722,7 @@ def _run_reproduce_paper(cfg: ExperimentConfig, bundle: ResultBundle):
     with _Formatter(sweep_lines) as sweeps:
         eq = _solve_mfg(cfg, callback=lambda j, A_bar, G_bar, m_bar, error:
                         sweeps.put(j, A_bar, G_bar, m_bar))
+        sweeps.close()
         _emit_mfg_tables(cfg, bundle, eq)
         bundle.tables["iterations"] = (
             _csv_line("iteration", *TRAJ_HEADER) + sweeps.text())

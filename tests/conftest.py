@@ -1,6 +1,6 @@
 """Shared game fixtures used across the test modules."""
 
-import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -11,10 +11,10 @@ from rsmfg.numerics import MatrixTrajectory
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process of this one running."""
+    """Fail a test that leaves a child process of this one unreaped."""
     yield
-    left = multiprocessing.active_children()
-    assert not left, f"child processes still running: {left}"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def toy_game(sigma=0.3):

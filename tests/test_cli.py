@@ -2,11 +2,13 @@
 
 import csv
 import io
+import itertools
 import json
-import multiprocessing
 import os
+import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -419,7 +421,8 @@ class TestForkMap:
         assert calls == [2, 3, 1]
 
     def test_small_maps_run_in_process(self, monkeypatch):
-        # below FORK_MIN_STEPS in total a pool would cost more than the work
+        # below FORK_MIN_STEPS in total the forks would cost more than
+        # the work
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         small = [cli.FORK_MIN_STEPS // 3] * 3
         out = cli.fork_map(lambda j: os.getpid(), [1, 2, 3], sizes=small)
@@ -441,9 +444,8 @@ class TestForkMap:
         assert exc.value.t == 2.0
 
     def test_failing_maps_shut_down(self):
-        # terminating a pool can kill a worker that holds the result
-        # queue's lock and leave the shutdown waiting on it; the hang came
-        # after 2 to 270 failing maps, so 200 run in a child with a timeout
+        # each of 200 failing maps must reap its children and return; they
+        # run in a child process with a timeout, so that a hang fails
         script = f"""
 import sys
 sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
@@ -463,6 +465,59 @@ for _ in range(200):
 """
         subprocess.run([sys.executable, "-c", script], check=True,
                        timeout=60)
+
+    @pytest.mark.parametrize("outcome, status", [
+        ("os._exit(3)", 3 << 8), ("lambda: j", 1 << 8)],
+        ids=["exit", "unpicklable"])
+    def test_child_without_an_outcome(self, outcome, status):
+        # a child that leaves by os._exit, or whose result does not
+        # pickle, fails the map with its wait status; in a child process
+        # with a timeout, as a map that waits on a lost job never returns
+        script = f"""
+import os, sys
+sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
+from rsmfg import cli
+cli._usable_cpus = lambda: 2
+cli.FORK_MIN_STEPS = 0
+try:
+    cli.fork_map(lambda j: {outcome} if j == 2 else j, [1, 2, 3],
+                 sizes=[1, 3, 2])
+except RuntimeError as e:
+    print(e)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+        done = subprocess.run([sys.executable, "-c", script], check=True,
+                              capture_output=True, text=True, timeout=60)
+        error, left = done.stdout.splitlines()
+        assert re.fullmatch(rf"forked child \d+ ended with wait status "
+                            rf"{status}", error)
+        assert left == "no child left"
+
+    def test_at_most_one_child_per_cpu(self, monkeypatch, tmp_path):
+        # the parent forks only after it has reaped a child, so the count
+        # of overlapping intervals is exact, whatever the timing
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "FORK_MIN_STEPS", 0)
+        log = tmp_path / "stamps"
+
+        def stamped(j):
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            os.write(fd, f"{time.monotonic()!r} 1\n".encode())
+            time.sleep(0.02)
+            os.write(fd, f"{time.monotonic()!r} -1\n".encode())
+            os.close(fd)
+            return j
+
+        assert cli.fork_map(stamped, list(range(5)), sizes=[1] * 5) \
+            == list(range(5))
+        # an end sorts before a start at the same time
+        stamps = sorted(tuple(map(float, line.split()))
+                        for line in log.read_text().splitlines())
+        assert len(stamps) == 10
+        assert max(itertools.accumulate(step for _, step in stamps)) <= 2
 
 
 def _two_type_game():
@@ -504,7 +559,7 @@ def test_worker_count_keeps_every_output(tmp_path, monkeypatch, name):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         out = tmp_path / f"cpus{cpus}"
         assert main([mode, "--config", path, "--out", str(out)]) == EXIT_OK
-        assert multiprocessing.active_children() == []
+        _no_child_left()
         outs.append(out)
     names = sorted(os.listdir(outs[0]))
     for out in outs[1:]:
@@ -563,7 +618,7 @@ def _error_at_every_worker_count(tmp_path, monkeypatch, capsys, mode,
     for cpus in (1, 2, 3):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         assert main([mode, "--config", path]) == EXIT_NON_FINITE
-        assert multiprocessing.active_children() == []
+        _no_child_left()
         errs.append(capsys.readouterr().err)
     assert errs[1:] == errs[:1] * 2
     assert errs[0].startswith("error: simulation became non-finite")

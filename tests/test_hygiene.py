@@ -1,8 +1,10 @@
-"""Source hygiene: every module of the package uses what it imports, every
-private helper is used, the package's modules import each other without a
-cycle, and a reproduce-paper run never imports multiprocessing."""
+"""Source hygiene: every module of the package uses what it imports and
+none imports multiprocessing, every private helper is used, the package's
+modules import each other without a cycle, and no CLI run that forks
+imports multiprocessing."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,26 @@ def test_every_import_is_used(path):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports but never uses: {unused}"
+
+
+def _imported_modules(tree):
+    """(top-level package, line) of each absolute import statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0], node.lineno
+
+
+def test_no_module_imports_multiprocessing():
+    # cli forks its children itself (cli._Child), so that no run pays for
+    # importing multiprocessing
+    found = [f"{path.name} (line {line})" for path in SRC.glob("*.py")
+             for name, line in _imported_modules(
+                 ast.parse(path.read_text(), filename=str(path)))
+             if name == "multiprocessing"]
+    assert not found, f"multiprocessing imported by {found}"
 
 
 def _references(tree, skip):
@@ -97,6 +119,42 @@ assert code == 0, code
 print("multiprocessing" in sys.modules)
 """
     (tmp_path / "c.json").write_text('{"grid": {"steps": 50}}')
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("mode", ["nash-gap", "verify-single"])
+def test_forking_modes_import_no_multiprocessing(tmp_path, mode):
+    # both modes run their independent jobs in forked children; with two
+    # CPUs and no size threshold they fork even on a small config
+    config = {
+        "nash-gap": dict(
+            json.loads((SRC / "configs" / "paper_example.json").read_text()),
+            grid={"steps": 20}, montecarlo={"seed": 3},
+            population={"N_schedule": [2, 3], "n_reps": 4}),
+        "verify-single": {
+            "model": {"type": "single", "A": [[0.0]], "B": [[1.0]],
+                      "sigma": [[1.0]], "Q": [[1.0]], "R": [[1.0]],
+                      "Q_hat": [[0.0]], "delta": 0.5, "x0": [1.0],
+                      "T": 1.0},
+            "grid": {"steps": 20},
+            "montecarlo": {"n_paths": 100, "seed": 3}}}[mode]
+    script = f"""
+import sys
+sys.path.insert(0, {str(SRC.parent)!r})
+import rsmfg.cli as cli
+cli._usable_cpus = lambda: 2
+cli.FORK_MIN_STEPS = 0
+forks = []
+start = cli._Child.__init__
+cli._Child.__init__ = lambda self, fn: forks.append(1) or start(self, fn)
+code = cli.main([{mode!r}, "--config", {str(tmp_path / "c.json")!r}])
+assert code == 0, code
+assert forks, "no child forked"
+print("multiprocessing" in sys.modules)
+"""
+    (tmp_path / "c.json").write_text(json.dumps(config))
     done = subprocess.run([sys.executable, "-c", script], check=True,
                           capture_output=True, text=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "False"

@@ -437,10 +437,11 @@ def _usable_cpus() -> int:
 # runs in-process.  On a 2-core Xeon a three-job map of trivial jobs after
 # a solve took 5.1 ms best, 6.0 ms mean, and two children at most halve
 # the work.  The slowest jobs per step, two paths or two replications,
-# took 14-47 ms per 1000 steps in-process (1-d and 2-d verify-single,
-# nash-gap on the bundled game), so forking saves 1-17 ms at 1000 steps
-# and less or nothing below; jobs of more paths or replications run 1000
-# steps faster in-process.  The benchmark's smallest map is 2.6 M.
+# took 10-20 ms per 1000 steps in-process (both ensembles of 1-d and 2-d
+# verify-single) and 13-14 ms (nash-gap on the bundled game, N = 5), so
+# forking saves at most 0-5 ms at 1000 steps and nothing below; jobs of
+# more paths or replications run 1000 steps faster in-process.  The
+# benchmark's smallest map is 2.6 M.
 FORK_MIN_STEPS = 1000
 
 
@@ -494,18 +495,19 @@ class _Child:
 
 
 class _Formatter:
-    """"".join(fmt(*item) for every item put), formatted on a second core.
+    """The text of every item put, formatted on a second core.
 
-    Where fork_map would fork, one _Child formats the items as they
-    arrive: put pickles an item down a pipe and returns while the child
-    formats it, close() ends the pipe, and text() returns the child's
-    text or raises its error, as does a put that finds the child gone.
-    Elsewhere put formats in-process.  As a context manager it reaps the
-    child on every path.
+    text() returns "".join(fmt(*item) for every item put) and
+    last(*item) of the last item.  Where fork_map would fork, one _Child
+    formats the items as they arrive: put pickles an item down a pipe
+    and returns while the child formats it, close() ends the pipe, and
+    text() returns the child's texts or raises its error, as does a put
+    that finds the child gone.  Elsewhere put formats in-process.  As a
+    context manager it reaps the child on every path.
     """
 
-    def __init__(self, fmt):
-        self.fmt, self.parts, self.child = fmt, [], None
+    def __init__(self, fmt, last):
+        self.fmt, self.last, self.parts, self.child = fmt, last, [], None
         if not _forking():
             return
         items_r, items_w = os.pipe()
@@ -518,7 +520,7 @@ class _Formatter:
                     try:
                         item = pickle.load(items)
                     except EOFError:
-                        return "".join(parts)
+                        return "".join(parts), last(*item)
                     parts.append(fmt(*item))
 
         self.child = _Child(format_items)
@@ -528,6 +530,7 @@ class _Formatter:
     def put(self, *item):
         if self.child is None:
             self.parts.append(self.fmt(*item))
+            self.item = item
             return
         try:
             pickle.dump(item, self.items, pickle.HIGHEST_PROTOCOL)
@@ -542,9 +545,9 @@ class _Formatter:
             with contextlib.suppress(BrokenPipeError):  # the child left early
                 self.items.close()
 
-    def text(self) -> str:
+    def text(self) -> tuple:
         if self.child is None:
-            return "".join(self.parts)
+            return "".join(self.parts), self.last(*self.item)
         self.close()
         child, self.child = self.child, None
         return child.result()
@@ -687,10 +690,12 @@ def _solve_mfg(cfg: ExperimentConfig, callback=None):
                              **cfg.fixedpoint)
 
 
+def _mean_field_table(grid, A_bar, G_bar, m_bar) -> str:
+    return _traj_table(grid, ((A_bar, "A_bar"), (G_bar, "G_bar"),
+                              (m_bar, "m_bar")))
+
+
 def _emit_mfg_tables(cfg, bundle, eq):
-    bundle.tables["mean_field"] = _traj_table(cfg.grid, (
-        (eq.A_bar.values, "A_bar"), (eq.G_bar.values, "G_bar"),
-        (eq.m_bar.values, "m_bar")))
     (K0, k0), minor_laws = equilibrium_laws(eq)
     laws = [(K0.values, "major_gain"), (k0.values, "major_offset")]
     for k, (Kk, kk) in enumerate(minor_laws):
@@ -705,6 +710,8 @@ def _emit_mfg_tables(cfg, bundle, eq):
 
 def _run_solve_mfg(cfg: ExperimentConfig, bundle: ResultBundle):
     eq = _solve_mfg(cfg)
+    bundle.tables["mean_field"] = _mean_field_table(
+        cfg.grid, eq.A_bar.values, eq.G_bar.values, eq.m_bar.values)
     _emit_mfg_tables(cfg, bundle, eq)
     return eq
 
@@ -718,14 +725,23 @@ def _run_reproduce_paper(cfg: ExperimentConfig, bundle: ResultBundle):
                                               (G_bar, "G_bar"),
                                               (m_bar, "m_bar")))
 
-    # each sweep's iterate is formatted while the next sweep solves
-    with _Formatter(sweep_lines) as sweeps:
+    def mean_field(j, A_bar, G_bar, m_bar):
+        # the last sweep's iterate is the equilibrium's mean field
+        return _mean_field_table(cfg.grid, A_bar, G_bar, m_bar)
+
+    # each sweep's iterate is formatted while the next sweep solves, and
+    # the last one also as mean_field.csv
+    with _Formatter(sweep_lines, mean_field) as sweeps:
         eq = _solve_mfg(cfg, callback=lambda j, A_bar, G_bar, m_bar, error:
                         sweeps.put(j, A_bar, G_bar, m_bar))
         sweeps.close()
+        # mean_field.csv comes from the child; its key goes first, so the
+        # tables are written and listed in solve-mfg's order
+        bundle.tables["mean_field"] = None
         _emit_mfg_tables(cfg, bundle, eq)
+        lines, bundle.tables["mean_field"] = sweeps.text()
         bundle.tables["iterations"] = (
-            _csv_line("iteration", *TRAJ_HEADER) + sweeps.text())
+            _csv_line("iteration", *TRAJ_HEADER) + lines)
     return eq
 
 

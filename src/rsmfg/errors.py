@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Errors with their own constructor arguments rebuild from those arguments
-when unpickled (__reduce__), so an error raised in a worker process
-reaches the caller with the same type, fields and message.
+when unpickled (__reduce__) and then take back their instance __dict__,
+so an error raised in a worker process reaches the caller with the same
+type, fields, message and notes (the worker's traceback).
 """
 
 
@@ -18,7 +19,7 @@ class NonFiniteState(RsmfgError):
         super().__init__(message or f"non-finite or exploding state at t={t:.6g}")
 
     def __reduce__(self):
-        return type(self), (self.t, str(self))
+        return type(self), (self.t, str(self)), self.__dict__
 
 
 class FiniteEscape(RsmfgError):
@@ -33,7 +34,7 @@ class FiniteEscape(RsmfgError):
         super().__init__(message or f"Riccati finite escape detected near t={t:.6g}")
 
     def __reduce__(self):
-        return type(self), (self.t, str(self))
+        return type(self), (self.t, str(self)), self.__dict__
 
 
 class OutOfRange(RsmfgError):
@@ -48,7 +49,7 @@ class AssumptionViolated(RsmfgError):
         super().__init__(f"assumption violated: {name}")
 
     def __reduce__(self):
-        return type(self), (self.name,)
+        return type(self), (self.name,), self.__dict__
 
 
 class DimensionMismatch(RsmfgError):
@@ -67,7 +68,7 @@ class NotConverged(RsmfgError):
         )
 
     def __reduce__(self):
-        return type(self), (self.iterations, self.last_error)
+        return type(self), (self.iterations, self.last_error), self.__dict__
 
 
 class ParseError(RsmfgError):

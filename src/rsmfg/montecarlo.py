@@ -22,6 +22,15 @@ closed loop (A + B K) x + (B k + b), so that it rounds like the
 population engine, whose decoupled minor retraces a single-agent path bit
 for bit.
 
+A block's noise is laid out step-major, (steps, r, paths), so a step
+reads its kicks as one contiguous slab; _noise_block draws each path's
+stream into a small path-major tile and copies the tile transposed into
+the block.  The step runs in place: the state, the control, the
+accumulators and the drift, kick and blow-up test write into arrays
+allocated once per block (only numerics._mm forms its products of the
+second and later columns as temporaries), and every sum keeps the order
+of the plain expressions: ((A x + B u) + b) h, then (sigma xi) sqrt(h).
+
 Each identity check is a sampling part and an estimator: the *_report
 functions are pure functions of the per-path arrays of all paths in path
 order.  Any split of [0, n_paths) into ranges, simulated in any order or
@@ -62,6 +71,10 @@ from .riccati import RiccatiSolution, _closed_loop, running_cost
 
 DEFAULT_BLOCK = 4096
 
+# Paths that _noise_block draws into its path-major tile before copying
+# them, transposed, into the step-major block.
+_NOISE_TILE = 128
+
 # When a standard error is exactly zero (deterministic run), a deviation
 # within this tolerance counts as z=0, anything larger as z=inf.
 DETERMINISTIC_TOL = 1e-6
@@ -76,10 +89,6 @@ class ControlLaw:
 
     K: np.ndarray  # (M+1, m, n)
     k: np.ndarray  # (M+1, m)
-
-    def u(self, i, x):
-        """The control at node i for states held as columns, x (n, paths)."""
-        return _mm(self.K[i], x) + self.k[i][:, None]
 
     def scaled(self, gain_factor=1.0, offset_shift=0.0):
         return ControlLaw(K=gain_factor * self.K, k=self.k + offset_shift)
@@ -209,21 +218,27 @@ def _require_noise(p: LqgProblem, grid: TimeGrid, check: str):
 def _noise_block(seed, first_path, count, steps, r):
     """Standard normals of paths first_path, ..., first_path+count-1.
 
-    Row j holds the draws of Generator(Philox(key=[seed, first_path+j])).
-    One bit generator serves the block: before each path its state is
-    reset to that key, counter 0 and an empty buffer, which is the state
-    of a fresh generator (Salmon et al. 2011, "Parallel random numbers:
-    as easy as 1, 2, 3") without building one per path.
+    Laid out (steps, r, count): noise[:, :, j] holds the draws of
+    Generator(Philox(key=[seed, first_path+j])), so step i reads one
+    contiguous slab noise[i].  One bit generator serves the block:
+    before each path its state is reset to that key, counter 0 and an
+    empty buffer, which is the state of a fresh generator (Salmon et al.
+    2011, "Parallel random numbers: as easy as 1, 2, 3") without building
+    one per path.  The paths are drawn _NOISE_TILE at a time into a small
+    path-major tile, which is copied transposed into the block.
     """
     bit_gen = np.random.Philox(key=[seed, first_path])
     gen = np.random.Generator(bit_gen)
     fresh = bit_gen.state
-    noise = np.empty((count, steps, r))
-    for j in range(count):
-        fresh["state"]["key"] = np.array([seed, first_path + j],
-                                         dtype=np.uint64)
-        bit_gen.state = fresh
-        gen.standard_normal(out=noise[j])
+    noise = np.empty((steps, r, count))
+    tile = np.empty((min(count, _NOISE_TILE), steps, r))
+    for lo in range(0, count, _NOISE_TILE):
+        rows = tile[:min(_NOISE_TILE, count - lo)]
+        for j, row in enumerate(rows, start=first_path + lo):
+            fresh["state"]["key"] = np.array([seed, j], dtype=np.uint64)
+            bit_gen.state = fresh
+            gen.standard_normal(out=row)
+        noise[:, :, lo:lo + len(rows)] = rows.transpose(1, 2, 0)
     return noise
 
 
@@ -258,7 +273,8 @@ def _run_paths(p: LqgProblem, law: ControlLaw, paths: range, seed: int,
     perturbation integrals needed for the derivative estimator.
 
     A block's states are held as columns, x of shape (n, paths), so each
-    product with a node table is a few multiply-adds of whole rows.
+    product with a node table is a few multiply-adds of whole rows, and
+    every step writes into the block's buffers.
     """
     n_paths = len(paths)
     M = grid.steps
@@ -296,41 +312,73 @@ def _run_paths(p: LqgProblem, law: ControlLaw, paths: range, seed: int,
         out["states"] = np.empty((n_paths, M + 1, n))
         out["controls"] = np.empty((n_paths, M + 1, m))
 
+    k_col = k[:, :, None]
     for rows in path_blocks(paths, block):
         start, stop = rows.start - paths.start, rows.stop - paths.start
         nb = len(rows)
         noise = _noise_block(seed, rows.start, nb, M, r) if noisy else None
+        # the step writes into these buffers only: x and the accumulators,
+        # u, work (the cost's W x / 2 + w, then the drift), kick (B u,
+        # then the noise kick, then |x|), row (one per-path term) and tmp
         x = np.repeat(p.x0[:, None], nb, axis=1)
+        u = np.empty((m, nb))
+        work, kick = np.empty((2, n, nb))
+        row = np.empty((1, nb))
+        tmp = np.empty(nb)
         lam = np.zeros(nb)
         if stream_G:
             G = np.zeros((n, nb))
-            gu_prev = None
+            gu, gu_prev = np.empty((2, n, nb))
         if stream_omega:
             qmid = np.zeros(nb)
             cross = np.zeros(nb)
 
         for i in range(M + 1):
-            u = law.u(i, x)
+            _mm(K[i], x, out=u)
+            u += k_col[i]
             if store_paths:
                 out["states"][start:stop, i] = x.T
                 out["controls"][start:stop, i] = u.T
             weight = h if 0 < i < M else 0.5 * h
-            lam += weight * (_dot(x, _mm(W_half[i], x) + w_col[i]) + c[i])
+            # lam += weight * (x'(W x / 2 + w) + c), the sum over rows of
+            # x in index order as in numerics._dot
+            _mm(W_half[i], x, out=work)
+            work += w_col[i]
+            np.multiply(x[0], work[0], out=row[0])
+            for j in range(1, n):
+                row[0] += np.multiply(x[j], work[j], out=tmp)
+            row += c[i]
+            row *= weight
+            lam += row[0]
             if stream_G:
                 # Ups(t_i)^T (Q x + S u - eta), trapezoided
-                gu = _mm(G_x[i], x) + g_col[i]
+                _mm(G_x[i], x, out=gu)
+                gu += g_col[i]
                 if i > 0:
-                    G += (0.5 * h) * (gu_prev + gu)
-                gu_prev = gu
+                    np.add(gu_prev, gu, out=work)
+                    work *= 0.5 * h
+                    G += work
+                gu, gu_prev = gu_prev, gu
             if stream_omega:
-                qmid += weight * (_mm(q_x[i], x)[0] + q_c[i])
-                cross += weight * _mm(v_row[i], G)[0]
+                _mm(q_x[i], x, out=row)
+                row += q_c[i]
+                row *= weight
+                qmid += row[0]
+                _mm(v_row[i], G, out=row)
+                row *= weight
+                cross += row[0]
             if i < M:
-                drift = _mm(A_tab[i], x) + _mm(p.B, u) + b_col[i]
-                x = x + drift * h
+                # ((A x + B u) + b) h, then (sigma xi) sqrt(h)
+                _mm(A_tab[i], x, out=work)
+                work += _mm(p.B, u, out=kick)
+                work += b_col[i]
+                work *= h
+                x += work
                 if noisy:
-                    x = x + _mm(sig_tab[i], noise[:, i].T) * sqrt_h
-                mx = np.max(np.abs(x))
+                    _mm(sig_tab[i], noise[i], out=kick)
+                    kick *= sqrt_h
+                    x += kick
+                mx = np.abs(x, out=kick).max()
                 if not np.isfinite(mx) or mx > BLOWUP_BOUND:
                     raise NonFiniteState(grid.nodes[i + 1])
 
@@ -537,22 +585,3 @@ def sampled_convexity(p: LqgProblem, u1: np.ndarray, u2: np.ndarray,
         se = 0.0
     return ConvexityReport(lam=lam, margin=margin, std_error=se,
                            z=_zscore(margin, 0.0, se))
-
-
-def mean_closed_loop(p: LqgProblem, law, grid: TimeGrid) -> MatrixTrajectory:
-    """RK4 solution of the noise-free closed-loop mean dynamics."""
-    law = as_control_law(law, grid, p.n, p.m)
-    _, _, F, f = _closed_loop(p, law.K, law.k, grid)
-    return propagate_linear(F, f, p.x0, grid)
-
-
-def check_weak_error(p: LqgProblem, law, n_paths: int, seed: int,
-                     grid: TimeGrid = None) -> np.ndarray:
-    """Componentwise z-scores of E[x_T] against the mean ODE solution."""
-    if grid is None:
-        grid = TimeGrid(t_end=p.T, steps=2000)
-    ens = simulate(p, law, n_paths, seed, grid)
-    target = mean_closed_loop(p, law, grid).values[-1]
-    mean = ens.x_T.mean(axis=0)
-    se = ens.x_T.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    return np.array([_zscore(mean[j], target[j], se[j]) for j in range(p.n)])

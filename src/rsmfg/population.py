@@ -325,7 +325,8 @@ class _Deviation:
         self.on_xN = np.vstack([self.p.H if slot is None else self.p.H_hat,
                                 self.p.F])
         # the group's gains (M+1, dim, m, G, 1) and offsets (M+1, m, G, 1);
-        # u = sum_j gain[:, j] ext[j] + offset sums as ControlLaw.u does
+        # u = sum_j gain[:, j] ext[j] + offset sums as the control of
+        # montecarlo._run_paths does
         self.gain = np.stack([law.K for _, law in laws],
                              axis=-1).transpose(0, 2, 1, 3)[..., None]
         self.offset = np.stack([law.k for _, law in laws], axis=-1)[..., None]

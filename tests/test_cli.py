@@ -224,16 +224,24 @@ class TestMfgModes:
         assert iters[0].startswith("iteration,")
         assert len(iters) > 1000  # per-iteration trajectories present
 
-    def test_reproduce_paper_honours_fixedpoint_settings(self, tmp_path):
+    def test_reproduce_paper_honours_fixedpoint_settings(self, tmp_path,
+                                                         capsys):
         doc = bundled_config("toy_model.json")
         doc["model"]["minors"][0]["eta"] = [0.3]
         doc["grid"] = {"steps": 50}
         doc["fixedpoint"] = {"tol": 1e-10, "max_iter": 100,
                              "relaxation": 0.5}
         path = write_config(tmp_path, doc)
+        listed = {}
         for mode in ("reproduce-paper", "solve-mfg"):
             assert main([mode, "--config", path,
                          "--out", str(tmp_path / mode)]) == EXIT_OK
+            listed[mode] = [os.path.basename(line) for line in
+                            capsys.readouterr().out.splitlines()
+                            if line.startswith(str(tmp_path))]
+        # the files common to both modes are written and listed in one order
+        assert [name for name in listed["reproduce-paper"]
+                if name != "iterations.csv"] == listed["solve-mfg"]
         for name in ("convergence.csv", "mean_field.csv"):
             assert (tmp_path / "reproduce-paper" / name).read_bytes() \
                 == (tmp_path / "solve-mfg" / name).read_bytes()
@@ -442,6 +450,10 @@ class TestForkMap:
         with pytest.raises(NonFiniteState) as exc:
             cli.fork_map(fail, [1, 2, 3], sizes=[1, 3, 2])
         assert exc.value.t == 2.0
+        if cpus == 2:
+            # the child's traceback crosses the fork with the error
+            assert any(note.startswith("raised in a forked child")
+                       for note in exc.value.__notes__)
 
     def test_failing_maps_shut_down(self):
         # each of 200 failing maps must reap its children and return; they

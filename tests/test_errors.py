@@ -49,3 +49,7 @@ def test_pickle_round_trip(error):
     assert vars(back) == vars(error)
     for name in ("t", "iterations", "last_error", "name"):
         assert getattr(back, name, None) == getattr(error, name, None)
+    # a note, such as the traceback a forked child adds, comes back too
+    back.add_note("raised in a forked child")
+    again = pickle.loads(pickle.dumps(back))
+    assert again.__notes__ == ["raised in a forked child"]

@@ -14,8 +14,8 @@ from rsmfg.montecarlo import (
     check_martingale_quotient,
     check_normalization,
     check_optimal_cost,
-    check_weak_error,
     estimate_cost,
+    _NOISE_TILE,
     _noise_block,
     estimate_gateaux,
     log_mean_exp,
@@ -23,7 +23,12 @@ from rsmfg.montecarlo import (
     sampled_convexity,
     simulate,
 )
-from rsmfg.numerics import TimeGrid, integrate_ode, state_transition
+from rsmfg.numerics import (
+    TimeGrid,
+    integrate_ode,
+    propagate_linear,
+    state_transition,
+)
 from rsmfg.riccati import _closed_loop, law_cost, running_cost, solve
 
 GRID = TimeGrid(t_end=1.0, steps=500)
@@ -202,16 +207,41 @@ class TestSimulate:
         assert path_blocks(range(0)) == []
 
     def test_noise_rows_are_path_keyed_streams(self):
-        # row j is the stream of a fresh Philox keyed (seed, first + j);
-        # no generator state carries over between paths or calls
+        # path j is the stream of a fresh Philox keyed (seed, first + j);
+        # no generator state carries over between paths or calls.  Paths
+        # are drawn a tile at a time: the counts include a block shorter
+        # than a tile and blocks that end in a partial tile
         steps, r = 40, 2
-        first = _noise_block(17, 5, 3, steps, r)
-        second = _noise_block(17, 8, 2, steps, r)
-        for rows, start in ((first, 5), (second, 8)):
-            for j, row in enumerate(rows):
+        tile = _NOISE_TILE
+        for start, count in ((5, 3), (8, 2), (11, 1), (11, tile - 1),
+                             (11, tile), (11, tile + 1), (11, 2 * tile + 3)):
+            block = _noise_block(17, start, count, steps, r)
+            assert block.shape == (steps, r, count)
+            for j in range(count):
                 gen = np.random.Generator(
                     np.random.Philox(key=[17, start + j]))
-                assert np.array_equal(row, gen.standard_normal((steps, r)))
+                assert np.array_equal(block[:, :, j],
+                                      gen.standard_normal((steps, r)))
+
+    def test_block_size_independence_across_tiles(self):
+        # blocks of one path, of one path over a tile and of the whole
+        # range give every per-path array bit for bit
+        p = mild_2d()
+        grid = TimeGrid(t_end=1.0, steps=20)
+        law = as_control_law(solve(p, grid), grid, p.n, p.m)
+        ups, ups_inv = state_transition(p.A, grid)
+        t = grid.nodes
+        omega = np.stack([np.sin(2 * np.pi * t), 0.5 - t], axis=1)
+        v = np.einsum("tij,tj->ti", ups_inv.values, omega @ p.B.T)
+        runs = [_run_paths(p, law, range(3, 3 + 2 * _NOISE_TILE + 5), 6,
+                           grid, store_paths=True, ups_values=ups.values,
+                           omega=omega, v=v, block=b)
+                for b in (1, _NOISE_TILE + 1, 4096)]
+        assert sorted(runs[0]) == ["G_T", "controls", "cross", "log_weights",
+                                   "qmid", "states", "x_T"]
+        for run in runs[1:]:
+            for key, value in runs[0].items():
+                assert np.array_equal(run[key], value), key
 
     @pytest.mark.parametrize("law", ["riccati", "open-loop"])
     def test_cost_table_matches_direct_form(self, law):
@@ -441,9 +471,15 @@ class TestConvexity:
 
 class TestWeakError:
     def test_closed_loop_mean(self):
+        # E[x_T] against the RK4 solution of the closed-loop mean dynamics
         p = tanh_problem(delta=0.5)
         sol = solve(p, GRID)
-        z = check_weak_error(p, sol, 20_000, seed=71, grid=GRID)
+        n_paths = 20_000
+        x_T = simulate(p, sol, n_paths, seed=71, grid=GRID).x_T
+        _, _, F, f = _closed_loop(p, sol.K_gain, sol.k_offset, GRID)
+        target = propagate_linear(F, f, p.x0, GRID).values[-1]
+        se = x_T.std(axis=0, ddof=1) / math.sqrt(n_paths)
+        z = (x_T.mean(axis=0) - target) / se
         assert np.all(np.abs(z) <= 3.0)
 
 
